@@ -259,7 +259,8 @@ def _cmd_obs_serve(args) -> int:
 
 
 def _cmd_obs_diff(args) -> int:
-    from .obs.diff import diff_paths, gate_exit_code, render_diff_table
+    from .compare import gate_exit_code
+    from .obs.diff import diff_paths, render_diff_table
     pairs = {"trace": args.trace, "metrics": args.metrics,
              "ledger": args.ledger}
     if not any(pairs.values()):
@@ -398,7 +399,8 @@ def _cmd_bench_hotspots(args) -> int:
 
 
 def _cmd_bench_compare(args) -> int:
-    from .bench import BenchRecordError, compare_paths, gate_exit_code
+    from .bench import BenchRecordError, compare_paths
+    from .compare import gate_exit_code
     try:
         deltas, table = compare_paths(
             args.old, args.new, rel_threshold=args.threshold,
@@ -504,8 +506,8 @@ def _cmd_fidelity_report(args) -> int:
 
 
 def _cmd_fidelity_compare(args) -> int:
-    from .fidelity import (FidelityRecordError, compare_fidelity_paths,
-                           gate_exit_code)
+    from .compare import gate_exit_code
+    from .fidelity import FidelityRecordError, compare_fidelity_paths
     try:
         deltas, table = compare_fidelity_paths(args.old, args.new)
     except FidelityRecordError as exc:
@@ -551,6 +553,9 @@ def cmd_chaos(args) -> int:
 
 
 def main(argv=None) -> int:
+    # The comparators' modules own their threshold defaults.
+    from .bench import compare as bench_compare
+    from .obs import diff as obs_diff
     parser = argparse.ArgumentParser(
         prog="repro",
         description="BVF (MICRO 2017) reproduction toolkit")
@@ -685,14 +690,16 @@ def main(argv=None) -> int:
     diff_p.add_argument("--gate", action="store_true",
                         help="exit 1 on any regression/changed/new/"
                              "missing identity")
-    diff_p.add_argument("--threshold", type=float, default=0.25,
+    diff_p.add_argument("--threshold", type=float,
+                        default=obs_diff.DEFAULT_REL_THRESHOLD,
                         metavar="REL",
                         help="relative wall-shift bar for trace timing "
-                             "verdicts (default: 0.25)")
-    diff_p.add_argument("--abs-floor-s", type=float, default=0.05,
+                             "verdicts (default: %(default)g)")
+    diff_p.add_argument("--abs-floor-s", type=float,
+                        default=obs_diff.DEFAULT_ABS_FLOOR_S,
                         metavar="S",
                         help="absolute wall-shift floor in seconds "
-                             "(default: 0.05)")
+                             "(default: %(default)g)")
     diff_p.add_argument("--show-ok", action="store_true",
                         help="list ok identities too, not just counts")
     diff_p.add_argument("--json", action="store_true",
@@ -762,16 +769,20 @@ def main(argv=None) -> int:
     cmp_p.add_argument("new", metavar="NEW.json")
     cmp_p.add_argument("--gate", action="store_true",
                        help="exit 1 when any scenario regresses")
-    cmp_p.add_argument("--threshold", type=float, default=0.10,
+    cmp_p.add_argument("--threshold", type=float,
+                       default=bench_compare.DEFAULT_REL_THRESHOLD,
                        metavar="REL",
-                       help="relative median-shift bar (default: 0.10)")
-    cmp_p.add_argument("--mad-k", type=float, default=3.0, metavar="K",
+                       help="relative median-shift bar (default: "
+                            "%(default).2f)")
+    cmp_p.add_argument("--mad-k", type=float,
+                       default=bench_compare.DEFAULT_MAD_K, metavar="K",
                        help="noise bar: shift must exceed K x MAD "
-                            "(default: 3)")
-    cmp_p.add_argument("--min-seconds", type=float, default=0.001,
+                            "(default: %(default)g)")
+    cmp_p.add_argument("--min-seconds", type=float,
+                       default=bench_compare.DEFAULT_MIN_SECONDS,
                        metavar="S",
                        help="never gate scenarios faster than S seconds "
-                            "(default: 0.001)")
+                            "(default: %(default)g)")
 
     fid_p = sub.add_parser(
         "fidelity", help="paper-fidelity scorecard: machine-checked "

@@ -15,13 +15,13 @@ this change regress it*:
   and tracer-sourced stage breakdowns;
 * **regression gate** (:mod:`~repro.bench.compare`): flags a scenario
   only when the median shift clears both a relative threshold and a
-  k·MAD noise floor, with CI-friendly exit codes.
+  k·MAD noise floor. Its deltas, verdicts, table and exit codes come
+  from the shared comparator core, :mod:`repro.compare`.
 
 CLI: ``repro bench run | hotspots | compare``.
 """
 
-from .compare import (COMPARE_VERDICTS, BenchRecordError, ScenarioDelta,
-                      compare_paths, compare_records, gate_exit_code,
+from .compare import (BenchRecordError, compare_paths, compare_records,
                       load_bench_record, render_compare_table)
 from .hotspots import (Hotspot, HotspotReport, aggregate_hotspots,
                        folded_stacks, render_hotspot_table)
@@ -35,7 +35,6 @@ __all__ = [
     "SCENARIOS", "SCHEMA", "SCHEMA_VERSION", "SUITES", "Scenario",
     "default_bench_path", "run_scenario", "run_suite",
     "write_bench_record",
-    "COMPARE_VERDICTS", "BenchRecordError", "ScenarioDelta", "compare_paths",
-    "compare_records", "gate_exit_code", "load_bench_record",
-    "render_compare_table",
+    "BenchRecordError", "compare_paths", "compare_records",
+    "load_bench_record", "render_compare_table",
 ]

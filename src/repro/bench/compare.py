@@ -14,7 +14,10 @@ Scenarios faster than ``min_seconds`` on the old side are reported but
 never gated — their medians sit inside scheduler quantisation.
 Comparing a record against itself therefore always passes, and an
 injected 2x slowdown always fails: the exit-code contract CI relies on
-(0 clean, 1 regression with ``--gate``, 2 unusable records).
+(0 clean, 1 regression with ``--gate``, 2 unusable records). Alignment,
+the verdict vocabulary, the table layout and the exit-code rule are
+the shared :mod:`repro.compare` core; this module owns the loader and
+the grading rule, and only ``regression`` gates.
 
 Perf numbers are machine-relative. Gate only against a baseline
 produced on the same host; cross-host comparisons are for eyeballs.
@@ -22,24 +25,22 @@ produced on the same host; cross-host comparisons are for eyeballs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
+from ..compare import Delta, align, render_table
 from ..records import RecordError, load_schema_record
 from .suite import SCHEMA, SCHEMA_VERSION
 
-__all__ = ["COMPARE_VERDICTS", "BenchRecordError", "ScenarioDelta",
-           "compare_records", "load_bench_record", "render_compare_table"]
+__all__ = ["BenchRecordError", "compare_paths", "compare_records",
+           "load_bench_record", "render_compare_table"]
 
 DEFAULT_REL_THRESHOLD = 0.10
 DEFAULT_MAD_K = 3.0
 DEFAULT_MIN_SECONDS = 0.001
 
-#: The shared compare-verdict vocabulary. ``bench compare`` uses all
-#: six; ``fidelity compare`` uses the first five (nothing is ever
-#: "too fast" to check a scientific claim). Only ``regression`` gates.
-COMPARE_VERDICTS = ("ok", "regression", "improved", "new", "missing",
-                    "too-fast")
+_HEADER = (f"{'scenario':<18} {'old(s)':>10} {'new(s)':>10} "
+           f"{'shift':>8} {'noise<=':>9}")
+_RULE = "-" * len(f"{_HEADER}  verdict")
 
 
 class BenchRecordError(RecordError):
@@ -52,100 +53,65 @@ def load_bench_record(path: str) -> dict:
                               error_cls=BenchRecordError)
 
 
-@dataclass
-class ScenarioDelta:
-    """Verdict for one scenario name across the two records."""
-
-    name: str
-    verdict: str                 # ok | regression | improved | new |
-    #                              missing | too-fast
-    old_median: Optional[float] = None
-    new_median: Optional[float] = None
-    rel_shift: Optional[float] = None
-    noise_limit_s: Optional[float] = None   # k * max(old MAD, new MAD)
-
-    @property
-    def gates(self) -> bool:
-        return self.verdict == "regression"
-
-
 def compare_records(old: dict, new: dict,
                     rel_threshold: float = DEFAULT_REL_THRESHOLD,
                     mad_k: float = DEFAULT_MAD_K,
                     min_seconds: float = DEFAULT_MIN_SECONDS
-                    ) -> List[ScenarioDelta]:
+                    ) -> List[Delta]:
     """Compare two loaded BENCH records scenario by scenario.
 
-    Returns one :class:`ScenarioDelta` per scenario name seen in either
-    record, in sorted-name order.
+    Returns one ``scenario`` :class:`~repro.compare.Delta` per scenario
+    name seen in either record, in sorted-name order: ``old``/``new``
+    are the median walls, ``columns`` carries ``rel_shift`` and
+    ``noise_limit_s`` (k * max(old MAD, new MAD)).
     """
-    old_scenarios: Dict[str, dict] = old["scenarios"]
-    new_scenarios: Dict[str, dict] = new["scenarios"]
-    deltas: List[ScenarioDelta] = []
-    for name in sorted(set(old_scenarios) | set(new_scenarios)):
-        if name not in old_scenarios:
-            deltas.append(ScenarioDelta(name, "new"))
-            continue
-        if name not in new_scenarios:
-            deltas.append(ScenarioDelta(name, "missing"))
-            continue
-        old_wall = old_scenarios[name]["wall_s"]
-        new_wall = new_scenarios[name]["wall_s"]
+    def _grade(old_entry, new_entry):
+        old_wall, new_wall = old_entry["wall_s"], new_entry["wall_s"]
         old_median = float(old_wall["median"])
         new_median = float(new_wall["median"])
         shift = new_median - old_median
         rel = shift / old_median if old_median > 0 else 0.0
         noise_limit = mad_k * max(float(old_wall.get("mad", 0.0)),
                                   float(new_wall.get("mad", 0.0)))
-        delta = ScenarioDelta(name, "ok", old_median=old_median,
-                              new_median=new_median, rel_shift=rel,
-                              noise_limit_s=noise_limit)
+        verdict = "ok"
         if old_median < min_seconds:
-            delta.verdict = "too-fast"
+            verdict = "too-fast"
         elif rel > rel_threshold and shift > noise_limit:
-            delta.verdict = "regression"
+            verdict = "regression"
         elif rel < -rel_threshold and -shift > noise_limit:
-            delta.verdict = "improved"
-        deltas.append(delta)
-    return deltas
+            verdict = "improved"
+        return verdict, {"old": old_median, "new": new_median,
+                         "columns": {"rel_shift": rel,
+                                     "noise_limit_s": noise_limit}}
+
+    return align(old["scenarios"], new["scenarios"], _grade,
+                 gating=("regression",), kind="scenario")
 
 
-def render_compare_table(deltas: List[ScenarioDelta],
+def _row(d: Delta) -> str:
+    if d.old is None or d.new is None:
+        return f"{d.name:<18} {'-':>10} {'-':>10} {'-':>8} {'-':>9}"
+    return (f"{d.name:<18} {d.old:>10.4f} {d.new:>10.4f} "
+            f"{d.columns['rel_shift']:>+7.1%} "
+            f"{d.columns['noise_limit_s']:>8.4f}s")
+
+
+def render_compare_table(deltas: List[Delta],
                          rel_threshold: float = DEFAULT_REL_THRESHOLD,
                          mad_k: float = DEFAULT_MAD_K) -> str:
     """Human summary of a comparison, one line per scenario."""
-    header = (f"{'scenario':<18} {'old(s)':>10} {'new(s)':>10} "
-              f"{'shift':>8} {'noise<=':>9}  verdict")
-    lines = [header, "-" * len(header)]
-    for d in deltas:
-        if d.old_median is None or d.new_median is None:
-            lines.append(f"{d.name:<18} {'-':>10} {'-':>10} {'-':>8} "
-                         f"{'-':>9}  {d.verdict}")
-            continue
-        verdict = d.verdict.upper() if d.gates else d.verdict
-        lines.append(
-            f"{d.name:<18} {d.old_median:>10.4f} {d.new_median:>10.4f} "
-            f"{d.rel_shift:>+7.1%} {d.noise_limit_s:>8.4f}s  {verdict}")
     regressions = sum(1 for d in deltas if d.gates)
-    lines.append("-" * len(header))
-    lines.append(
-        f"{regressions} regression(s) at >{rel_threshold:.0%} median "
-        f"shift AND >{mad_k:g}x MAD noise floor")
-    return "\n".join(lines)
-
-
-def gate_exit_code(deltas: List[ScenarioDelta], gate: bool) -> int:
-    """0 when clean (or not gating), 1 when gating with regressions."""
-    if gate and any(d.gates for d in deltas):
-        return 1
-    return 0
+    footer = (f"{_RULE}\n{regressions} regression(s) at "
+              f">{rel_threshold:.0%} median shift AND >{mad_k:g}x MAD "
+              f"noise floor")
+    return render_table(deltas, _HEADER, _row, footer)
 
 
 def compare_paths(old_path: str, new_path: str, *,
                   rel_threshold: float = DEFAULT_REL_THRESHOLD,
                   mad_k: float = DEFAULT_MAD_K,
                   min_seconds: float = DEFAULT_MIN_SECONDS
-                  ) -> Tuple[List[ScenarioDelta], str]:
+                  ) -> Tuple[List[Delta], str]:
     """Load, compare, and render two record files in one call."""
     old = load_bench_record(old_path)
     new = load_bench_record(new_path)

@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..obs.tracer import span_paths
+
 __all__ = ["Hotspot", "HotspotReport", "aggregate_hotspots",
            "folded_stacks", "render_hotspot_table"]
 
@@ -106,6 +108,15 @@ def _as_node(span) -> dict:
     return span.to_dict()
 
 
+def _as_roots(spans) -> List[dict]:
+    """Root nodes of a Tracer, one span tree, or a sequence of roots."""
+    if hasattr(spans, "root"):           # a Tracer
+        return [_as_node(spans.root)]
+    if isinstance(spans, dict) or hasattr(spans, "to_dict"):
+        return [_as_node(spans)]
+    return [_as_node(s) for s in spans]
+
+
 def _node_children(node: dict) -> Sequence[dict]:
     return node.get("children") or ()
 
@@ -119,13 +130,7 @@ def aggregate_hotspots(spans: Union[dict, Sequence, object]
     :func:`~repro.obs.tracer.jsonl_to_trees`, or a
     :class:`~repro.obs.tracer.Tracer` (its root is used).
     """
-    if hasattr(spans, "root"):           # a Tracer
-        roots = [_as_node(spans.root)]
-    elif isinstance(spans, dict) or hasattr(spans, "to_dict"):
-        roots = [_as_node(spans)]
-    else:
-        roots = [_as_node(s) for s in spans]
-
+    roots = _as_roots(spans)
     report = HotspotReport()
 
     def _get(name: str) -> Hotspot:
@@ -182,31 +187,18 @@ def folded_stacks(spans) -> str:
     consumers require non-negative sample counts, and the overlap is
     a property of the merge, not of any one stack.
     """
-    if hasattr(spans, "root"):
-        roots = [_as_node(spans.root)]
-    elif isinstance(spans, dict) or hasattr(spans, "to_dict"):
-        roots = [_as_node(spans)]
-    else:
-        roots = [_as_node(s) for s in spans]
-
     weights: Dict[str, int] = {}
-
-    def _visit(node: dict, path: str) -> None:
-        name = node.get("name", "?").replace(";", ":")
-        path = f"{path};{name}" if path else name
-        children = _node_children(node)
+    for path, node in span_paths(
+            _as_roots(spans),
+            lambda node: node.get("name", "?").replace(";", ":"), ";"):
         wall = node.get("wall_s")
-        if wall is not None:
-            self_wall = wall - sum(c.get("wall_s") or 0.0
-                                   for c in children)
-            micros = int(round(max(0.0, self_wall) * 1e6))
-            if micros:
-                weights[path] = weights.get(path, 0) + micros
-        for child in children:
-            _visit(child, path)
-
-    for root in roots:
-        _visit(root, "")
+        if wall is None:
+            continue
+        self_wall = wall - sum(c.get("wall_s") or 0.0
+                               for c in _node_children(node))
+        micros = int(round(max(0.0, self_wall) * 1e6))
+        if micros:
+            weights[path] = weights.get(path, 0) + micros
     return "\n".join(f"{path} {weights[path]}"
                      for path in sorted(weights)) + ("\n" if weights else "")
 

@@ -10,18 +10,17 @@ merged metrics snapshot (:mod:`~repro.fidelity.extract`), and graded
 pass/degraded/fail/not-run (:mod:`~repro.fidelity.scorecard`). Records
 are schema-versioned ``FIDELITY_<timestamp>.json`` files; the drift
 gate (:mod:`~repro.fidelity.compare`) flags claims that newly crossed
-a tolerance band, sharing the verdict vocabulary and exit-code
-contract of ``bench compare``.
+a tolerance band, on the comparator core (:mod:`repro.compare`) that
+``bench compare`` and ``obs diff`` share.
 
 CLI: ``repro fidelity run | report | compare``.
 """
 
-from ..bench.compare import COMPARE_VERDICTS, gate_exit_code
 from .claims import (CLAIMS, VERDICT_RANK, VERDICTS, Claim, ClaimResult,
                      OrderingClaim, ShapeClaim, ValueClaim, claims_by_id,
                      required_experiments)
-from .compare import (ClaimDelta, compare_fidelity_paths,
-                      compare_fidelity_records, render_fidelity_compare)
+from .compare import (compare_fidelity_paths, compare_fidelity_records,
+                      render_fidelity_compare)
 from .extract import ArtifactSet, NotAvailable
 from .scorecard import (FIDELITY_SCHEMA, FIDELITY_SCHEMA_VERSION, SCALES,
                         FidelityRecordError, Scale, build_record,
@@ -38,7 +37,6 @@ __all__ = [
     "FidelityRecordError", "build_record", "default_fidelity_path",
     "evaluate_claims", "load_fidelity_record", "render_markdown",
     "render_scorecard", "run_scale", "write_fidelity_record",
-    "ClaimDelta", "compare_fidelity_paths", "compare_fidelity_records",
+    "compare_fidelity_paths", "compare_fidelity_records",
     "render_fidelity_compare",
-    "COMPARE_VERDICTS", "gate_exit_code",
 ]

@@ -3,12 +3,12 @@
 ``repro fidelity compare old.json new.json`` lines the two records'
 claims up and flags a **regression** when a claim's verdict *worsened*
 — crossed a tolerance band it previously sat inside (pass -> degraded,
-degraded -> fail, pass -> fail). Verdicts share
-:data:`repro.bench.compare.COMPARE_VERDICTS` with the perf gate:
-``ok`` / ``regression`` / ``improved`` / ``new`` / ``missing`` (a
-scientific claim is never ``too-fast``). Claims absent from one side
-— including ``not-run`` transitions, which are absence of evidence,
-not drift — map to ``new``/``missing`` and never gate.
+degraded -> fail, pass -> fail). Alignment, verdicts, the table
+layout and the exit-code rule are the shared :mod:`repro.compare`
+core: this gate emits ``ok`` / ``regression`` / ``improved`` /
+``new`` / ``missing`` and only ``regression`` gates. Claims absent
+from one side — including ``not-run`` transitions, which are absence
+of evidence, not drift — map to ``new``/``missing`` and never gate.
 
 Unlike the perf gate there is no noise floor: scorecards are
 deterministic at fixed scale, so *any* band crossing is signal. The
@@ -18,88 +18,66 @@ with ``--gate``, 2 unusable records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..bench.compare import COMPARE_VERDICTS
+from ..compare import Delta, align, render_table
 from .claims import VERDICT_RANK
 from .scorecard import load_fidelity_record
 
-__all__ = ["ClaimDelta", "compare_fidelity_paths",
-           "compare_fidelity_records", "render_fidelity_compare"]
+__all__ = ["compare_fidelity_paths", "compare_fidelity_records",
+           "render_fidelity_compare"]
+
+_HEADER = (f"{'claim':<32} {'old':>10} {'new':>10} "
+           f"{'measured':>22}")
+_RULE = "-" * len(f"{_HEADER}  verdict")
 
 
-@dataclass
-class ClaimDelta:
-    """Verdict transition for one claim id across the two records."""
-
-    name: str
-    verdict: str                 # one of COMPARE_VERDICTS (sans too-fast)
-    old_verdict: Optional[str] = None
-    new_verdict: Optional[str] = None
-    old_measured: Optional[float] = None
-    new_measured: Optional[float] = None
-
-    def __post_init__(self):
-        assert self.verdict in COMPARE_VERDICTS, self.verdict
-
-    @property
-    def gates(self) -> bool:
-        return self.verdict == "regression"
+def _grade(old_entry, new_entry):
+    old_v, new_v = old_entry["verdict"], new_entry["verdict"]
+    verdict = "ok"
+    if old_v == "not-run" and new_v != "not-run":
+        verdict = "new"
+    elif new_v == "not-run" and old_v != "not-run":
+        verdict = "missing"
+    elif VERDICT_RANK.get(new_v, 0) > VERDICT_RANK.get(old_v, 0):
+        verdict = "regression"
+    elif VERDICT_RANK.get(new_v, 0) < VERDICT_RANK.get(old_v, 0):
+        verdict = "improved"
+    return verdict, {"old": old_v, "new": new_v, "columns": {
+        "old_measured": old_entry.get("measured"),
+        "new_measured": new_entry.get("measured")}}
 
 
-def compare_fidelity_records(old: dict, new: dict) -> List[ClaimDelta]:
-    """One :class:`ClaimDelta` per claim id, in sorted-name order."""
-    old_claims, new_claims = old["claims"], new["claims"]
-    deltas: List[ClaimDelta] = []
-    for name in sorted(set(old_claims) | set(new_claims)):
-        if name not in old_claims:
-            deltas.append(ClaimDelta(name, "new",
-                                     new_verdict=new_claims[name]["verdict"]))
-            continue
-        if name not in new_claims:
-            deltas.append(ClaimDelta(name, "missing",
-                                     old_verdict=old_claims[name]["verdict"]))
-            continue
-        old_entry, new_entry = old_claims[name], new_claims[name]
-        old_v, new_v = old_entry["verdict"], new_entry["verdict"]
-        delta = ClaimDelta(name, "ok", old_verdict=old_v, new_verdict=new_v,
-                           old_measured=old_entry.get("measured"),
-                           new_measured=new_entry.get("measured"))
-        if old_v == "not-run" and new_v != "not-run":
-            delta.verdict = "new"
-        elif new_v == "not-run" and old_v != "not-run":
-            delta.verdict = "missing"
-        elif VERDICT_RANK.get(new_v, 0) > VERDICT_RANK.get(old_v, 0):
-            delta.verdict = "regression"
-        elif VERDICT_RANK.get(new_v, 0) < VERDICT_RANK.get(old_v, 0):
-            delta.verdict = "improved"
-        deltas.append(delta)
-    return deltas
+def compare_fidelity_records(old: dict, new: dict) -> List[Delta]:
+    """One ``claim`` :class:`~repro.compare.Delta` per claim id, in
+    sorted-name order: ``old``/``new`` are the claim verdicts and
+    ``columns`` the measured values of claims present on both sides."""
+    return align(old["claims"], new["claims"], _grade,
+                 gating=("regression",), kind="claim",
+                 describe=lambda entry: (entry["verdict"], ""))
 
 
-def render_fidelity_compare(deltas: List[ClaimDelta]) -> str:
+def _row(d: Delta) -> str:
+    old_m = d.columns.get("old_measured")
+    new_m = d.columns.get("new_measured")
+    measured = "-"
+    if old_m is not None or new_m is not None:
+        fmt = lambda v: "-" if v is None else f"{v:.4g}"
+        measured = f"{fmt(old_m)} -> {fmt(new_m)}"
+    return (f"{d.name:<32} {d.old or '-':>10} {d.new or '-':>10} "
+            f"{measured:>22}")
+
+
+def render_fidelity_compare(deltas: List[Delta]) -> str:
     """Human summary of a fidelity comparison, one line per claim."""
-    header = (f"{'claim':<32} {'old':>10} {'new':>10} "
-              f"{'measured':>22}  verdict")
-    lines = [header, "-" * len(header)]
-    for d in deltas:
-        measured = "-"
-        if d.old_measured is not None or d.new_measured is not None:
-            fmt = lambda v: "-" if v is None else f"{v:.4g}"
-            measured = f"{fmt(d.old_measured)} -> {fmt(d.new_measured)}"
-        verdict = d.verdict.upper() if d.gates else d.verdict
-        lines.append(f"{d.name:<32} {d.old_verdict or '-':>10} "
-                     f"{d.new_verdict or '-':>10} {measured:>22}  {verdict}")
     regressions = sum(1 for d in deltas if d.gates)
-    lines.append("-" * len(header))
-    lines.append(f"{regressions} claim(s) crossed a tolerance band "
-                 f"for the worse")
-    return "\n".join(lines)
+    return render_table(deltas, _HEADER, _row,
+                        f"{_RULE}\n{regressions} claim(s) crossed a "
+                        f"tolerance band for the worse")
 
 
 def compare_fidelity_paths(old_path: str, new_path: str
-                           ) -> Tuple[List[ClaimDelta], str]:
+                           ) -> Tuple[List[Delta], str]:
     """Load, compare, and render two record files in one call."""
     old = load_fidelity_record(old_path)
     new = load_fidelity_record(new_path)

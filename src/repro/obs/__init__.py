@@ -60,7 +60,7 @@ _LAZY = {
     "LedgerHub": "ledger", "LedgerSubscription": "ledger",
     "RunState": "live", "render_dashboard": "live", "watch": "live",
     "load_run_state": "live",
-    "PathDelta": "diff", "diff_paths": "diff", "diff_traces": "diff",
+    "diff_paths": "diff", "diff_traces": "diff",
     "diff_metrics": "diff", "diff_ledgers": "diff",
     "render_diff_table": "diff", "diff_to_dict": "diff",
     "RunIndex": "runindex", "classify_artifact": "runindex",
@@ -98,7 +98,7 @@ __all__ = [
     "read_jsonl_segments", "normalize_events", "validate_ledger",
     "LedgerHub", "LedgerSubscription",
     "RunState", "render_dashboard", "watch", "load_run_state",
-    "PathDelta", "diff_paths", "diff_traces", "diff_metrics",
+    "diff_paths", "diff_traces", "diff_metrics",
     "diff_ledgers", "render_diff_table", "diff_to_dict",
     "RunIndex", "classify_artifact", "run_id_for",
     "ObsHTTPServer", "serve",

@@ -27,52 +27,32 @@ vocabulary and exit-code contract:
 Verdicts: ``ok`` / ``regression`` / ``improved`` (timing, gated by
 thresholds) and ``changed`` / ``new`` / ``missing`` (semantic).
 ``--gate`` turns any of the latter three plus ``regression`` into
-exit code 1, mirroring ``bench compare``.
+exit code 1. Alignment, rendering and gating are the
+:mod:`repro.compare` core shared with ``bench compare``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
+from ..compare import Delta, align, render_table
 from .ledger import normalize_events, read_ledger, read_jsonl_segments
 from .metrics import VOLATILE_METRIC_FAMILIES
-from .tracer import jsonl_to_trees
+from .tracer import jsonl_to_trees, span_paths
 
 __all__ = [
-    "DIFF_VERDICTS", "PathDelta", "aggregate_trace", "diff_traces",
-    "diff_metrics", "diff_ledgers", "render_diff_table", "diff_to_dict",
-    "gate_exit_code", "DEFAULT_REL_THRESHOLD", "DEFAULT_ABS_FLOOR_S",
+    "diff_traces", "diff_metrics", "diff_ledgers", "diff_paths",
+    "render_diff_table", "diff_to_dict", "DEFAULT_REL_THRESHOLD",
+    "DEFAULT_ABS_FLOOR_S",
 ]
-
-#: Compare-verdict vocabulary, a superset of the bench gate's timing
-#: verdicts: ``changed`` marks a semantic difference (metric value,
-#: normalized unit lifecycle) that no threshold can excuse.
-DIFF_VERDICTS = ("ok", "regression", "improved", "changed", "new",
-                 "missing")
 
 DEFAULT_REL_THRESHOLD = 0.25
 DEFAULT_ABS_FLOOR_S = 0.05
 
 #: Verdicts that flip ``--gate`` to exit 1.
 _GATING = ("regression", "changed", "new", "missing")
-
-
-@dataclass
-class PathDelta:
-    """Verdict for one aligned identity (span path, series, unit)."""
-
-    kind: str                    # trace | metric | ledger
-    name: str                    # the aligned identity
-    verdict: str
-    old: Optional[float] = None  # old wall_s / metric value
-    new: Optional[float] = None
-    detail: str = ""
-
-    @property
-    def gates(self) -> bool:
-        return self.verdict in _GATING
 
 
 # ---------------------------------------------------------------------------
@@ -93,37 +73,28 @@ def _span_path_name(node: dict) -> str:
     return str(node.get("name", "?"))
 
 
-def aggregate_trace(roots: List[dict]) -> Dict[str, dict]:
-    """Per-name-path aggregates of one run's span trees.
+def _trace_rows(roots: List[dict]) -> Dict[str, dict]:
+    """``{name-path: {"calls", "wall_s", "cpu_s"}}`` of one run.
 
-    Returns ``{path: {"calls", "wall_s", "cpu_s"}}`` where ``path`` is
-    the ``/``-joined identity from the root down. Sibling spans with
-    the same identity (repeated attempts, retried units) aggregate
-    into one row, which is what makes two runs of different retry
-    counts comparable at all — the *calls* delta then carries the
-    retry story.
+    Sibling spans with the same identity (repeated attempts, retried
+    units) aggregate into one row, which is what makes two runs of
+    different retry counts comparable at all — the *calls* delta then
+    carries the retry story.
     """
-    aggregates: Dict[str, dict] = {}
-
-    def _walk(node: dict, prefix: str) -> None:
-        path = (prefix + "/" if prefix else "") + _span_path_name(node)
-        row = aggregates.setdefault(
-            path, {"calls": 0, "wall_s": 0.0, "cpu_s": 0.0})
+    rows: Dict[str, dict] = {}
+    for path, node in span_paths(roots, _span_path_name, "/"):
+        row = rows.setdefault(path, {"calls": 0, "wall_s": 0.0,
+                                     "cpu_s": 0.0})
         row["calls"] += 1
         row["wall_s"] += float(node.get("wall_s") or 0.0)
         row["cpu_s"] += float(node.get("cpu_s") or 0.0)
-        for child in node.get("children", []):
-            _walk(child, path)
-
-    for root in roots:
-        _walk(root, "")
-    return aggregates
+    return rows
 
 
 def diff_traces(old_roots: List[dict], new_roots: List[dict],
                 rel_threshold: float = DEFAULT_REL_THRESHOLD,
                 abs_floor_s: float = DEFAULT_ABS_FLOOR_S
-                ) -> List[PathDelta]:
+                ) -> List[Delta]:
     """Align two runs' span trees by name-path and grade the deltas.
 
     Timing verdicts need *both* bars — relative shift past
@@ -132,41 +103,27 @@ def diff_traces(old_roots: List[dict], new_roots: List[dict],
     difference on a shared path grades ``changed`` (the run did a
     different number of that thing; time is then beside the point).
     """
-    old_agg = aggregate_trace(old_roots)
-    new_agg = aggregate_trace(new_roots)
-    deltas: List[PathDelta] = []
-    for path in sorted(set(old_agg) | set(new_agg)):
-        if path not in old_agg:
-            deltas.append(PathDelta(
-                "trace", path, "new",
-                new=new_agg[path]["wall_s"],
-                detail=f"calls={new_agg[path]['calls']}"))
-            continue
-        if path not in new_agg:
-            deltas.append(PathDelta(
-                "trace", path, "missing",
-                old=old_agg[path]["wall_s"],
-                detail=f"calls={old_agg[path]['calls']}"))
-            continue
-        old_row, new_row = old_agg[path], new_agg[path]
-        delta = PathDelta("trace", path, "ok",
-                          old=old_row["wall_s"], new=new_row["wall_s"])
+    def _grade(old_row, new_row):
+        columns = {"old": old_row["wall_s"], "new": new_row["wall_s"]}
         if old_row["calls"] != new_row["calls"]:
-            delta.verdict = "changed"
-            delta.detail = (f"calls {old_row['calls']} -> "
-                            f"{new_row['calls']}")
+            columns["detail"] = (f"calls {old_row['calls']} -> "
+                                 f"{new_row['calls']}")
+            return "changed", columns
+        shift = new_row["wall_s"] - old_row["wall_s"]
+        rel = shift / old_row["wall_s"] if old_row["wall_s"] > 0 else 0.0
+        if rel > rel_threshold and shift > abs_floor_s:
+            verdict = "regression"
+        elif rel < -rel_threshold and -shift > abs_floor_s:
+            verdict = "improved"
         else:
-            shift = new_row["wall_s"] - old_row["wall_s"]
-            rel = (shift / old_row["wall_s"]
-                   if old_row["wall_s"] > 0 else 0.0)
-            if rel > rel_threshold and shift > abs_floor_s:
-                delta.verdict = "regression"
-                delta.detail = f"wall {rel:+.0%}"
-            elif rel < -rel_threshold and -shift > abs_floor_s:
-                delta.verdict = "improved"
-                delta.detail = f"wall {rel:+.0%}"
-        deltas.append(delta)
-    return deltas
+            return "ok", columns
+        columns["detail"] = f"wall {rel:+.0%}"
+        return verdict, columns
+
+    return align(_trace_rows(old_roots), _trace_rows(new_roots), _grade,
+                 _GATING, kind="trace",
+                 describe=lambda row: (row["wall_s"],
+                                       f"calls={row['calls']}"))
 
 
 # ---------------------------------------------------------------------------
@@ -198,45 +155,57 @@ def _series_map(snapshot: dict) -> Dict[str, object]:
     return series
 
 
-def diff_metrics(old_snapshot: dict, new_snapshot: dict
-                 ) -> List[PathDelta]:
+def _num(value) -> Optional[float]:
+    return float(value) if isinstance(value, (int, float)) else None
+
+
+def _grade_series(old_value, new_value):
+    columns = {"old": _num(old_value), "new": _num(new_value)}
+    if old_value == new_value:
+        return "ok", columns
+    columns["detail"] = f"{old_value} -> {new_value}"
+    return "changed", columns
+
+
+def diff_metrics(old_snapshot: dict, new_snapshot: dict) -> List[Delta]:
     """Align two metrics snapshots series-by-series.
 
     Counter/gauge values are deterministic by construction, so any
     difference on a shared series is ``changed`` — no threshold.
     """
-    old_series = _series_map(old_snapshot)
-    new_series = _series_map(new_snapshot)
-    deltas: List[PathDelta] = []
-
-    def _num(value) -> Optional[float]:
-        return float(value) if isinstance(value, (int, float)) else None
-
-    for name in sorted(set(old_series) | set(new_series)):
-        if name not in old_series:
-            deltas.append(PathDelta("metric", name, "new",
-                                    new=_num(new_series[name])))
-        elif name not in new_series:
-            deltas.append(PathDelta("metric", name, "missing",
-                                    old=_num(old_series[name])))
-        elif old_series[name] != new_series[name]:
-            deltas.append(PathDelta(
-                "metric", name, "changed",
-                old=_num(old_series[name]), new=_num(new_series[name]),
-                detail=f"{old_series[name]} -> {new_series[name]}"))
-        else:
-            deltas.append(PathDelta("metric", name, "ok",
-                                    old=_num(old_series[name]),
-                                    new=_num(new_series[name])))
-    return deltas
+    return align(_series_map(old_snapshot), _series_map(new_snapshot),
+                 _grade_series, _GATING, kind="metric",
+                 describe=lambda value: (_num(value), ""))
 
 
 # ---------------------------------------------------------------------------
 # Ledger alignment
 # ---------------------------------------------------------------------------
 
+def _signatures(events: List[dict]) -> Dict[str, List[tuple]]:
+    signatures: Dict[str, List[tuple]] = {}
+    for event in normalize_events(events):
+        key = event["key"] or "<sweep>"
+        signatures.setdefault(key, []).append(
+            (event["type"], tuple(sorted(event["attrs"].items()))))
+    return signatures
+
+
+def _grade_lifecycle(old_sig, new_sig):
+    columns = {"old": float(len(old_sig)), "new": float(len(new_sig))}
+    if old_sig == new_sig:
+        return "ok", columns
+    old_types = [t for t, _ in old_sig]
+    new_types = [t for t, _ in new_sig]
+    columns["detail"] = (f"lifecycle {'+'.join(old_types)} -> "
+                         f"{'+'.join(new_types)}"
+                         if old_types != new_types
+                         else "event attrs differ")
+    return "changed", columns
+
+
 def diff_ledgers(old_events: List[dict], new_events: List[dict]
-                 ) -> List[PathDelta]:
+                 ) -> List[Delta]:
     """Align two ledgers per unit key over normalized lifecycles.
 
     Each unit's volatility-stripped event sequence (types + stable
@@ -244,51 +213,14 @@ def diff_ledgers(old_events: List[dict], new_events: List[dict]
     signature on a shared key grades ``changed``. Sweep-level events
     (null key) compare as one synthetic ``<sweep>`` row.
     """
-    def _signatures(events: List[dict]) -> Dict[str, List[tuple]]:
-        signatures: Dict[str, List[tuple]] = {}
-        for event in normalize_events(events):
-            key = event["key"] or "<sweep>"
-            signatures.setdefault(key, []).append(
-                (event["type"], tuple(sorted(event["attrs"].items()))))
-        return signatures
-
-    old_sig = _signatures(old_events)
-    new_sig = _signatures(new_events)
-    deltas: List[PathDelta] = []
-    for key in sorted(set(old_sig) | set(new_sig)):
-        if key not in old_sig:
-            deltas.append(PathDelta("ledger", key, "new",
-                                    detail=f"{len(new_sig[key])} events"))
-        elif key not in new_sig:
-            deltas.append(PathDelta("ledger", key, "missing",
-                                    detail=f"{len(old_sig[key])} events"))
-        elif old_sig[key] != new_sig[key]:
-            old_types = [t for t, _ in old_sig[key]]
-            new_types = [t for t, _ in new_sig[key]]
-            if old_types != new_types:
-                detail = (f"lifecycle {'+'.join(old_types)} -> "
-                          f"{'+'.join(new_types)}")
-            else:
-                detail = "event attrs differ"
-            deltas.append(PathDelta("ledger", key, "changed",
-                                    old=float(len(old_sig[key])),
-                                    new=float(len(new_sig[key])),
-                                    detail=detail))
-        else:
-            deltas.append(PathDelta("ledger", key, "ok",
-                                    old=float(len(old_sig[key])),
-                                    new=float(len(new_sig[key]))))
-    return deltas
+    return align(_signatures(old_events), _signatures(new_events),
+                 _grade_lifecycle, _GATING, kind="ledger",
+                 describe=lambda sig: (None, f"{len(sig)} events"))
 
 
 # ---------------------------------------------------------------------------
-# Loading, rendering, gating
+# Loading and rendering
 # ---------------------------------------------------------------------------
-
-def load_trace_roots(path: str) -> List[dict]:
-    """Span trees of a trace JSONL file (rotated segments included)."""
-    return jsonl_to_trees(read_jsonl_segments(path))
-
 
 def load_metrics_snapshot(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
@@ -305,12 +237,17 @@ def diff_paths(trace: Optional[Tuple[str, str]] = None,
                ledger: Optional[Tuple[str, str]] = None,
                rel_threshold: float = DEFAULT_REL_THRESHOLD,
                abs_floor_s: float = DEFAULT_ABS_FLOOR_S
-               ) -> List[PathDelta]:
-    """Load and diff whichever artifact pairs were given."""
-    deltas: List[PathDelta] = []
+               ) -> List[Delta]:
+    """Load and diff whichever artifact pairs were given.
+
+    Deltas come in trace, metrics, ledger order — the one dispatch
+    behind both ``obs diff`` and ``GET /diff``.
+    """
+    deltas: List[Delta] = []
     if trace is not None:
-        deltas.extend(diff_traces(load_trace_roots(trace[0]),
-                                  load_trace_roots(trace[1]),
+        old_text, new_text = map(read_jsonl_segments, trace)
+        deltas.extend(diff_traces(jsonl_to_trees(old_text),
+                                  jsonl_to_trees(new_text),
                                   rel_threshold=rel_threshold,
                                   abs_floor_s=abs_floor_s))
     if metrics is not None:
@@ -322,63 +259,37 @@ def diff_paths(trace: Optional[Tuple[str, str]] = None,
     return deltas
 
 
-def render_diff_table(deltas: List[PathDelta],
-                      show_ok: bool = False) -> str:
+def render_diff_table(deltas: List[Delta], show_ok: bool = False) -> str:
     """Human summary: one line per non-ok identity (+ ok counts)."""
-    lines: List[str] = []
-    ok_by_kind: Dict[str, int] = {}
-    flagged = []
-    for delta in deltas:
-        if delta.verdict == "ok" and not show_ok:
-            ok_by_kind[delta.kind] = ok_by_kind.get(delta.kind, 0) + 1
-            continue
-        flagged.append(delta)
-    if flagged:
-        name_w = min(max(len(d.name) for d in flagged), 56)
-        header = (f"{'kind':<7} {'identity':<{name_w}} "
-                  f"{'old':>10} {'new':>10}  verdict")
-        lines.append(header)
-        lines.append("-" * len(header))
-        for delta in flagged:
-            old = "-" if delta.old is None else f"{delta.old:.4g}"
-            new = "-" if delta.new is None else f"{delta.new:.4g}"
-            verdict = (delta.verdict.upper() if delta.gates
-                       else delta.verdict)
-            line = (f"{delta.kind:<7} {delta.name[:name_w]:<{name_w}} "
-                    f"{old:>10} {new:>10}  {verdict}")
-            if delta.detail:
-                line += f"  ({delta.detail})"
-            lines.append(line)
-    for kind in sorted(ok_by_kind):
-        lines.append(f"{ok_by_kind[kind]} {kind} identities ok")
+    shown = [d for d in deltas if show_ok or d.verdict != "ok"]
+    name_w = min(max((len(d.name) for d in shown), default=0), 56)
+
+    def _row(d: Delta) -> str:
+        old = "-" if d.old is None else f"{d.old:.4g}"
+        new = "-" if d.new is None else f"{d.new:.4g}"
+        return (f"{d.kind:<7} {d.name[:name_w]:<{name_w}} "
+                f"{old:>10} {new:>10}")
+
     gating = sum(1 for d in deltas if d.gates)
-    lines.append(f"{gating} gating difference(s) "
-                 f"across {len(deltas)} aligned identities")
-    return "\n".join(lines)
+    return render_table(
+        deltas, f"{'kind':<7} {'identity':<{name_w}} {'old':>10} "
+                f"{'new':>10}", _row,
+        f"{gating} gating difference(s) across {len(deltas)} aligned "
+        f"identities", collapse_ok=not show_ok)
 
 
-def diff_to_dict(deltas: List[PathDelta]) -> dict:
+def diff_to_dict(deltas: List[Delta]) -> dict:
     """Machine-readable render of a delta list.
 
     The JSON counterpart of :func:`render_diff_table` — the payload
     ``repro obs serve`` answers ``GET /diff`` with and ``obs diff
     --json`` prints, so scripted consumers never scrape the table.
     """
-    verdicts: Dict[str, int] = {}
-    for delta in deltas:
-        verdicts[delta.verdict] = verdicts.get(delta.verdict, 0) + 1
     return {
         "deltas": [{"kind": d.kind, "name": d.name, "verdict": d.verdict,
                     "old": d.old, "new": d.new, "detail": d.detail,
                     "gates": d.gates} for d in deltas],
-        "verdicts": verdicts,
+        "verdicts": dict(Counter(d.verdict for d in deltas)),
         "aligned": len(deltas),
         "gating": sum(1 for d in deltas if d.gates),
     }
-
-
-def gate_exit_code(deltas: List[PathDelta], gate: bool) -> int:
-    """0 when clean (or not gating), 1 when gating with differences."""
-    if gate and any(d.gates for d in deltas):
-        return 1
-    return 0

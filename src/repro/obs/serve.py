@@ -27,8 +27,11 @@ already compute — live, over the network, to many clients at once:
   follower was built around. The stream closes after the terminal
   ``sweep_end`` event; until then it heartbeats SSE comments.
 * ``GET /diff?a=ID&b=ID`` — the cross-run comparator over every
-  artifact kind both runs share (ledger lifecycles, metrics series,
-  trace name-paths), as :func:`~repro.obs.diff.diff_to_dict` JSON.
+  artifact kind both runs share (trace name-paths, metrics series,
+  ledger lifecycles), as :func:`~repro.obs.diff.diff_to_dict` JSON —
+  the same payload ``obs diff --json`` prints for the same pair.
+  ``threshold`` / ``abs_floor_s`` set the timing bars; a value that is
+  not a finite number >= 0 answers 400.
 
 The service is strictly read-only — it opens ledger/metrics/trace
 files the sweeps wrote and never writes anything — so pointing it at
@@ -40,6 +43,7 @@ honest status codes; unknown routes 404.
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import sys
@@ -48,7 +52,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from .ledger import LedgerHub, read_ledger
+from .ledger import LedgerHub
 from .live import load_run_state
 from .metrics import MetricsRegistry
 from .runindex import RunEntry, RunIndex
@@ -306,9 +310,7 @@ class ObsRequestHandler(BaseHTTPRequestHandler):
 
     def _get_diff(self, params) -> None:
         from .diff import (DEFAULT_ABS_FLOOR_S, DEFAULT_REL_THRESHOLD,
-                           diff_ledgers, diff_metrics, diff_to_dict,
-                           diff_traces, load_metrics_snapshot,
-                           load_trace_roots)
+                           diff_paths, diff_to_dict)
         index = self.server.build_index()
         pair = []
         for name in ("a", "b"):
@@ -322,37 +324,28 @@ class ObsRequestHandler(BaseHTTPRequestHandler):
                 return
             pair.append(entry)
         old, new = pair
-
-        def _param_float(name: str, default: float) -> float:
+        bars = {}
+        for name, default in (("threshold", DEFAULT_REL_THRESHOLD),
+                              ("abs_floor_s", DEFAULT_ABS_FLOOR_S)):
+            raw = (params.get(name) or [str(default)])[0]
             try:
-                return float((params.get(name) or [default])[0])
-            except (TypeError, ValueError):
-                return default
-
-        deltas, kinds = [], []
-        if old.ledger and new.ledger:
-            kinds.append("ledger")
-            deltas.extend(diff_ledgers(read_ledger(old.ledger.path),
-                                       read_ledger(new.ledger.path)))
-        if old.metrics and new.metrics:
-            kinds.append("metrics")
-            deltas.extend(diff_metrics(
-                load_metrics_snapshot(old.metrics.path),
-                load_metrics_snapshot(new.metrics.path)))
-        if old.trace and new.trace:
-            kinds.append("trace")
-            deltas.extend(diff_traces(
-                load_trace_roots(old.trace.path),
-                load_trace_roots(new.trace.path),
-                rel_threshold=_param_float("threshold",
-                                           DEFAULT_REL_THRESHOLD),
-                abs_floor_s=_param_float("abs_floor_s",
-                                         DEFAULT_ABS_FLOOR_S)))
-        if not kinds:
+                bars[name] = float(raw)
+            except ValueError:
+                bars[name] = math.nan
+            if not math.isfinite(bars[name]) or bars[name] < 0:
+                self._fail(400, f"{name} must be a finite number >= 0, "
+                                f"not {raw!r}")
+                return
+        pairs = {kind: (getattr(old, kind).path, getattr(new, kind).path)
+                 for kind in ("trace", "metrics", "ledger")
+                 if getattr(old, kind) and getattr(new, kind)}
+        if not pairs:
             self._fail(409, f"runs {old.run_id!r} and {new.run_id!r} "
                             f"share no comparable artifact kind")
             return
-        payload = {"a": old.run_id, "b": new.run_id, "kinds": kinds}
+        deltas = diff_paths(**pairs, rel_threshold=bars["threshold"],
+                            abs_floor_s=bars["abs_floor_s"])
+        payload = {"a": old.run_id, "b": new.run_id, "kinds": list(pairs)}
         payload.update(diff_to_dict(deltas))
         self._send_json(payload)
 

@@ -36,10 +36,11 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["Span", "Tracer", "current_tracer", "use_tracer", "trace_span",
-           "trace_event", "jsonl_to_trees", "render_jsonl_tree"]
+           "trace_event", "jsonl_to_trees", "span_paths",
+           "render_jsonl_tree"]
 
 
 class Span:
@@ -230,6 +231,24 @@ def jsonl_to_trees(text: str) -> List[dict]:
             roots.append(node)
         stack.append((depth, node))
     return roots
+
+
+def span_paths(roots: Iterable[dict], label: Callable[[dict], str],
+               sep: str) -> Iterator[Tuple[str, dict]]:
+    """Pre-order ``(path, node)`` pairs over span trees in dict shape.
+
+    ``path`` joins ``label(node)`` from the root down with ``sep`` —
+    the name-paths ``obs diff`` aligns on and the stacks ``bench
+    hotspots --folded`` exports.
+    """
+    def _walk(node: dict, prefix: str) -> Iterator[Tuple[str, dict]]:
+        path = f"{prefix}{sep}{label(node)}" if prefix else label(node)
+        yield path, node
+        for child in node.get("children") or ():
+            yield from _walk(child, path)
+
+    for root in roots:
+        yield from _walk(root, "")
 
 
 def _span_line(node: dict, depth: int) -> str:

@@ -18,11 +18,12 @@ import json
 import pytest
 
 from repro.bench import (SCENARIOS, SUITES, BenchRecordError, Hotspot,
-                         ScenarioDelta, Scenario, aggregate_hotspots,
-                         compare_records, folded_stacks, gate_exit_code,
-                         load_bench_record, render_compare_table,
-                         render_hotspot_table, run_scenario, run_suite)
+                         Scenario, aggregate_hotspots, compare_records,
+                         folded_stacks, load_bench_record,
+                         render_compare_table, render_hotspot_table,
+                         run_scenario, run_suite)
 from repro.bench.suite import SCHEMA, SCHEMA_VERSION
+from repro.compare import gate_exit_code
 from repro.obs.tracer import Tracer, jsonl_to_trees, trace_span
 
 
@@ -319,7 +320,7 @@ class TestCompareRecords:
         new = _bench_record({"a": (1.0, 0.01)})
         (delta,) = compare_records(old, new)
         assert delta.verdict == "regression" and delta.gates
-        assert delta.rel_shift == pytest.approx(1.0)
+        assert delta.columns["rel_shift"] == pytest.approx(1.0)
         assert gate_exit_code([delta], gate=True) == 1
         assert gate_exit_code([delta], gate=False) == 0
 
@@ -330,7 +331,7 @@ class TestCompareRecords:
         new = _bench_record({"a": (0.6, 0.02)})
         (delta,) = compare_records(old, new)
         assert delta.verdict == "ok"
-        assert delta.noise_limit_s == pytest.approx(0.3)
+        assert delta.columns["noise_limit_s"] == pytest.approx(0.3)
 
     def test_large_improvement_is_reported_not_gated(self):
         old = _bench_record({"a": (1.0, 0.01)})

@@ -20,14 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main
+from repro.compare import gate_exit_code
 from repro.experiments import EXPERIMENTS, ExperimentResult, canonical_json
 from repro.fidelity import (CLAIMS, SCALES, ArtifactSet, OrderingClaim,
                             ShapeClaim, ValueClaim, build_record,
                             claims_by_id, compare_fidelity_records,
-                            evaluate_claims, gate_exit_code,
-                            load_fidelity_record, render_markdown,
-                            render_scorecard, required_experiments,
-                            run_scale)
+                            evaluate_claims, load_fidelity_record,
+                            render_markdown, render_scorecard,
+                            required_experiments, run_scale)
 from repro.fidelity.extract import (NotAvailable, lane_curve, parse_cell,
                                     summary_series, summary_value)
 

@@ -521,7 +521,8 @@ class TestWatch:
 
 class TestDiff:
     def test_ledger_self_compare_is_clean(self, tmp_path):
-        from repro.obs.diff import diff_ledgers, gate_exit_code
+        from repro.compare import gate_exit_code
+        from repro.obs.diff import diff_ledgers
         path = str(tmp_path / "run.jsonl")
         _smoke_runner(ledger_path=path).run()
         events = read_ledger(path)

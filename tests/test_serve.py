@@ -345,6 +345,24 @@ class TestServeEndpoints:
         assert set(payload["verdicts"]) <= {"ok"}
         assert payload["aligned"] == len(payload["deltas"]) > 0
 
+    def test_diff_endpoint_matches_cli_json(self, smoke_dir, capsys):
+        """``GET /diff`` and ``obs diff --json`` serve one payload, in
+        the same trace, metrics, ledger delta order."""
+        from repro.__main__ import main
+        argv = ["obs", "diff", "--json"]
+        for flag, suffix in (("--trace", ".trace.jsonl"),
+                             ("--metrics", ".metrics.json"),
+                             ("--ledger", ".jsonl")):
+            path = os.path.join(smoke_dir, f"smoke{suffix}")
+            argv += [flag, path, path]
+        assert main(argv) == 0
+        cli = json.loads(capsys.readouterr().out)
+        with _Server(smoke_dir) as srv:
+            status, served = srv.get_json("/diff?a=smoke&b=smoke")
+        assert status == 200
+        assert served["kinds"] == ["trace", "metrics", "ledger"]
+        assert served["deltas"] == cli["deltas"]
+
     def test_error_responses_are_json(self, smoke_dir):
         with _Server(smoke_dir) as srv:
             status, payload = srv.get_json("/status?run=nope")
@@ -353,6 +371,16 @@ class TestServeEndpoints:
             assert status == 404 and "endpoint" in payload["error"]
             status, payload = srv.get_json("/diff?a=smoke")
             assert status == 400 and "two run ids" in payload["error"]
+            for query in ("threshold=abc", "threshold=nan",
+                          "threshold=inf", "threshold=-0.1",
+                          "abs_floor_s=xyz", "abs_floor_s=-1"):
+                status, payload = srv.get_json(
+                    f"/diff?a=smoke&b=smoke&{query}")
+                assert status == 400, query
+                assert query.split("=")[0] in payload["error"]
+            status, payload = srv.get_json(
+                "/diff?a=smoke&b=smoke&threshold=0.5&abs_floor_s=0")
+            assert status == 200 and payload["gating"] == 0
 
     def test_empty_directory_404s_with_hint(self, tmp_path):
         with _Server(str(tmp_path)) as srv:
