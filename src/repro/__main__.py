@@ -59,6 +59,7 @@ import sys
 from .cli_util import (lookup_app as _lookup_app,
                        resolve_apps as _resolve_apps,
                        unknown_name as _unknown_name)
+from .compare import gate_exit_code
 
 
 def cmd_list(_args) -> int:
@@ -259,7 +260,6 @@ def _cmd_obs_serve(args) -> int:
 
 
 def _cmd_obs_diff(args) -> int:
-    from .compare import gate_exit_code
     from .obs.diff import diff_paths, render_diff_table
     pairs = {"trace": args.trace, "metrics": args.metrics,
              "ledger": args.ledger}
@@ -400,7 +400,6 @@ def _cmd_bench_hotspots(args) -> int:
 
 def _cmd_bench_compare(args) -> int:
     from .bench import BenchRecordError, compare_paths
-    from .compare import gate_exit_code
     try:
         deltas, table = compare_paths(
             args.old, args.new, rel_threshold=args.threshold,
@@ -506,7 +505,6 @@ def _cmd_fidelity_report(args) -> int:
 
 
 def _cmd_fidelity_compare(args) -> int:
-    from .compare import gate_exit_code
     from .fidelity import FidelityRecordError, compare_fidelity_paths
     try:
         deltas, table = compare_fidelity_paths(args.old, args.new)
@@ -690,14 +688,12 @@ def main(argv=None) -> int:
     diff_p.add_argument("--gate", action="store_true",
                         help="exit 1 on any regression/changed/new/"
                              "missing identity")
-    diff_p.add_argument("--threshold", type=float,
+    diff_p.add_argument("--threshold", type=float, metavar="REL",
                         default=obs_diff.DEFAULT_REL_THRESHOLD,
-                        metavar="REL",
                         help="relative wall-shift bar for trace timing "
                              "verdicts (default: %(default)g)")
-    diff_p.add_argument("--abs-floor-s", type=float,
+    diff_p.add_argument("--abs-floor-s", type=float, metavar="S",
                         default=obs_diff.DEFAULT_ABS_FLOOR_S,
-                        metavar="S",
                         help="absolute wall-shift floor in seconds "
                              "(default: %(default)g)")
     diff_p.add_argument("--show-ok", action="store_true",
@@ -769,18 +765,16 @@ def main(argv=None) -> int:
     cmp_p.add_argument("new", metavar="NEW.json")
     cmp_p.add_argument("--gate", action="store_true",
                        help="exit 1 when any scenario regresses")
-    cmp_p.add_argument("--threshold", type=float,
+    cmp_p.add_argument("--threshold", type=float, metavar="REL",
                        default=bench_compare.DEFAULT_REL_THRESHOLD,
-                       metavar="REL",
                        help="relative median-shift bar (default: "
                             "%(default).2f)")
     cmp_p.add_argument("--mad-k", type=float,
                        default=bench_compare.DEFAULT_MAD_K, metavar="K",
                        help="noise bar: shift must exceed K x MAD "
                             "(default: %(default)g)")
-    cmp_p.add_argument("--min-seconds", type=float,
+    cmp_p.add_argument("--min-seconds", type=float, metavar="S",
                        default=bench_compare.DEFAULT_MIN_SECONDS,
-                       metavar="S",
                        help="never gate scenarios faster than S seconds "
                             "(default: %(default)g)")
 

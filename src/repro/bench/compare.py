@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..compare import Delta, align, render_table
+from ..compare import Delta, align, render_table, shift_verdict
 from ..records import RecordError, load_schema_record
 from .suite import SCHEMA, SCHEMA_VERSION
 
@@ -69,17 +69,12 @@ def compare_records(old: dict, new: dict,
         old_wall, new_wall = old_entry["wall_s"], new_entry["wall_s"]
         old_median = float(old_wall["median"])
         new_median = float(new_wall["median"])
-        shift = new_median - old_median
-        rel = shift / old_median if old_median > 0 else 0.0
         noise_limit = mad_k * max(float(old_wall.get("mad", 0.0)),
                                   float(new_wall.get("mad", 0.0)))
-        verdict = "ok"
+        verdict, rel = shift_verdict(old_median, new_median, rel_threshold,
+                                     noise_limit)
         if old_median < min_seconds:
             verdict = "too-fast"
-        elif rel > rel_threshold and shift > noise_limit:
-            verdict = "regression"
-        elif rel < -rel_threshold and -shift > noise_limit:
-            verdict = "improved"
         return verdict, {"old": old_median, "new": new_median,
                          "columns": {"rel_shift": rel,
                                      "noise_limit_s": noise_limit}}

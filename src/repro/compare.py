@@ -4,8 +4,8 @@
 All three gates line two keyed tables up by name, grade each name and
 gate on some verdicts. This module owns that shape — the alignment
 loop, the one :class:`Delta` row, the one verdict vocabulary, the
-table layout and the exit-code rule — so each front end keeps only its
-loader and its grading rule.
+two-bar timing test, the table layout and the exit-code rule — so each
+front end keeps only its loader and its grading rule.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Dict, List, Mapping, Tuple
 
-__all__ = ["VERDICTS", "Delta", "align", "gate_exit_code", "render_table"]
+__all__ = ["VERDICTS", "Delta", "align", "gate_exit_code", "render_table",
+           "shift_verdict"]
 
 #: Every verdict a comparator can emit. ``changed`` is a semantic
 #: difference no threshold can excuse (``obs diff`` only); ``too-fast``
@@ -68,6 +69,22 @@ def align(old: Mapping, new: Mapping,
         deltas.append(Delta(kind, name, verdict,
                             gates=verdict in gating, **columns))
     return deltas
+
+
+def shift_verdict(old: float, new: float, rel_bar: float,
+                  abs_bar: float) -> Tuple[str, float]:
+    """``(verdict, relative shift)`` of a timing move from old to new.
+
+    ``regression`` / ``improved`` need the shift to clear *both* the
+    relative and the absolute bar; a shift inside either is ``ok``.
+    """
+    shift = new - old
+    rel = shift / old if old > 0 else 0.0
+    if rel > rel_bar and shift > abs_bar:
+        return "regression", rel
+    if rel < -rel_bar and -shift > abs_bar:
+        return "improved", rel
+    return "ok", rel
 
 
 def gate_exit_code(deltas: List[Delta], gate: bool) -> int:

@@ -37,7 +37,7 @@ import json
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from ..compare import Delta, align, render_table
+from ..compare import Delta, align, render_table, shift_verdict
 from .ledger import normalize_events, read_ledger, read_jsonl_segments
 from .metrics import VOLATILE_METRIC_FAMILIES
 from .tracer import jsonl_to_trees, span_paths
@@ -109,15 +109,10 @@ def diff_traces(old_roots: List[dict], new_roots: List[dict],
             columns["detail"] = (f"calls {old_row['calls']} -> "
                                  f"{new_row['calls']}")
             return "changed", columns
-        shift = new_row["wall_s"] - old_row["wall_s"]
-        rel = shift / old_row["wall_s"] if old_row["wall_s"] > 0 else 0.0
-        if rel > rel_threshold and shift > abs_floor_s:
-            verdict = "regression"
-        elif rel < -rel_threshold and -shift > abs_floor_s:
-            verdict = "improved"
-        else:
-            return "ok", columns
-        columns["detail"] = f"wall {rel:+.0%}"
+        verdict, rel = shift_verdict(old_row["wall_s"], new_row["wall_s"],
+                                     rel_threshold, abs_floor_s)
+        if verdict != "ok":
+            columns["detail"] = f"wall {rel:+.0%}"
         return verdict, columns
 
     return align(_trace_rows(old_roots), _trace_rows(new_roots), _grade,
