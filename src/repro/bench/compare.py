@@ -15,9 +15,10 @@ never gated — their medians sit inside scheduler quantisation.
 Comparing a record against itself therefore always passes, and an
 injected 2x slowdown always fails: the exit-code contract CI relies on
 (0 clean, 1 regression with ``--gate``, 2 unusable records). Alignment,
-the verdict vocabulary, the table layout and the exit-code rule are
-the shared :mod:`repro.compare` core; this module owns the loader and
-the grading rule, and only ``regression`` gates.
+verdicts, the two-bar test, the table layout and the exit-code rule
+are the shared :mod:`repro.compare` core; this module owns the loader
+and the grading rule (the k x MAD bar and ``too-fast``), and only
+``regression`` gates.
 
 Perf numbers are machine-relative. Gate only against a baseline
 produced on the same host; cross-host comparisons are for eyeballs.

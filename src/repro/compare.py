@@ -51,7 +51,7 @@ def align(old: Mapping, new: Mapping,
     """One :class:`Delta` per name in either table, in sorted order.
 
     A name on both sides is graded by ``grade(old_item, new_item) ->
-    (verdict, columns)``, where ``columns`` are :class:`Delta` keyword
+    (verdict, fields)``, where ``fields`` are :class:`Delta` keyword
     arguments. A name on one side only is ``new`` / ``missing``, with
     ``describe(item) -> (value, detail)`` filling that side's value.
     ``gates`` is stamped from the front end's ``gating`` verdicts.
@@ -59,15 +59,15 @@ def align(old: Mapping, new: Mapping,
     deltas: List[Delta] = []
     for name in sorted(set(old) | set(new)):
         if name in old and name in new:
-            verdict, columns = grade(old[name], new[name])
+            verdict, fields = grade(old[name], new[name])
         elif name in new:
             verdict, (value, detail) = "new", describe(new[name])
-            columns = {"new": value, "detail": detail}
+            fields = {"new": value, "detail": detail}
         else:
             verdict, (value, detail) = "missing", describe(old[name])
-            columns = {"old": value, "detail": detail}
+            fields = {"old": value, "detail": detail}
         deltas.append(Delta(kind, name, verdict,
-                            gates=verdict in gating, **columns))
+                            gates=verdict in gating, **fields))
     return deltas
 
 

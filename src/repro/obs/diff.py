@@ -104,16 +104,16 @@ def diff_traces(old_roots: List[dict], new_roots: List[dict],
     different number of that thing; time is then beside the point).
     """
     def _grade(old_row, new_row):
-        columns = {"old": old_row["wall_s"], "new": new_row["wall_s"]}
+        fields = {"old": old_row["wall_s"], "new": new_row["wall_s"]}
         if old_row["calls"] != new_row["calls"]:
-            columns["detail"] = (f"calls {old_row['calls']} -> "
-                                 f"{new_row['calls']}")
-            return "changed", columns
+            fields["detail"] = (f"calls {old_row['calls']} -> "
+                                f"{new_row['calls']}")
+            return "changed", fields
         verdict, rel = shift_verdict(old_row["wall_s"], new_row["wall_s"],
                                      rel_threshold, abs_floor_s)
         if verdict != "ok":
-            columns["detail"] = f"wall {rel:+.0%}"
-        return verdict, columns
+            fields["detail"] = f"wall {rel:+.0%}"
+        return verdict, fields
 
     return align(_trace_rows(old_roots), _trace_rows(new_roots), _grade,
                  _GATING, kind="trace",
@@ -155,11 +155,11 @@ def _num(value) -> Optional[float]:
 
 
 def _grade_series(old_value, new_value):
-    columns = {"old": _num(old_value), "new": _num(new_value)}
+    fields = {"old": _num(old_value), "new": _num(new_value)}
     if old_value == new_value:
-        return "ok", columns
-    columns["detail"] = f"{old_value} -> {new_value}"
-    return "changed", columns
+        return "ok", fields
+    fields["detail"] = f"{old_value} -> {new_value}"
+    return "changed", fields
 
 
 def diff_metrics(old_snapshot: dict, new_snapshot: dict) -> List[Delta]:
@@ -187,16 +187,16 @@ def _signatures(events: List[dict]) -> Dict[str, List[tuple]]:
 
 
 def _grade_lifecycle(old_sig, new_sig):
-    columns = {"old": float(len(old_sig)), "new": float(len(new_sig))}
+    fields = {"old": float(len(old_sig)), "new": float(len(new_sig))}
     if old_sig == new_sig:
-        return "ok", columns
+        return "ok", fields
     old_types = [t for t, _ in old_sig]
     new_types = [t for t, _ in new_sig]
-    columns["detail"] = (f"lifecycle {'+'.join(old_types)} -> "
-                         f"{'+'.join(new_types)}"
-                         if old_types != new_types
-                         else "event attrs differ")
-    return "changed", columns
+    fields["detail"] = (f"lifecycle {'+'.join(old_types)} -> "
+                        f"{'+'.join(new_types)}"
+                        if old_types != new_types
+                        else "event attrs differ")
+    return "changed", fields
 
 
 def diff_ledgers(old_events: List[dict], new_events: List[dict]
