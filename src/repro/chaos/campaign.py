@@ -96,11 +96,9 @@ CAMPAIGNS: Dict[str, Tuple[CampaignScenario, ...]] = {
 
 #: Record fields that legitimately differ between a chaotic and a
 #: fault-free run (timings, retry accounting, obs measurements,
-#: process identity, memo warmth) — everything else must match
-#: exactly.
+#: process identity) — everything else must match exactly.
 _VOLATILE_RECORD_FIELDS = ("attempts", "wall_s", "unit_wall_s", "obs",
-                           "dispatches", "pid", "timeouts",
-                           "memo_hits", "memo_misses")
+                           "dispatches", "pid", "timeouts")
 
 
 def checkpoint_digest(records: Dict[str, dict]) -> str:

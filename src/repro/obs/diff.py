@@ -17,7 +17,7 @@ vocabulary and exit-code contract:
 * **metrics snapshots** (``--metrics-out`` JSON) align by
   ``family{labels}`` series identity. Counters and gauges are exact
   by the determinism contract, so any value change grades ``changed``
-  (volatile families — RSS, memo warmth, supervision counters — are
+  (volatile families — RSS, supervision counters — are
   skipped the same way the golden suite strips them).
 * **run ledgers** align per unit key after
   :func:`~repro.obs.ledger.normalize_events`: a unit whose normalized

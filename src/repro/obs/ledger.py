@@ -6,7 +6,7 @@ once the run that produced it has finished. The ledger is the *live*
 counterpart: one JSONL stream per sweep of typed, monotonically
 sequenced lifecycle events (unit scheduled/started/attempt/retry/
 timeout, straggler re-queue, quarantine, chaos injection, checkpoint
-flush, memo hit/miss, completed), appended and flushed line by line as
+flush, completed), appended and flushed line by line as
 they happen, so an external watcher — ``repro obs watch``, a tail -f,
 or the future sweep-service SSE endpoint — can follow a two-hour sweep
 while it runs.
@@ -84,18 +84,16 @@ EVENT_TYPES = (
     "chaos_injected",       # a harness fault fired (site, kind)
     "checkpoint_flush",     # durable checkpoint flush (records, clean)
     "checkpoint_save_failed",  # a save absorbed by the soft path
-    "unit_memo",            # replay-memo hits/misses of one unit
     "unit_completed",       # final unit status recorded
     "sweep_merge",          # result merge began
     "sweep_end",            # run() returning (status, counters)
 )
 
 #: Attrs that honestly measure the *host* or the execution schedule —
-#: wall times, process ids, worker counts, memo warmth — rather than
-#: what the sweep does. :func:`normalize_events` drops them, which is
-#: what makes the serial-vs-parallel event-set identity checkable.
-VOLATILE_EVENT_ATTRS = ("wall_s", "unit_wall_s", "pid", "dispatch",
-                        "jobs", "hits", "misses")
+#: wall times, dispatch and worker counts — rather than what the sweep
+#: does. :func:`normalize_events` drops them, which is what makes the
+#: serial-vs-parallel event-set identity checkable.
+VOLATILE_EVENT_ATTRS = ("wall_s", "unit_wall_s", "dispatch", "jobs")
 
 #: Reserved top-level fields of an event line (everything else rides
 #: inside ``attrs``).

@@ -87,8 +87,6 @@ class RunState:
         self.checkpoint_flushes = 0
         self.checkpoint_failures = 0
         self.chaos_injected = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
         self.events_seen = 0
 
     # -- folding ---------------------------------------------------------
@@ -151,9 +149,6 @@ class RunState:
             view = self._unit(key)
             view.state = "quarantined"
             view.ended_ts = ts
-        elif type_ == "unit_memo":
-            self.memo_hits += int(attrs.get("hits", 0) or 0)
-            self.memo_misses += int(attrs.get("misses", 0) or 0)
         elif type_ == "unit_completed" and key:
             view = self._unit(key)
             if view.state != "quarantined":
@@ -251,7 +246,7 @@ class RunState:
         This is the ``GET /status`` payload of ``repro obs serve`` —
         the same folded state the dashboard renders, as data instead
         of a screenful: sweep aggregates (throughput, the median/MAD
-        ETA band, memo/chaos/checkpoint counters) plus one row per
+        ETA band, chaos/checkpoint counters) plus one row per
         unit with its lifecycle state and the live straggler verdict.
         """
         now = now if now is not None else time.time()
@@ -291,7 +286,6 @@ class RunState:
             "eta_s": None if eta is None else round(eta[0], 6),
             "eta_uncertainty_s": None if eta is None else round(eta[1], 6),
             "straggler_limit_s": self.straggler_limit_s(),
-            "memo_hits": self.memo_hits, "memo_misses": self.memo_misses,
             "chaos_injected": self.chaos_injected,
             "checkpoint_flushes": self.checkpoint_flushes,
             "checkpoint_failures": self.checkpoint_failures,
@@ -373,8 +367,6 @@ def render_dashboard(state: RunState, now: Optional[float] = None,
         bits.append("done")
     else:
         bits.append("ETA -")
-    if state.memo_hits or state.memo_misses:
-        bits.append(f"memo {state.memo_hits}h/{state.memo_misses}m")
     if state.chaos_injected:
         bits.append(f"chaos×{state.chaos_injected}")
     if state.checkpoint_failures:

@@ -40,15 +40,12 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
 #: suite) must drop them before comparing snapshots.
 #: The supervision counters are volatile too: how many re-dispatches
 #: or straggler re-queues a chaotic run needed is timing-dependent,
-#: while the scientific payload stays byte-identical. Replay-memo
-#: lookups are volatile the same way: how many hits a unit sees
-#: depends on which worker ran it and how warm that process was.
+#: while the scientific payload stays byte-identical.
 VOLATILE_METRIC_FAMILIES = ("unit_peak_rss_bytes",
                             "sweep_redispatches_total",
                             "sweep_straggler_requeues_total",
                             "sweep_quarantined_units_total",
-                            "sweep_checkpoint_save_failures_total",
-                            "replay_memo_lookups_total")
+                            "sweep_checkpoint_save_failures_total")
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 

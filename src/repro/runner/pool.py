@@ -242,7 +242,6 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
     instead of corrupting the next one's.
     """
     from ..experiments.registry import EXPERIMENTS
-    from ..sim import cache_sizes
     driver = EXPERIMENTS[exp_id]
 
     def _call_driver():
@@ -254,7 +253,6 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
     error = None
     unit_wall = 0.0
     timeouts = 0
-    memo_hits = memo_misses = 0
     for attempt in range(1, max_attempts + 1):
         if attempt > 1:
             delay = backoff_s * 2 ** (attempt - 2)
@@ -262,7 +260,6 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
                 on_backoff(delay)
             sleep(delay)
         seed_unit_rngs(key)
-        memo0 = cache_sizes()
         tracer = Tracer("unit", key=key, attempt=attempt)
         registry = MetricsRegistry() if observe else None
 
@@ -287,13 +284,6 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
                 with soft_time_limit(timeout_s):
                     result = _invoke()
             tracer.finish()
-            memo1 = cache_sizes()
-            # Replay-memo activity of the *returning* attempt, in this
-            # process — worker-warmth-dependent, so the fields are
-            # volatile (chaos digests and goldens strip them) and the
-            # metrics family is in VOLATILE_METRIC_FAMILIES.
-            memo_hits = memo1["trace_hits"] - memo0["trace_hits"]
-            memo_misses = memo1["trace_misses"] - memo0["trace_misses"]
             record = {
                 "status": "ok",
                 "attempts": attempt,
@@ -303,16 +293,8 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
                 "error": None,
                 "pid": os.getpid(),
                 "timeouts": timeouts,
-                "memo_hits": memo_hits,
-                "memo_misses": memo_misses,
             }
             if observe:
-                for outcome, lookups in (("hit", memo_hits),
-                                         ("miss", memo_misses)):
-                    registry.counter(
-                        "replay_memo_lookups_total", {"result": outcome},
-                        help_text="replay-memo lookups in the process "
-                                  "that ran the unit").inc(lookups)
                 # Memory rides the same deterministic merge as every
                 # other metric: the gauge max-merges across units, so
                 # the sweep-level value is the hungriest process's
@@ -343,8 +325,6 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
         "error": error,
         "pid": os.getpid(),
         "timeouts": timeouts,
-        "memo_hits": memo_hits,
-        "memo_misses": memo_misses,
     }
     if observe:
         # The last attempt's span tree still ships — a failed unit is
@@ -363,7 +343,7 @@ def execute_unit_task(task: UnitTask) -> Tuple[str, dict]:
 
     Workers write nothing to stderr — with several of them finishing
     at once, raw prints interleave into garbage. Progress facts
-    (span-sourced duration, pid, memo activity) ride home inside the
+    (span-sourced duration, pid, timeout count) ride home inside the
     record; the parent turns them into ordered run-ledger events and
     its own stderr progress lines.
 

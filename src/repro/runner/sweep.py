@@ -190,7 +190,7 @@ class SweepRunner:
         # The ledger always exists — pathless means in-memory only —
         # so tests and downstream consumers can read self.ledger.events
         # from any run. All emission is parent-side: workers return
-        # their facts (pid, memo deltas, durations) inside records and
+        # their facts (pid, timeouts, durations) inside records and
         # the parent synthesizes the attempt-level events, which is
         # what makes serial and parallel event sets identical after
         # order-normalization.
@@ -391,7 +391,7 @@ class SweepRunner:
         """Account for one finished unit and persist it.
 
         The attempt-level ledger events (``unit_attempt`` /
-        ``unit_retry`` / ``unit_timeout`` / ``unit_memo``) are
+        ``unit_retry`` / ``unit_timeout``) are
         synthesized *here*, from the returned record, for the serial
         and parallel paths alike — a worker process cannot reach the
         parent's sequence counter, and parent-side synthesis is what
@@ -409,11 +409,6 @@ class SweepRunner:
         if record.get("timeouts"):
             self._emit("unit_timeout", key,
                        count=int(record["timeouts"]))
-        if "memo_hits" in record:
-            self._emit("unit_memo", key,
-                       hits=int(record.get("memo_hits") or 0),
-                       misses=int(record.get("memo_misses") or 0),
-                       pid=record.get("pid"))
         completed = {"status": record["status"],
                      "attempts": record.get("attempts", 0),
                      "wall_s": record.get("wall_s"),

@@ -13,10 +13,6 @@ single architecture-wide mask.
 
 Results are memoised per (app, config, pivot) in-process so the many
 experiments and benchmarks that share a configuration simulate it once.
-A second, content-addressed layer keys replays by a sha256 digest of
-the functional trace (kernel binary, dynamic streams, memory image)
-plus the replay parameters, so byte-identical workloads share one
-replay whatever their app names.
 The caches are process-local by design: parallel sweeps
 (``repro.runner`` with ``jobs > 1``) fork workers that each warm their
 own copy, which keeps the memoisation lock-free and the results
@@ -27,8 +23,7 @@ parallel sweeps agree bit for bit.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -44,116 +39,16 @@ from .arch.stats import Encoders
 from .obs.metrics import current_registry, metric_inc
 from .obs.tracer import trace_span
 
-__all__ = ["SuiteResult", "simulate_app", "simulate_suite", "clear_caches",
-           "cache_sizes"]
+__all__ = ["SuiteResult", "simulate_app", "simulate_suite", "clear_caches"]
 
 _FUNCTIONAL_CACHE: Dict[tuple, tuple] = {}
 _STATS_CACHE: Dict[tuple, AppStats] = {}
-#: Content-addressed replay memo: sha256 over the functional trace
-#: (kernel binary + dynamic streams + memory image) and the replay
-#: parameters. Two apps with byte-identical traces share one replay,
-#: whatever their names.
-_TRACE_CACHE: Dict[str, AppStats] = {}
-_TRACE_HITS = 0
-_TRACE_MISSES = 0
 
 
 def clear_caches() -> None:
     """Drop memoised simulation results (mainly for tests)."""
-    global _TRACE_HITS, _TRACE_MISSES
     _FUNCTIONAL_CACHE.clear()
     _STATS_CACHE.clear()
-    _TRACE_CACHE.clear()
-    _TRACE_HITS = 0
-    _TRACE_MISSES = 0
-
-
-def cache_sizes() -> Dict[str, int]:
-    """Entry counts of this process's memoisation caches.
-
-    Diagnostic only (progress tooling, tests): in a parallel sweep each
-    worker reports its own numbers. ``trace_hits``/``trace_misses``
-    count content-hash lookups of the trace memo since the last
-    :func:`clear_caches`.
-    """
-    return {"functional": len(_FUNCTIONAL_CACHE),
-            "stats": len(_STATS_CACHE),
-            "trace": len(_TRACE_CACHE),
-            "trace_hits": _TRACE_HITS,
-            "trace_misses": _TRACE_MISSES}
-
-
-def _trace_digest(trace, config: GPUConfig, isa_mask: int,
-                  pivot_lane: int) -> str:
-    """Content hash of everything the replay phase's output depends on.
-
-    Covers the static binaries, every dynamic instruction record
-    (including per-lane addresses, masks and store data), the replay
-    parameters, and the initial bytes of every memory line the replay
-    can read — the lines addressed by instruction fetches and by
-    non-shared memory accesses' active lanes. Bytes outside those
-    lines are invisible to the replay, so leaving them out of the hash
-    cannot alias two replays that differ; the app's name is likewise
-    excluded, so two applications producing byte-identical traces hash
-    alike. Record fields are hashed as per-warp packed arrays rather
-    than per-record formatted strings — one digest update per warp.
-    """
-    h = hashlib.sha256()
-
-    def put(*parts) -> None:
-        for part in parts:
-            h.update(str(part).encode())
-            h.update(b"\x1f")
-
-    from .arch.isa import OpClass
-    from .arch.trace import MemSpace
-
-    op_id = {cls: i for i, cls in enumerate(OpClass)}
-    line_bytes = config.l1_line_bytes
-    img = trace.initial_image
-    touched: List[np.ndarray] = []
-    put("trace-memo-v2", repr(config), isa_mask, pivot_lane,
-        trace.const_base, trace.const_size, img.size)
-    for launch in trace.launches:
-        put("launch", launch.code_base, len(launch.static_words))
-        h.update(np.asarray(launch.static_words, dtype=np.uint64).tobytes())
-        for block in launch.blocks:
-            for warp in block.warps:
-                records = warp.records
-                put("warp", block.block, warp.warp, len(records))
-                if not records:
-                    continue
-                meta = np.array(
-                    [(r.pc, r.word, op_id[r.op_class], r.active_lanes,
-                      r.is_barrier) for r in records], dtype=np.uint64)
-                h.update(meta.tobytes())
-                touched.append((launch.code_base + meta[:, 0] * 8)
-                               // line_bytes)
-                for i, rec in enumerate(records):
-                    if rec.mem is None:
-                        continue
-                    put("m", i, rec.mem.space.value, rec.mem.is_store)
-                    h.update(rec.mem.addrs.tobytes())
-                    h.update(rec.mem.active.tobytes())
-                    if rec.mem.data is not None:
-                        h.update(rec.mem.data.tobytes())
-                    if (rec.mem.space is not MemSpace.SHARED
-                            and rec.mem.active.any()):
-                        active_addrs = rec.mem.addrs[rec.mem.active]
-                        touched.append(active_addrs.astype(np.int64)
-                                       // line_bytes)
-    if touched:
-        lines = np.unique(np.concatenate(touched)).astype(np.int64)
-        starts = lines * line_bytes
-        # Defensive: the replay would fault on an out-of-image line,
-        # but the digest must not — clip and let the replay report it.
-        ok = (starts >= 0) & (starts + line_bytes <= img.size)
-        starts = starts[ok]
-        put("lines", int(starts.size))
-        h.update(np.ascontiguousarray(lines[ok]).tobytes())
-        h.update(img[starts[:, None]
-                     + np.arange(line_bytes, dtype=np.int64)].tobytes())
-    return h.hexdigest()
 
 
 @dataclass
@@ -221,27 +116,9 @@ def simulate_app(app, config: GPUConfig = BASELINE_CONFIG,
             from .core.masks import derive_mask
             isa_mask = derive_mask(functional.trace.static_binary)
 
-        global _TRACE_HITS, _TRACE_MISSES
         key = (app.name, pivot_lane, isa_mask, config)
-        stats = None
-        cache_hit = False
-        if fault_model is None:
-            stats = _STATS_CACHE.get(key)
-            cache_hit = stats is not None
-            if stats is None:
-                # Content-addressed fallback: an app whose trace bytes
-                # match an already-replayed one reuses that replay.
-                digest = _trace_digest(functional.trace, config, isa_mask,
-                                       pivot_lane)
-                cached = _TRACE_CACHE.get(digest)
-                if cached is not None:
-                    _TRACE_HITS += 1
-                    stats = replace(cached, app_name=app.name)
-                    cache_hit = True
-                    _STATS_CACHE[key] = stats
-                else:
-                    _TRACE_MISSES += 1
-
+        stats = _STATS_CACHE.get(key) if fault_model is None else None
+        cache_hit = stats is not None
         if stats is None:
             encoders = Encoders(isa_mask=isa_mask, pivot_lane=pivot_lane)
             flips_before = _fault_flip_counts(fault_model)
@@ -259,7 +136,6 @@ def simulate_app(app, config: GPUConfig = BASELINE_CONFIG,
             _publish_fault_flips(fault_model, flips_before)
             if fault_model is None:
                 _STATS_CACHE[key] = stats
-                _TRACE_CACHE[digest] = stats
 
         if span is not None:
             span.set(cycles=stats.cycles, instructions=stats.instructions,

@@ -508,11 +508,11 @@ class TestMemoryVectorization:
 
 
 # ---------------------------------------------------------------------------
-# Trace memoization
+# Result caches
 # ---------------------------------------------------------------------------
 
 class _Renamed:
-    """Same app object, different name (and thus different memo keys)."""
+    """Same app object, different name (and thus different cache keys)."""
 
     def __init__(self, app, name):
         self._app = app
@@ -522,94 +522,62 @@ class _Renamed:
         return getattr(self._app, attr)
 
 
-def _worker_cache_sizes(queue):
+def _worker_stats_cache_size(queue):
+    from repro import sim
     from repro.kernels import get_app
-    from repro.sim import cache_sizes, simulate_app
-    simulate_app(get_app("VEC"))
-    queue.put(cache_sizes())
+    sim.simulate_app(get_app("VEC"))
+    queue.put(len(sim._STATS_CACHE))
 
 
-class TestTraceMemo:
-    def test_hit_and_miss_counters(self):
+class TestStatsCache:
+    def test_renamed_clone_replays_to_identical_stats(self):
+        """The app name keys the cache but never the numbers: a clone
+        under another name replays again and lands on the same stats."""
+        from repro import sim
         from repro.kernels import get_app
-        from repro.sim import cache_sizes, clear_caches, simulate_app
-        clear_caches()
+        sim.clear_caches()
         app = get_app("VEC")
-        first = simulate_app(app)
-        sizes = cache_sizes()
-        assert sizes["trace"] == 1
-        assert sizes["trace_misses"] == 1
-        assert sizes["trace_hits"] == 0
-
-        # Same name: served by the (name, config) stats cache, the
-        # content memo is never consulted.
-        simulate_app(app)
-        assert cache_sizes()["trace_hits"] == 0
-
-        # Same bytes, different name: content-hash hit.
-        renamed = simulate_app(_Renamed(app, "VEC-clone"))
-        sizes = cache_sizes()
-        assert sizes["trace_hits"] == 1
-        assert sizes["trace_misses"] == 1
-        assert sizes["trace"] == 1
+        first = sim.simulate_app(app)
+        renamed = sim.simulate_app(_Renamed(app, "VEC-clone"))
+        assert len(sim._STATS_CACHE) == 2
         assert renamed.app_name == "VEC-clone"
         assert renamed.counts == first.counts
         assert renamed.noc_toggles == first.noc_toggles
         assert renamed.cycles == first.cycles
-        clear_caches()
+        sim.clear_caches()
 
-    def test_clear_caches_drops_memo_and_counters(self):
+    def test_clear_caches_drops_every_cache(self):
+        from repro import sim
         from repro.kernels import get_app
-        from repro.sim import cache_sizes, clear_caches, simulate_app
-        clear_caches()
-        simulate_app(get_app("VEC"))
-        assert cache_sizes()["trace"] == 1
-        clear_caches()
-        sizes = cache_sizes()
-        assert sizes == {"functional": 0, "stats": 0, "trace": 0,
-                         "trace_hits": 0, "trace_misses": 0}
+        sim.clear_caches()
+        sim.simulate_app(get_app("VEC"))
+        assert len(sim._FUNCTIONAL_CACHE) == len(sim._STATS_CACHE) == 1
+        sim.clear_caches()
+        assert not sim._FUNCTIONAL_CACHE and not sim._STATS_CACHE
 
-    def test_different_data_misses(self):
-        from repro.kernels import get_app
-        from repro.sim import cache_sizes, clear_caches, simulate_app
-        clear_caches()
-        simulate_app(get_app("VEC"))
-        # A renamed app rebuilds with a name-derived seed, so its data
-        # (and trace digest) genuinely differ: must be a miss.
-        import dataclasses
-        simulate_app(dataclasses.replace(get_app("VEC"), name="VEC-other"))
-        sizes = cache_sizes()
-        assert sizes["trace_misses"] == 2
-        assert sizes["trace_hits"] == 0
-        assert sizes["trace"] == 2
-        clear_caches()
-
-    def test_fault_runs_bypass_trace_memo(self):
+    def test_fault_runs_bypass_stats_cache(self):
+        from repro import sim
         from repro.faults import FaultModel
         from repro.kernels import get_app
-        from repro.sim import cache_sizes, clear_caches, simulate_app
-        clear_caches()
+        sim.clear_caches()
         fm = FaultModel(mode="uniform", p_flip=1e-6, seed=1)
-        simulate_app(get_app("VEC"), fault_model=fm)
-        sizes = cache_sizes()
-        assert sizes["trace"] == 0
-        assert sizes["trace_hits"] == 0
-        assert sizes["trace_misses"] == 0
-        clear_caches()
+        sim.simulate_app(get_app("VEC"), fault_model=fm)
+        assert not sim._STATS_CACHE
+        sim.clear_caches()
 
-    def test_parallel_workers_keep_process_local_memos(self):
-        from repro.sim import cache_sizes, clear_caches
-        clear_caches()
+    def test_parallel_workers_keep_process_local_caches(self):
+        from repro import sim
+        sim.clear_caches()
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
-        proc = ctx.Process(target=_worker_cache_sizes, args=(queue,))
+        proc = ctx.Process(target=_worker_stats_cache_size, args=(queue,))
         proc.start()
-        worker_sizes = queue.get(timeout=120)
+        worker_entries = queue.get(timeout=120)
         proc.join(timeout=120)
-        assert worker_sizes["trace"] == 1
-        assert worker_sizes["trace_misses"] == 1
-        # The parent's memo never saw the worker's entries.
-        assert cache_sizes()["trace"] == 0
+        assert not proc.is_alive()
+        assert worker_entries == 1
+        # The parent's cache never saw the worker's entry.
+        assert not sim._STATS_CACHE
 
 
 # ---------------------------------------------------------------------------
