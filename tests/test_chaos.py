@@ -149,14 +149,17 @@ class TestWorkerFaultSurvival:
 
 
 def _poison_driver(apps=None):  # noqa: ARG001 — registry signature
+    # A crash blames every unit in flight; the pause lets the healthy
+    # fig09 units (warm, see below) finish before the worker dies.
+    time.sleep(0.5)
     os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestQuarantine:
     def test_poison_unit_is_quarantined_not_fatal(self, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch, golden):
         # fork start method (Linux default) propagates the patched
-        # registry into pool workers.
+        # registry into pool workers, and the caches ``golden`` warmed.
         from repro.experiments import registry
         monkeypatch.setitem(registry.EXPERIMENTS, "poison", _poison_driver)
         runner = make_runner(tmp_path,
