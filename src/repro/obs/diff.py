@@ -17,8 +17,8 @@ vocabulary and exit-code contract:
 * **metrics snapshots** (``--metrics-out`` JSON) align by
   ``family{labels}`` series identity. Counters and gauges are exact
   by the determinism contract, so any value change grades ``changed``
-  (volatile families — RSS, supervision counters — are
-  skipped the same way the golden suite strips them).
+  (volatile families — RSS, supervision counters — are skipped the
+  same way the golden suite strips them).
 * **run ledgers** align per unit key after
   :func:`~repro.obs.ledger.normalize_events`: a unit whose normalized
   lifecycle differs (extra retries, a new quarantine, different final

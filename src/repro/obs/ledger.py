@@ -6,10 +6,10 @@ once the run that produced it has finished. The ledger is the *live*
 counterpart: one JSONL stream per sweep of typed, monotonically
 sequenced lifecycle events (unit scheduled/started/attempt/retry/
 timeout, straggler re-queue, quarantine, chaos injection, checkpoint
-flush, completed), appended and flushed line by line as
-they happen, so an external watcher — ``repro obs watch``, a tail -f,
-or the future sweep-service SSE endpoint — can follow a two-hour sweep
-while it runs.
+flush, completed), appended and flushed line by line as they happen,
+so an external watcher — ``repro obs watch``, a tail -f, or the future
+sweep-service SSE endpoint — can follow a two-hour sweep while it
+runs.
 
 Crash-safety follows the trace-JSONL contract (``jsonl_to_trees``):
 each line is independently parseable, a killed writer leaves a torn

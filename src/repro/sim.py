@@ -24,7 +24,7 @@ parallel sweeps agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .analysis.isa_profile import ISAProfile, profile_binaries
 from .analysis.parser import AppStats, build_app_stats
 from .analysis.profiling import Profiler
 from .arch.config import BASELINE_CONFIG, GPUConfig
-from .arch.engine import FunctionalResult, run_functional
+from .arch.engine import run_functional
 from .arch.gpu import GPUReplay
 from .arch.memory import GlobalMemory
 from .arch.stats import Encoders
