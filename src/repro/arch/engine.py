@@ -96,7 +96,6 @@ def _run_block(launch: Launch, block_idx: int, warps: List[WarpCtx]) -> None:
 def run_functional(app_name: str, mem: GlobalMemory,
                    launches: List[Launch], encoders: Encoders,
                    profiler=None,
-                   const_base: int = 0, const_size: int = 0,
                    code_region: Optional[tuple] = None) -> FunctionalResult:
     """Execute an app's launches functionally and collect its traces.
 
@@ -108,8 +107,7 @@ def run_functional(app_name: str, mem: GlobalMemory,
     initial_image = mem.snapshot()
     tally = Tally()
     batch = TallyBatch(encoders, tally)
-    trace = AppTrace(app_name=app_name, const_base=const_base,
-                     const_size=const_size)
+    trace = AppTrace(app_name=app_name)
 
     if code_region is None:
         code_buf = mem.alloc(256 << 10, f"{app_name}.code")

@@ -100,8 +100,6 @@ class AppTrace:
     app_name: str
     launches: List[LaunchTrace] = field(default_factory=list)
     initial_image: Optional[np.ndarray] = None
-    const_base: int = 0
-    const_size: int = 0
 
     @property
     def static_binary(self) -> np.ndarray:

@@ -161,7 +161,7 @@ class TestGoldenLedgerIdentity:
     Ledger events are sequenced live — completion order *does* move
     the raw stream — so the contract is on ``normalize_events``: sort
     by unit key, drop sequence/timestamps and the volatile attrs
-    (wall times, pids, jobs, memo warmth), and serial and parallel
+    (wall times, dispatch and worker counts), and serial and parallel
     runs of the same sweep must describe identical lifecycles.
     """
 
