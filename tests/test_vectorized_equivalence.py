@@ -119,18 +119,47 @@ def oracle_tally_inst_word(encoders: Encoders, tally: Tally, unit: Unit,
                   ones * count)
 
 
-class OracleNoC(NoCStats):
-    """NoCStats with the pre-vectorization per-flit _transmit loop."""
+class OracleNoC:
+    """Standalone scalar reference for :class:`NoCStats`.
+
+    The pre-vectorization design, kept independent of the code under
+    test: per-variant lists of ``flit_bytes`` chunks, an element-wise
+    virtual-channel interleave of two pending packets, and a per-flit
+    copy of the held wire state that a partial flit only partly
+    overwrites. Toggles are counted flit by flit, bit by bit. It offers
+    the slice of the ``NoCStats`` interface that ``Crossbar`` and
+    ``GPUReplay`` drive (``send``, ``flush``, ``toggles``, ``flits``),
+    so the end-to-end test can swap it in.
+    """
+
+    def __init__(self, flit_bytes: int, virtual_channels: int = 2):
+        self.flit_bytes = flit_bytes
+        self.virtual_channels = virtual_channels
+        self.toggles = {v: 0 for v in VARIANTS}
+        self.flits = 0
+        self._last = {}
+        self._pending = {}
+
+    def _chunks(self, payload):
+        n_flits = max(1, -(-payload.size // self.flit_bytes))
+        return [payload[i * self.flit_bytes:(i + 1) * self.flit_bytes]
+                for i in range(n_flits)]
+
+    @staticmethod
+    def _interleave(a, b):
+        out = []
+        for i in range(max(len(a), len(b))):
+            if i < len(a):
+                out.append(a[i])
+            if i < len(b):
+                out.append(b[i])
+        return out
 
     def _transmit(self, channel, chunk_lists):
-        n_flits = len(next(iter(chunk_lists.values())))
-        self.flits += n_flits
-        last = self._last.get(channel)
-        if last is None:
-            last = self._last[channel] = {
-                v: np.zeros(self.flit_bytes, dtype=np.uint8)
-                for v in VARIANTS
-            }
+        self.flits += len(chunk_lists[VARIANTS[0]])
+        last = self._last.setdefault(channel, {
+            v: np.zeros(self.flit_bytes, dtype=np.uint8) for v in VARIANTS
+        })
         for variant in VARIANTS:
             prev = last[variant]
             for chunk in chunk_lists[variant]:
@@ -139,6 +168,28 @@ class OracleNoC(NoCStats):
                 self.toggles[variant] += oracle_toggles_between(prev, flit)
                 prev = flit
             last[variant] = prev
+
+    def send(self, channel, payload_variants):
+        chunk_lists = {
+            v: self._chunks(np.asarray(payload_variants[v],
+                                       dtype=np.uint8).ravel())
+            for v in VARIANTS
+        }
+        if self.virtual_channels < 2:
+            self._transmit(channel, chunk_lists)
+            return
+        pending = self._pending.pop(channel, None)
+        if pending is None:
+            self._pending[channel] = chunk_lists
+            return
+        self._transmit(channel, {
+            v: self._interleave(pending[v], chunk_lists[v]) for v in VARIANTS
+        })
+
+    def flush(self):
+        for channel, chunk_lists in sorted(self._pending.items()):
+            self._transmit(channel, chunk_lists)
+        self._pending.clear()
 
 
 # ---------------------------------------------------------------------------
