@@ -149,10 +149,10 @@ class MSHRFile:
 
     def acquire(self, now: int, service_cycles: int) -> int:
         """Reserve an entry; returns the cycle the miss can start."""
-        earliest = min(range(self.n_entries),
-                       key=lambda i: self._free_at[i])
-        start = max(now, self._free_at[earliest])
+        free_at = self._free_at
+        earliest = free_at.index(min(free_at))
+        start = max(now, free_at[earliest])
         if start > now:
             self.full_events += 1
-        self._free_at[earliest] = start + service_cycles
+        free_at[earliest] = start + service_cycles
         return start

@@ -29,7 +29,7 @@ from .isa import OpClass
 from .memory import GlobalMemory
 from .noc import Crossbar
 from .scheduler import WarpSlot, make_scheduler
-from .stats import Encoders, Tally, TallyBatch, TimingStats
+from .stats import VARIANTS, Encoders, Tally, TallyBatch, TimingStats
 from .trace import AppTrace, InstRecord, MemSpace
 from ..core.spaces import Unit
 from ..obs.tracer import trace_span
@@ -184,16 +184,16 @@ class GPUReplay:
         self._batch.add_line(unit, line_words, is_store, subset)
 
     def _line_payload_variants(self, line_words: np.ndarray,
-                               is_inst: bool) -> Dict[str, np.ndarray]:
-        """Per-variant byte payloads of a line for NoC transmission."""
+                               is_inst: bool) -> np.ndarray:
+        """The NoC packet carrying a line (or a store's words): its
+        ``(variants, bytes)`` encodings."""
         if is_inst:
             words64 = np.ascontiguousarray(line_words).view(np.uint64)
             variants = self.encoders.inst_variants(words64)
-            return {v: np.ascontiguousarray(w).view(np.uint8)
-                    for v, w in variants.items()}
-        variants = self.encoders.data_variants(Unit.NOC, line_words, "line")
-        return {v: np.ascontiguousarray(w).view(np.uint8)
-                for v, w in variants.items()}
+        else:
+            variants = self.encoders.data_variants(Unit.NOC, line_words,
+                                                   "line")
+        return np.stack([variants[v] for v in VARIANTS]).view(np.uint8)
 
     # ------------------------------------------------------------------
     # Memory-system transactions
@@ -294,13 +294,15 @@ class GPUReplay:
             # One batched gather serves every use of each line's bytes
             # (hit tally, fill tally, L2 access, NoC payload): reads
             # have no side effects without a fault model, so sharing
-            # them is byte-identical. The NoC payload variants encode
-            # as one (n_lines, words) block instead of per line.
+            # them is byte-identical. The NoC packets encode as one
+            # (n_lines, variants, line_bytes) stack; line j sends row j.
             rows = mem.read_lines(
                 np.asarray(line_list, dtype=np.int64),
                 line_bytes).view(np.uint32)
-            payload_rows = self.encoders.data_variant_blocks(
-                Unit.NOC, rows, "line")
+            blocks = self.encoders.data_variant_blocks(Unit.NOC, rows,
+                                                       "line")
+            payload_rows = np.stack([blocks[v] for v in VARIANTS],
+                                    axis=1).view(np.uint8)
         worst = 0
         for j, line_addr in enumerate(line_list):
             subset = np.fromiter(sorted(by_line[line_addr]),
@@ -323,12 +325,10 @@ class GPUReplay:
                                          False, start,
                                          line_words=None if faulty
                                          else line_words)
-            if payload_rows is not None:
-                payload = {v: np.ascontiguousarray(w[j]).view(np.uint8)
-                           for v, w in payload_rows.items()}
-            else:
-                payload = self._line_payload_variants(line_words, False)
-            noc.send_response(sm.index, bank, payload)
+            noc.send_response(
+                sm.index, bank,
+                payload_rows[j] if payload_rows is not None
+                else self._line_payload_variants(line_words, False))
             l1.fill(line_addr)
             # Fill writes the whole line into L1, then the warp reads it.
             self._tally_line(unit, line_words, True)
@@ -362,12 +362,8 @@ class GPUReplay:
                 dtype=np.int64)
             line_words = self._line_words(mem, line_addr)
             bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
-            variants = self.encoders.data_variants(Unit.NOC, data[lanes],
-                                                   "line")
-            noc.send_write(sm.index, bank, line_addr, {
-                v: np.ascontiguousarray(w).view(np.uint8)
-                for v, w in variants.items()
-            })
+            noc.send_write(sm.index, bank, line_addr,
+                           self._line_payload_variants(data[lanes], False))
             self._l2_access(state, sm, line_addr, is_store=True,
                             is_inst=False, now=now,
                             line_words=None if self.fault_model is not None
@@ -487,7 +483,6 @@ class GPUReplay:
             for w in waiting:
                 w.at_barrier = False
                 w.ready_at = sm.cycle + 5
-            sm.timing_barriers = getattr(sm, "timing_barriers", 0) + 1
 
     def _step_sm(self, state, sm: _SM, code_base: int) -> None:
         mem, tally, noc, l2_banks, dram, timing = state
@@ -526,7 +521,7 @@ class GPUReplay:
             base = cfg.lat_sfu if rec.op_class is OpClass.SFU else cfg.lat_alu
             warp.ready_at = sm.cycle + base + fetch_latency
         elif rec.mem.space is MemSpace.SHARED:
-            timing.barriers += 0  # shared accesses tallied in phase 1
+            # Shared-memory accesses were tallied in phase 1.
             warp.ready_at = sm.cycle + cfg.lat_sme + fetch_latency
         elif rec.mem.is_store:
             latency = self._store(state, sm, rec, sm.cycle)

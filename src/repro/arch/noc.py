@@ -5,8 +5,9 @@ toggling rate — the fraction of wires switching between consecutive
 flits on the same physical channel (Section 3.2). The crossbar has one
 request channel per L2 bank (all SMs' request flits serialise at the
 bank's input port) and one response channel per SM; every packet's
-payload is presented under all coder variants so the toggle counters
-capture each coder's effect in a single replay pass.
+payload is presented under all coder variants — one ``(variants,
+bytes)`` array per packet — so the toggle counters capture each
+coder's effect in a single replay pass.
 
 Request/write headers travel on a separate narrow control (address)
 network, as in real GPU interconnects, so only *data* flits — read
@@ -53,23 +54,22 @@ class Crossbar:
         self.control_flits += 1
 
     def send_response(self, sm: int, bank: int,
-                      payload_variants: Dict[str, np.ndarray]) -> None:
-        """Data response, bank -> SM."""
+                      payload: np.ndarray) -> None:
+        """Data response, bank -> SM; ``payload`` is the packet's
+        ``(variants, bytes)`` array."""
         self.packets += 1
         if self.fault_model is not None:
-            payload_variants = self.fault_model.corrupt_payloads(
-                payload_variants)
-        self.stats.send(("resp", sm), payload_variants)
+            payload = self.fault_model.corrupt_payloads(payload)
+        self.stats.send(("resp", sm), payload)
 
     def send_write(self, sm: int, bank: int, line_addr: int,
-                   payload_variants: Dict[str, np.ndarray]) -> None:
+                   payload: np.ndarray) -> None:
         """Store packet: control-network header + data flits, SM -> bank."""
         self.packets += 1
         self.control_flits += 1
         if self.fault_model is not None:
-            payload_variants = self.fault_model.corrupt_payloads(
-                payload_variants)
-        self.stats.send(("req", bank), payload_variants)
+            payload = self.fault_model.corrupt_payloads(payload)
+        self.stats.send(("req", bank), payload)
 
     @property
     def toggles(self) -> Dict[str, int]:

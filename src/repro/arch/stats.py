@@ -357,6 +357,10 @@ class NoCStats:
     packet's flits alternate on the wire with its neighbour's whenever
     two packets overlap. Call :meth:`flush` after the last packet to
     drain half-full channels.
+
+    A packet is one ``(variants, bytes)`` uint8 array, rows in
+    :data:`VARIANTS` order, and stays one ``(variants, flits,
+    flit_bytes)`` array until its toggles are counted.
     """
 
     def __init__(self, flit_bytes: int, virtual_channels: int = 2,
@@ -365,114 +369,98 @@ class NoCStats:
         self.virtual_channels = virtual_channels
         self.toggles: Dict[str, int] = {v: 0 for v in VARIANTS}
         self.flits: int = 0
-        self._last: Dict[Tuple[str, int], Dict[str, np.ndarray]] = {}
-        self._pending: Dict[Tuple[str, int], Dict[str, list]] = {}
-        #: Per-channel chunk backlog awaiting toggle counting. Chunks
-        #: accumulate in wire order and are counted in one
-        #: whole-sequence pass per channel at :meth:`flush` (or every
+        #: Per-channel ``(variants, flit_bytes)`` wire state.
+        self._last: Dict[Tuple[str, int], np.ndarray] = {}
+        #: Per-channel ``(flits, sizes)`` packet awaiting a VC partner.
+        self._pending: Dict[Tuple[str, int], tuple] = {}
+        #: Per-channel ``(flits, sizes)`` backlog in wire order, counted
+        #: in one pass per channel at :meth:`flush` (or every
         #: ``drain_every`` flits, bounding memory). Toggle sums are
         #: order-exact, so deferral cannot change a single count.
-        self._accum: Dict[Tuple[str, int], Dict[str, list]] = {}
+        self._accum: Dict[Tuple[str, int], list] = {}
         self._accum_flits: Dict[Tuple[str, int], int] = {}
         self._drain_every = drain_every
 
-    def _chunks(self, payload: np.ndarray) -> list:
-        n_bytes = payload.size
-        n_flits = max(1, -(-n_bytes // self.flit_bytes))
-        return [payload[i * self.flit_bytes:(i + 1) * self.flit_bytes]
-                for i in range(n_flits)]
+    def _flits(self, payload: np.ndarray) -> tuple:
+        """Pad a packet to whole flits: the ``(variants, flits,
+        flit_bytes)`` array plus each flit's driven byte count (an
+        empty packet still takes one undriven flit)."""
+        fb = self.flit_bytes
+        n_variants, n_bytes = payload.shape
+        n_flits = max(1, -(-n_bytes // fb))
+        sizes = np.full(n_flits, fb)
+        sizes[-1] = n_bytes - (n_flits - 1) * fb
+        if n_bytes < n_flits * fb:
+            payload = np.pad(payload, ((0, 0), (0, n_flits * fb - n_bytes)))
+        return payload.reshape(n_variants, n_flits, fb), sizes
 
-    def _transmit(self, channel: Tuple[str, int],
-                  chunk_lists: Dict[str, list]) -> None:
-        """Append a packet's chunk sequences to the channel backlog.
+    @staticmethod
+    def _interleave(a: np.ndarray, a_sizes: np.ndarray, b: np.ndarray,
+                    b_sizes: np.ndarray) -> tuple:
+        """Alternate two packets' flits on the wire, ``a`` first; the
+        longer packet's surplus flits follow back to back."""
+        n_a, n_b = a.shape[1], b.shape[1]
+        if n_a == n_b:
+            return (np.stack((a, b), axis=2).reshape(a.shape[0], 2 * n_a, -1),
+                    np.stack((a_sizes, b_sizes), axis=1).ravel())
+        order = np.argsort(np.concatenate((np.arange(0, 2 * n_a, 2),
+                                           np.arange(1, 2 * n_b, 2))))
+        return (np.concatenate((a, b), axis=1)[:, order],
+                np.concatenate((a_sizes, b_sizes))[order])
 
-        Toggle counting is deferred: chunks pile up in wire order and
-        one whole-sequence pass per channel counts them at
-        :meth:`flush` (or every ``drain_every`` flits). A partial flit
-        leaves its unused wires holding their previous values (idle
-        bus lines do not switch), so toggles are only counted on bytes
-        actually driven — :meth:`_drain` reconstructs that inheritance.
-        """
-        n_flits = len(next(iter(chunk_lists.values())))
-        self.flits += n_flits
-        acc = self._accum.get(channel)
-        if acc is None:
-            acc = self._accum[channel] = {v: [] for v in VARIANTS}
-            self._accum_flits[channel] = 0
-        for variant in VARIANTS:
-            acc[variant].extend(chunk_lists[variant])
-        self._accum_flits[channel] += n_flits
-        if self._accum_flits[channel] >= self._drain_every:
+    def _transmit(self, channel: Tuple[str, int], flits: np.ndarray,
+                  sizes: np.ndarray) -> None:
+        self.flits += sizes.size
+        self._accum.setdefault(channel, []).append((flits, sizes))
+        queued = self._accum_flits.get(channel, 0) + sizes.size
+        self._accum_flits[channel] = queued
+        if queued >= self._drain_every:
             self._drain(channel)
 
     def _drain(self, channel: Tuple[str, int]) -> None:
-        """Count the channel's backlog in one whole-sequence pass."""
-        acc = self._accum.pop(channel, None)
-        if not acc:
+        """Count the channel's backlog in one whole-sequence pass.
+
+        A partial flit leaves its unused wires holding their previous
+        values (idle bus lines do not switch), so each byte lane is
+        forward-filled from the latest flit that drove it.
+        """
+        backlog = self._accum.pop(channel, None)
+        if not backlog:
             return
-        self._accum_flits.pop(channel, None)
-        last = self._last.get(channel)
-        if last is None:
-            last = self._last[channel] = {
-                v: np.zeros(self.flit_bytes, dtype=np.uint8) for v in VARIANTS
-            }
-        for variant in VARIANTS:
-            chunks = acc[variant]
-            states = np.empty((len(chunks) + 1, self.flit_bytes),
-                              dtype=np.uint8)
-            states[0] = last[variant]
-            sizes = np.fromiter((c.size for c in chunks), dtype=np.int64,
-                                count=len(chunks))
-            full = sizes == self.flit_bytes
-            if full.all():
-                states[1:] = chunks
-            else:
-                idx = np.nonzero(full)[0]
-                if idx.size:
-                    states[idx + 1] = [chunks[i] for i in idx]
-                # Partial flits inherit the undriven wires' held
-                # values. Ascending order keeps the inheritance chain
-                # intact: row i is final before row i+1 copies it.
-                for i in np.nonzero(~full)[0]:
-                    states[i + 1] = states[i]
-                    states[i + 1, :sizes[i]] = chunks[i]
-            self.toggles[variant] += int(sequence_toggles(states).sum())
-            last[variant] = states[-1].copy()
+        del self._accum_flits[channel]
+        flits = np.concatenate([f for f, __ in backlog], axis=1)
+        sizes = np.concatenate([s for __, s in backlog])
+        n_variants, n_flits, fb = flits.shape
+        states = np.empty((n_variants, n_flits + 1, fb), dtype=np.uint8)
+        states[:, 0] = self._last.get(channel, 0)
+        states[:, 1:] = flits
+        if sizes.min() < fb:
+            driven = np.arange(fb) < np.r_[fb, sizes][:, None]
+            rows = np.arange(n_flits + 1)[:, None]
+            source = np.maximum.accumulate(np.where(driven, rows, 0), axis=0)
+            states = np.take_along_axis(states, source[None], axis=1)
+        counts = sequence_toggles(states).sum(axis=1)
+        for variant, count in zip(VARIANTS, counts.tolist()):
+            self.toggles[variant] += count
+        self._last[channel] = states[:, -1].copy()
 
-    @staticmethod
-    def _interleave(a: list, b: list) -> list:
-        out = []
-        for i in range(max(len(a), len(b))):
-            if i < len(a):
-                out.append(a[i])
-            if i < len(b):
-                out.append(b[i])
-        return out
-
-    def send(self, channel: Tuple[str, int],
-             payload_variants: Dict[str, np.ndarray]) -> None:
-        """Transmit a packet: per-variant payload bytes on one channel."""
-        chunk_lists = {
-            variant: self._chunks(np.asarray(payload, dtype=np.uint8).ravel())
-            for variant, payload in payload_variants.items()
-        }
+    def send(self, channel: Tuple[str, int], payload: np.ndarray) -> None:
+        """Transmit a ``(variants, bytes)`` packet on one channel."""
+        flits, sizes = self._flits(np.asarray(payload, dtype=np.uint8))
         if self.virtual_channels < 2:
-            self._transmit(channel, chunk_lists)
+            self._transmit(channel, flits, sizes)
             return
         pending = self._pending.pop(channel, None)
         if pending is None:
-            self._pending[channel] = chunk_lists
+            self._pending[channel] = (flits, sizes)
             return
-        merged = {
-            v: self._interleave(pending[v], chunk_lists[v]) for v in VARIANTS
-        }
-        self._transmit(channel, merged)
+        self._transmit(channel, *self._interleave(*pending, flits, sizes))
 
     def flush(self) -> None:
         """Drain packets still waiting for a VC partner, then count
         every channel's deferred backlog."""
-        for channel, chunk_lists in sorted(self._pending.items()):
-            self._transmit(channel, chunk_lists)
+        for channel in sorted(self._pending):
+            self._transmit(channel, *self._pending[channel])
         self._pending.clear()
         for channel in sorted(self._accum):
             self._drain(channel)
@@ -509,7 +497,6 @@ class TimingStats:
     l2_accesses: int = 0
     l2_misses: int = 0
     dram_accesses: int = 0
-    barriers: int = 0
 
     def count_op(self, op_class: str, lanes: int) -> None:
         self.instructions += 1

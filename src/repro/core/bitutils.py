@@ -213,21 +213,23 @@ def toggles_between(prev_flit, next_flit) -> int:
 def sequence_toggles(flits) -> np.ndarray:
     """Per-transition toggle counts across a whole flit sequence.
 
-    ``flits`` is a 2-D ``(n_states, width)`` uint8 array of consecutive
-    wire states on one channel; element ``i`` of the result counts the
-    bit flips between rows ``i`` and ``i + 1`` — the vectorised
-    equivalent of calling :func:`toggles_between` on every consecutive
-    pair.
+    ``flits`` is a ``(..., n_states, width)`` uint8 array of consecutive
+    wire states on one channel (leading axes, such as coder variants,
+    are independent sequences); element ``i`` along the second-to-last
+    axis of the result counts the bit flips between states ``i`` and
+    ``i + 1`` — the vectorised equivalent of calling
+    :func:`toggles_between` on every consecutive pair.
     """
     f = np.asarray(flits, dtype=np.uint8)
-    if f.ndim != 2:
-        raise ValueError("sequence_toggles expects a (n_states, width) array")
-    if f.shape[0] < 2:
-        return np.zeros(0, dtype=np.int64)
-    x = f[1:] ^ f[:-1]
+    if f.ndim < 2:
+        raise ValueError(
+            "sequence_toggles expects a (..., n_states, width) array")
+    if f.shape[-2] < 2:
+        return np.zeros(f.shape[:-2] + (0,), dtype=np.int64)
+    x = f[..., 1:, :] ^ f[..., :-1, :]
     if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
-    return _POP16[x].sum(axis=1, dtype=np.int64)
+        return np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
+    return _POP16[x].sum(axis=-1, dtype=np.int64)
 
 
 def float_to_bits(values) -> np.ndarray:

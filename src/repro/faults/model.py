@@ -138,29 +138,23 @@ class FaultModel:
         raw = self.corrupt_line(arr.view(np.uint8).ravel(), address)
         return raw.view(arr.dtype).reshape(arr.shape)
 
-    def corrupt_payloads(self, payload_variants: Dict[str, np.ndarray]
-                         ) -> Dict[str, np.ndarray]:
+    def corrupt_payloads(self, payload: np.ndarray) -> np.ndarray:
         """Transient channel faults on a NoC packet.
 
-        One physical flip mask is drawn for the channel and XORed into
-        every variant's payload: the variants are alternative encodings
+        ``payload`` is the packet's ``(variants, bytes)`` uint8 array.
+        One physical flip mask is drawn for the channel and XORed
+        across the variant axis: the variants are alternative encodings
         travelling the same wires, so they must see the same upsets.
         """
-        nbytes = max(p.size for p in payload_variants.values())
-        n_bits = nbytes * 8
+        n_bits = payload.shape[-1] * 8
         self.noc_bits += n_bits
         chosen = self._chosen(n_bits)
         if chosen is None:
-            return payload_variants
+            return payload
         mask_bits = np.zeros(n_bits, dtype=np.uint8)
         mask_bits[chosen] = 1
-        mask = np.packbits(mask_bits)
         self.noc_flips += chosen.size
-        return {
-            variant: (np.ascontiguousarray(payload, dtype=np.uint8)
-                      ^ mask[:payload.size])
-            for variant, payload in payload_variants.items()
-        }
+        return payload ^ np.packbits(mask_bits)
 
     def note_fill(self, cache_name: str, line_addr: int) -> None:
         """Record a line fill (a disturb-exposure event) per cache."""

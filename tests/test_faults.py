@@ -110,23 +110,43 @@ class TestCorruptWords:
 class TestCorruptPayloads:
     def test_same_physical_flips_on_every_variant(self):
         rng = np.random.default_rng(4)
-        variants = {
-            name: rng.integers(0, 256, size=128, dtype=np.uint8)
-            for name in ("base", "NV", "VS", "ALL")
-        }
+        payload = rng.integers(0, 256, size=(5, 128), dtype=np.uint8)
         fm = FaultModel(UNIFORM, p_flip=0.2, seed=9)
-        out = fm.corrupt_payloads(variants)
-        deltas = {name: out[name] ^ variants[name] for name in variants}
-        reference = deltas["base"]
+        out = fm.corrupt_payloads(payload)
+        assert out.shape == payload.shape
+        deltas = out ^ payload
+        reference = deltas[0]
         assert reference.any()
-        for delta in deltas.values():
+        for delta in deltas:
             assert np.array_equal(delta, reference)
         assert fm.noc_flips == int(np.unpackbits(reference).sum())
 
+    def test_matches_per_variant_draws_for_fixed_seed(self):
+        # Flip positions and counters pinned from the per-variant
+        # (dict-of-payloads) form this array form replaced: the seeded
+        # RNG draws are unchanged, packet for packet.
+        fm = FaultModel(UNIFORM, p_flip=0.01, seed=5)
+        rng = np.random.default_rng(8)
+        expected = {
+            128: [22, 54, 134, 283, 290, 391, 417, 475, 523, 583, 640,
+                  818, 997],
+            40: [36, 125, 200, 252, 267, 306],
+            0: [],
+        }
+        for size, positions in expected.items():
+            base = rng.integers(0, 256, size, dtype=np.uint8)
+            payload = np.stack([base ^ np.uint8(i) for i in range(5)])
+            deltas = fm.corrupt_payloads(payload) ^ payload
+            for delta in deltas:
+                assert np.flatnonzero(np.unpackbits(delta)).tolist() == \
+                    positions
+        assert fm.noc_bits == (128 + 40) * 8
+        assert fm.noc_flips == 19
+
     def test_zero_probability_returns_input(self):
-        variants = {"base": np.arange(16, dtype=np.uint8)}
+        payload = np.arange(16, dtype=np.uint8).reshape(1, 16)
         fm = FaultModel(UNIFORM, p_flip=0.0)
-        assert fm.corrupt_payloads(variants) is variants
+        assert fm.corrupt_payloads(payload) is payload
 
 
 class TestPersistentWriteback:

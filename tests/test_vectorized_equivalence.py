@@ -169,11 +169,12 @@ class OracleNoC:
                 prev = flit
             last[variant] = prev
 
-    def send(self, channel, payload_variants):
+    def send(self, channel, payload):
+        """``payload`` is a ``(variants, bytes)`` array, rows in
+        VARIANTS order."""
         chunk_lists = {
-            v: self._chunks(np.asarray(payload_variants[v],
-                                       dtype=np.uint8).ravel())
-            for v in VARIANTS
+            v: self._chunks(np.asarray(row, dtype=np.uint8))
+            for v, row in zip(VARIANTS, payload)
         }
         if self.virtual_channels < 2:
             self._transmit(channel, chunk_lists)
@@ -296,6 +297,15 @@ class TestSequenceToggles:
         per_pair = [bu.toggles_between(flits[i - 1], flits[i])
                     for i in range(1, 20)]
         assert bu.sequence_toggles(flits).tolist() == per_pair
+
+    def test_leading_axes_are_independent_sequences(self):
+        rng = np.random.default_rng(3)
+        flits = rng.integers(0, 256, (5, 9, 16), dtype=np.uint8)
+        stacked = bu.sequence_toggles(flits)
+        assert stacked.shape == (5, 8)
+        for row, seq in zip(stacked, flits):
+            assert row.tolist() == bu.sequence_toggles(seq).tolist()
+        assert bu.sequence_toggles(flits[:, :1]).shape == (5, 0)
 
     def test_short_and_invalid_inputs(self):
         assert bu.sequence_toggles(np.zeros((1, 8), np.uint8)).size == 0
@@ -500,7 +510,7 @@ class TestNoCEquivalence:
             channel = ("req", int(rng.integers(3)))
             size = int(rng.integers(1, 70))  # exercises partial flits
             payload = rng.integers(0, 256, size, dtype=np.uint8)
-            noc.send(channel, {v: payload.copy() for v in VARIANTS})
+            noc.send(channel, np.tile(payload, (len(VARIANTS), 1)))
         noc.flush()
 
     @pytest.mark.parametrize("vcs", [1, 2])
@@ -519,12 +529,43 @@ class TestNoCEquivalence:
         for noc in (fast, slow):
             payload_rng = np.random.default_rng(99)
             for __ in range(12):
-                payloads = {v: payload_rng.integers(0, 256, 20,
-                                                    dtype=np.uint8)
-                            for v in VARIANTS}
+                payloads = payload_rng.integers(0, 256, (len(VARIANTS), 20),
+                                                dtype=np.uint8)
                 noc.send(("resp", 0), payloads)
             noc.flush()
         assert fast.toggles == slow.toggles
+
+    @given(flit_bytes=st.sampled_from([4, 8, 16, 32]),
+           vcs=st.sampled_from([1, 2]),
+           drain_every=st.integers(1, 64),
+           packets=st.lists(st.tuples(st.integers(0, 2),
+                                      st.integers(0, 4 * 32 - 1),
+                                      st.booleans()),
+                            max_size=24),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_on_random_packet_streams(
+            self, flit_bytes, vcs, drain_every, packets, seed):
+        """Exact toggles and flits for 0..3 whole flits plus a partial
+        flit, unequal VC partners and distinct or shared variant rows."""
+        rng = np.random.default_rng(seed)
+        fast = NoCStats(flit_bytes, virtual_channels=vcs,
+                        drain_every=drain_every)
+        slow = OracleNoC(flit_bytes, virtual_channels=vcs)
+        for channel, size, distinct in packets:
+            size %= 4 * flit_bytes
+            if distinct:
+                payload = rng.integers(0, 256, (len(VARIANTS), size),
+                                       dtype=np.uint8)
+            else:
+                payload = np.tile(rng.integers(0, 256, size, dtype=np.uint8),
+                                  (len(VARIANTS), 1))
+            fast.send(("req", channel), payload)
+            slow.send(("req", channel), payload)
+        fast.flush()
+        slow.flush()
+        assert fast.toggles == slow.toggles
+        assert fast.flits == slow.flits
 
 
 class TestMemoryVectorization:
