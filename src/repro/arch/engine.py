@@ -124,12 +124,12 @@ def run_functional(app_name: str, mem: GlobalMemory,
             shared = np.zeros(max(launch.shared_bytes, 4), dtype=np.uint8)
             warps = [
                 WarpCtx(
-                    mem=mem, shared=shared, tally=tally, encoders=encoders,
+                    mem=mem, shared=shared, batch=batch,
                     static_map=static_map, static_words=static_words,
                     block_idx=block_idx, warp_in_block=w,
                     warps_per_block=launch.warps_per_block,
                     n_blocks=launch.n_blocks,
-                    params={}, profiler=profiler, batch=batch,
+                    params={}, profiler=profiler,
                 )
                 for w in range(launch.warps_per_block)
             ]

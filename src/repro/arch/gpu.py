@@ -163,13 +163,8 @@ class GPUReplay:
         self._batch: Optional[TallyBatch] = None
 
     # ------------------------------------------------------------------
-    # Tally helpers
+    # Line helpers
     # ------------------------------------------------------------------
-
-    def _tally_inst_word(self, unit: Unit, word: int,
-                         is_store: bool, count: int = 1) -> None:
-        """Record an instruction-word access for deferred batch tallying."""
-        self._batch.add_inst(unit, word, is_store, count)
 
     def _line_words(self, mem: GlobalMemory, line_addr: int) -> np.ndarray:
         # Through mem.read_line so an attached fault model sees (and,
@@ -178,10 +173,18 @@ class GPUReplay:
         raw = mem.read_line(line_addr, self.config.l1_line_bytes)
         return raw.view(np.uint32)
 
-    def _tally_line(self, unit: Unit, line_words: np.ndarray,
-                    is_store: bool, subset: Optional[np.ndarray] = None) -> None:
-        """Record a cache-line access for deferred batch tallying."""
-        self._batch.add_line(unit, line_words, is_store, subset)
+    def _group_lines(self, addrs: np.ndarray) -> tuple:
+        """Group a warp's addresses by cache line: the sorted distinct
+        line addresses, each lane's index into them, and the ``(lines,
+        words)`` mask of the words the lanes touch."""
+        line_bytes = self.config.l1_line_bytes
+        offsets = addrs % line_bytes
+        line_of = addrs - offsets
+        line_list = sorted(set(line_of.tolist()))
+        index = np.searchsorted(line_list, line_of)
+        touched = np.zeros((len(line_list), line_bytes // 4), dtype=bool)
+        touched[index, offsets >> 2] = True
+        return line_list, index, touched
 
     def _line_payload_variants(self, line_words: np.ndarray,
                                is_inst: bool) -> np.ndarray:
@@ -224,23 +227,15 @@ class GPUReplay:
             if victim is not None:
                 # Dirty writeback to DRAM: off-chip, transparent to BVF.
                 dram.service(now + latency, victim)
-            fill_words = (self._line_words(mem, line_addr)
-                          if line_words is None else line_words)
+        # A miss first writes the filled line; then the access itself
+        # reads it (loads, fetches) or writes it (stores).
+        for flag in (is_store,) if hit else (True, is_store):
+            words = (self._line_words(mem, line_addr)
+                     if line_words is None else line_words)
             if is_inst:
-                words64 = np.ascontiguousarray(fill_words).view(np.uint64)
-                for word in words64:
-                    self._tally_inst_word(Unit.L2, int(word), is_store=True)
+                self._batch.add_inst(Unit.L2, words.view(np.uint64), flag)
             else:
-                self._tally_line(Unit.L2, fill_words, is_store=True)
-        # The access itself: read for loads/fetches, write for stores.
-        access_words = (self._line_words(mem, line_addr)
-                        if line_words is None else line_words)
-        if is_inst:
-            words64 = np.ascontiguousarray(access_words).view(np.uint64)
-            for word in words64:
-                self._tally_inst_word(Unit.L2, int(word), is_store)
-        else:
-            self._tally_line(Unit.L2, access_words, is_store)
+                self._batch.add_line(Unit.L2, words[None], flag)
         if is_store:
             bank.mark_dirty(line_addr)
         return latency
@@ -250,12 +245,13 @@ class GPUReplay:
         """Instruction fetch through IFB and L1I; returns added latency."""
         cfg = self.config
         mem, tally, noc, l2_banks, dram, timing = state
+        batch = self._batch
         # IFB: the fetched word is written into and read out of the buffer.
-        self._tally_inst_word(Unit.IFB, rec.word, is_store=True)
-        self._tally_inst_word(Unit.IFB, rec.word, is_store=False)
+        batch.add_inst(Unit.IFB, (rec.word,), True)
+        batch.add_inst(Unit.IFB, (rec.word,), False)
         addr = code_base + rec.pc * 8
         line_addr = sm.l1i.line_of(addr)
-        self._tally_inst_word(Unit.L1I, rec.word, is_store=False)
+        batch.add_inst(Unit.L1I, (rec.word,), False)
         if sm.l1i.lookup(line_addr):
             return 0
         bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
@@ -266,9 +262,7 @@ class GPUReplay:
         noc.send_response(sm.index, bank,
                           self._line_payload_variants(line_words, True))
         sm.l1i.fill(line_addr)
-        words64 = np.ascontiguousarray(line_words).view(np.uint64)
-        for word in words64:
-            self._tally_inst_word(Unit.L1I, int(word), is_store=True)
+        batch.add_inst(Unit.L1I, line_words.view(np.uint64), True)
         return latency
 
     def _load(self, state, sm: _SM, rec: InstRecord, now: int) -> int:
@@ -280,17 +274,13 @@ class GPUReplay:
         addrs = acc.addrs[acc.active]
         if addrs.size == 0:
             return cfg.lat_alu
-        line_bytes = cfg.l1_line_bytes
-        # Group lanes by line in one pass; the arrays are warp-sized,
-        # so plain dict/set grouping beats repeated np.unique calls.
-        by_line: Dict[int, set] = {}
-        for addr, off in zip((addrs - (addrs % line_bytes)).tolist(),
-                             ((addrs % line_bytes) >> 2).tolist()):
-            by_line.setdefault(addr, set()).add(off)
-        line_list = sorted(by_line)
+        line_list, __, touched = self._group_lines(addrs)
         faulty = self.fault_model is not None
-        rows = payload_rows = None
-        if not faulty:
+        if faulty:
+            # Every read goes through the fault model, line by line in
+            # address order; the rows are stacked after the loop.
+            rows, payload_rows = [], None
+        else:
             # One batched gather serves every use of each line's bytes
             # (hit tally, fill tally, L2 access, NoC payload): reads
             # have no side effects without a fault model, so sharing
@@ -298,22 +288,23 @@ class GPUReplay:
             # (n_lines, variants, line_bytes) stack; line j sends row j.
             rows = mem.read_lines(
                 np.asarray(line_list, dtype=np.int64),
-                line_bytes).view(np.uint32)
+                cfg.l1_line_bytes).view(np.uint32)
             blocks = self.encoders.data_variant_blocks(Unit.NOC, rows,
                                                        "line")
             payload_rows = np.stack([blocks[v] for v in VARIANTS],
                                     axis=1).view(np.uint8)
+        missed = []
         worst = 0
         for j, line_addr in enumerate(line_list):
-            subset = np.fromiter(sorted(by_line[line_addr]),
-                                 dtype=np.int64)
-            line_words = (rows[j] if rows is not None
-                          else self._line_words(mem, line_addr))
+            if faulty:
+                line_words = self._line_words(mem, line_addr)
+                rows.append(line_words)
+            else:
+                line_words = rows[j]
             hit = l1.lookup(line_addr)
             if unit is Unit.L1D:
                 timing.l1d_accesses += 1
             if hit:
-                self._tally_line(unit, line_words, False, subset)
                 worst = max(worst, cfg.lat_l1_hit)
                 continue
             if unit is Unit.L1D:
@@ -327,13 +318,18 @@ class GPUReplay:
                                          else line_words)
             noc.send_response(
                 sm.index, bank,
-                payload_rows[j] if payload_rows is not None
-                else self._line_payload_variants(line_words, False))
+                self._line_payload_variants(line_words, False) if faulty
+                else payload_rows[j])
             l1.fill(line_addr)
-            # Fill writes the whole line into L1, then the warp reads it.
-            self._tally_line(unit, line_words, True)
-            self._tally_line(unit, line_words, False, subset)
+            missed.append(j)
             worst = max(worst, (start - now) + l2_latency + cfg.lat_l1_hit)
+        if faulty:
+            rows = np.stack(rows)
+        # A fill writes the whole line into L1, then the warp reads the
+        # words its lanes touch.
+        if missed:
+            self._batch.add_line(unit, rows[missed], True)
+        self._batch.add_line(unit, rows, False, touched)
         return max(worst, cfg.lat_l1_hit)
 
     def _store(self, state, sm: _SM, rec: InstRecord, now: int) -> int:
@@ -347,31 +343,27 @@ class GPUReplay:
             return cfg.lat_alu
         # Keep the replay image coherent for subsequent line reads.
         mem.write_u32(acc.addrs, acc.data, mask=acc.active)
-        line_bytes = cfg.l1_line_bytes
-        # Group store lanes by line in one pass (lane order preserved,
-        # duplicates included — the NoC payload carries every lane).
-        by_line: Dict[int, list] = {}
-        for i, line_of in enumerate((addrs - (addrs % line_bytes)).tolist()):
-            by_line.setdefault(line_of, []).append(i)
-        for line_addr in sorted(by_line):
+        line_list, index, touched = self._group_lines(addrs)
+        rows = []
+        for j, line_addr in enumerate(line_list):
             sm.l1d.invalidate(line_addr)
             timing.l1d_accesses += 1
-            lanes = np.asarray(by_line[line_addr], dtype=np.int64)
-            subset = np.fromiter(
-                sorted({int(off) for off in (addrs[lanes] - line_addr) >> 2}),
-                dtype=np.int64)
             line_words = self._line_words(mem, line_addr)
+            rows.append(line_words)
             bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
+            # The write packet carries every lane, duplicates included,
+            # in lane order.
             noc.send_write(sm.index, bank, line_addr,
-                           self._line_payload_variants(data[lanes], False))
+                           self._line_payload_variants(data[index == j],
+                                                       False))
             self._l2_access(state, sm, line_addr, is_store=True,
                             is_inst=False, now=now,
                             line_words=None if self.fault_model is not None
                             else line_words)
-            # L2 books the written words; covered inside _l2_access via
-            # the full-line write tally. Also tally the store's words at
-            # the L1 interface where the invalidation check happened.
-            self._tally_line(Unit.L1D, line_words, True, subset)
+        # L2 books the whole written line inside _l2_access; L1 books
+        # the store's words at the interface where the invalidation
+        # check happened.
+        self._batch.add_line(Unit.L1D, np.stack(rows), True, touched)
         return cfg.lat_alu + 4
 
     # ------------------------------------------------------------------

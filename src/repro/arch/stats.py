@@ -15,12 +15,13 @@ counts for a unit outside that coder's BVF space equal the baseline's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.bitutils import (INST_BITS, WORD_BITS, hamming_weight,
-                             popcount32, popcount64, sequence_toggles)
+from ..core.bitutils import (INST_BITS, WORD_BITS, popcount32, popcount64,
+                             sequence_toggles)
 from ..core.coders import ISACoder, NVCoder, VSCoder
 from ..core.spaces import CODER_SPACES, Unit
 
@@ -87,8 +88,7 @@ class Tally:
 
     def merge(self, other: "Tally") -> None:
         for key, counts in other.counts.items():
-            mine = self.counts.get(key)
-            self.counts[key] = counts if mine is None else mine.merged(counts)
+            self.counts[key] = self.get(*key).merged(counts)
 
     def units(self):
         return sorted({unit for unit, __ in self.counts}, key=lambda u: u.name)
@@ -154,27 +154,6 @@ class Encoders:
         return {"base": w, "NV": nv_words, "VS": vs_words,
                 "ISA": w, "ALL": all_words}
 
-    def tally_data(self, tally: Tally, unit: Unit, words: np.ndarray,
-                   is_store: bool, blocked: str = "line",
-                   active: Optional[np.ndarray] = None) -> None:
-        w = np.asarray(words, dtype=np.uint32)
-        if active is not None and blocked == "warp":
-            n_active = int(np.count_nonzero(active))
-            if n_active == 0:
-                return
-            total = n_active * 32
-        else:
-            if w.size == 0:
-                return
-            total = w.size * 32
-        for variant, encoded in self.data_variants(unit, w, blocked,
-                                                   active).items():
-            if active is not None and blocked == "warp":
-                ones = hamming_weight(encoded[active])
-            else:
-                ones = hamming_weight(encoded)
-            tally.add(unit, variant, is_store, total - ones, ones)
-
     def data_variant_blocks(self, unit: Unit, blocks: np.ndarray,
                             blocked: str = "line",
                             active: Optional[np.ndarray] = None
@@ -212,138 +191,130 @@ class Encoders:
         encoded = self.isa.encode_words(w)
         return {"base": w, "NV": w, "VS": w, "ISA": encoded, "ALL": encoded}
 
-    def tally_inst(self, tally: Tally, unit: Unit, words: np.ndarray,
-                   is_store: bool) -> None:
-        w = np.asarray(words, dtype=np.uint64)
-        if w.size == 0:
-            return
-        total = w.size * INST_BITS
-        for variant, encoded in self.inst_variants(w).items():
-            ones = hamming_weight(encoded, INST_BITS)
-            tally.add(unit, variant, is_store, total - ones, ones)
+
+#: Rows (data) or words (instructions) one :class:`TallyBatch` record
+#: holds before it is tallied: bounds memory on long traces. Tallies
+#: are exact integer sums, so the bound never changes a count.
+FLUSH_ROWS = 4096
+
+
+@lru_cache(maxsize=None)
+def _all_counted(shape: Tuple[int, ...]) -> np.ndarray:
+    """A shared read-only mask counting every word of a block."""
+    mask = np.ones(shape, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 class TallyBatch:
     """Deferred whole-trace tallying over an :class:`Encoders`/:class:`Tally`.
 
-    The simulator's per-access tally calls — one per register operand,
-    shared-memory access, cache-line touch and instruction word — each
-    cost a dozen NumPy dispatches on a 32-element array, which is where
-    sweep wall time used to go. This accumulator records the raw word
-    blocks instead and flushes them in bulk: a whole trace's blocks are
-    stacked into one ``(n_blocks, width)`` matrix, encoded under every
-    coder variant with the batched coder paths, and popcounted as a
-    single array op.
+    Per-access tallying costs a dozen NumPy dispatches on a 32-element
+    array, so accesses are recorded raw, one record shape per stream:
 
-    Because every tallied quantity is an exact integer sum, flushing in
-    any order produces **bit-identical** counts to the per-call scalar
-    path (the golden fixtures and
-    ``tests/test_vectorized_equivalence.py`` pin this). Entries are
-    created under exactly the same conditions as the scalar path: a
-    block with no counted lanes contributes nothing.
+    * data: ``(rows, width)`` uint32 blocks plus a same-shape bool mask
+      of the words each access counts, keyed by ``(unit, blocked,
+      width, is_store)``; a warp access is one row;
+    * instructions: 64-bit words keyed by ``(unit, is_store)``.
+
+    A flush stacks each key's records, encodes them under every coder
+    variant with the batched coder paths and sums the popcounts of the
+    counted words. Tallies are exact integer sums, so the counts are
+    **bit-identical** to per-access scalar tallying (the golden
+    fixtures and ``tests/test_vectorized_equivalence.py`` pin this),
+    and a key with no counted word creates no tally entry.
     """
 
-    def __init__(self, encoders: Encoders, tally: Tally,
-                 flush_every: int = 8192):
+    def __init__(self, encoders: Encoders, tally: Tally):
         self.encoders = encoders
         self.tally = tally
-        self.flush_every = flush_every
-        # (unit, blocked, width) -> [values rows], [mask rows], [is_store]
+        #: data key -> [[blocks], [counted masks], rows]
         self._data: Dict[tuple, list] = {}
-        # (unit, word, is_store) -> access count, for 64-bit inst words.
-        self._inst: Dict[tuple, int] = {}
-        # word -> (ones_base, ones_isa); persists across flushes because
-        # instruction streams repeat the same words heavily.
-        self._inst_bits: Dict[int, Tuple[int, int]] = {}
+        #: (unit, is_store) -> [words]
+        self._inst: Dict[tuple, list] = {}
 
     # -- recording -------------------------------------------------------
 
     def add_warp(self, unit: Unit, values: np.ndarray, active: np.ndarray,
                  is_store: bool) -> None:
-        """Record one warp-blocked register/shared-memory access."""
-        self._add(unit, "warp", values, active, is_store)
+        """Record one warp-blocked register/shared-memory access: one
+        row of lane values, counted where ``active``."""
+        self._add_data((unit, "warp", values.shape[0], is_store),
+                       values, active, 1)
 
-    def add_line(self, unit: Unit, line_words: np.ndarray, is_store: bool,
-                 subset: Optional[np.ndarray] = None) -> None:
-        """Record one cache-line access (or a word subset of it)."""
-        if subset is not None and subset.size == 0:
-            return
-        self._add(unit, "line", line_words, subset, is_store)
+    def add_line(self, unit: Unit, lines: np.ndarray, is_store: bool,
+                 counted: Optional[np.ndarray] = None) -> None:
+        """Record a ``(rows, width)`` block of cache-line accesses.
 
-    def _add(self, unit: Unit, blocked: str, values, mask, is_store) -> None:
-        key = (unit, blocked, int(np.asarray(values).shape[0]))
+        ``counted`` is a same-shape bool mask of the words each access
+        touches (default: every word).
+        """
+        if counted is None:
+            counted = _all_counted(lines.shape)
+        self._add_data((unit, "line", lines.shape[1], is_store),
+                       lines, counted, lines.shape[0])
+
+    def _add_data(self, key: tuple, blocks: np.ndarray, counted: np.ndarray,
+                  rows: int) -> None:
         entry = self._data.get(key)
         if entry is None:
-            entry = self._data[key] = ([], [], [])
-        entry[0].append(values)
-        entry[1].append(mask)
-        entry[2].append(is_store)
-        if len(entry[0]) >= self.flush_every:
-            self._flush_data(key, entry)
+            entry = self._data[key] = [[], [], 0]
+        entry[0].append(blocks)
+        entry[1].append(counted)
+        entry[2] += rows
+        if entry[2] >= FLUSH_ROWS:
             del self._data[key]
+            self._tally_data(key, entry[0], entry[1])
 
-    def add_inst(self, unit: Unit, word: int, is_store: bool,
-                 count: int = 1) -> None:
-        """Record ``count`` accesses of one 64-bit instruction word."""
-        key = (unit, word, is_store)
-        self._inst[key] = self._inst.get(key, 0) + count
+    def add_inst(self, unit: Unit, words, is_store: bool) -> None:
+        """Record one access of each 64-bit instruction word in
+        ``words`` (a sequence of ints or a uint64 array)."""
+        key = (unit, is_store)
+        entry = self._inst.get(key)
+        if entry is None:
+            entry = self._inst[key] = []
+        entry.extend(words)
+        if len(entry) >= FLUSH_ROWS:
+            del self._inst[key]
+            self._tally_inst(key, entry)
 
     # -- flushing --------------------------------------------------------
 
     def flush(self) -> None:
         """Tally everything recorded since the last flush."""
-        for key, entry in self._data.items():
-            self._flush_data(key, entry)
+        for key, (blocks, masks, __) in self._data.items():
+            self._tally_data(key, blocks, masks)
+        for key, words in self._inst.items():
+            self._tally_inst(key, words)
         self._data.clear()
-        if self._inst:
-            self._flush_inst()
-            self._inst.clear()
+        self._inst.clear()
 
-    def _flush_data(self, key: tuple, entry: tuple) -> None:
-        unit, blocked, width = key
-        values, masks, stores = entry
-        blocks = np.vstack(values).astype(np.uint32, copy=False)
-        counted = np.zeros((len(values), width), dtype=bool)
-        for row, mask in enumerate(masks):
-            if mask is None:
-                counted[row] = True
-            elif blocked == "warp":
-                counted[row] = mask
-            else:
-                counted[row, mask] = True
-        is_store = np.asarray(stores, dtype=bool)
-        active = counted if blocked == "warp" else None
-        variants = self.encoders.data_variant_blocks(unit, blocks, blocked,
-                                                     active)
-        lanes_per_row = counted.sum(axis=1)
-        contributing = lanes_per_row > 0
-        for variant, encoded in variants.items():
-            ones_per_row = (popcount32(encoded) * counted).sum(axis=1)
-            for flag in (False, True):
-                rows = contributing & (is_store == flag)
-                if not rows.any():
-                    continue
-                ones = int(ones_per_row[rows].sum())
-                total = int(lanes_per_row[rows].sum()) * WORD_BITS
-                self.tally.add(unit, variant, flag, total - ones, ones)
+    def _tally_data(self, key: tuple, blocks: list, masks: list) -> None:
+        unit, blocked, __, is_store = key
+        counted = np.vstack(masks)
+        n_words = int(np.count_nonzero(counted))
+        if not n_words:
+            return
+        variants = self.encoders.data_variant_blocks(
+            unit, np.vstack(blocks), blocked,
+            counted if blocked == "warp" else None)
+        self._book(unit, is_store, n_words * WORD_BITS,
+                   [(popcount32(variants[v]) * counted).sum()
+                    for v in VARIANTS])
 
-    def _flush_inst(self) -> None:
-        known = self._inst_bits
-        fresh = sorted({word for (__, word, __unused) in self._inst
-                        if word not in known})
-        if fresh:
-            arr = np.asarray(fresh, dtype=np.uint64)
-            ones_base = popcount64(arr)
-            ones_isa = popcount64(self.encoders.isa.encode_words(arr))
-            for word, base, isa in zip(fresh, ones_base, ones_isa):
-                known[word] = (int(base), int(isa))
-        for (unit, word, flag), count in self._inst.items():
-            base, isa = known[word]
-            total = INST_BITS * count
-            for variant, ones in (("base", base), ("NV", base),
-                                  ("VS", base), ("ISA", isa), ("ALL", isa)):
-                self.tally.add(unit, variant, flag,
-                               total - ones * count, ones * count)
+    def _tally_inst(self, key: tuple, words: list) -> None:
+        unit, is_store = key
+        variants = self.encoders.inst_variants(
+            np.array(words, dtype=np.uint64))
+        self._book(unit, is_store, len(words) * INST_BITS,
+                   [popcount64(variants[v]).sum() for v in VARIANTS])
+
+    def _book(self, unit: Unit, is_store: bool, total: int,
+              ones: list) -> None:
+        """Add each variant's one-bit count out of ``total`` bits."""
+        for variant, count in zip(VARIANTS, ones):
+            count = int(count)
+            self.tally.add(unit, variant, is_store, total - count, count)
 
 
 class NoCStats:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .isa import Opcode, OPCODE_CLASS, encode
 from .memory import GlobalMemory
-from .stats import Encoders, Tally
+from .stats import TallyBatch
 from .trace import InstRecord, MemAccess, MemSpace, WarpTrace
 from ..core.bitutils import float_to_bits, bits_to_float, leading_zeros32, popcount32
 from ..core.spaces import Unit
@@ -65,16 +65,13 @@ class WarpCtx:
     """Execution context of one warp inside one thread block."""
 
     def __init__(self, *, mem: GlobalMemory, shared: np.ndarray,
-                 tally: Tally, encoders: Encoders, static_map: dict,
+                 batch: TallyBatch, static_map: dict,
                  static_words: list, block_idx: int, warp_in_block: int,
                  warps_per_block: int, n_blocks: int,
-                 params: dict, profiler=None, batch=None):
+                 params: dict, profiler=None):
         self.mem = mem
         self.shared = shared
-        self.tally = tally
-        self.encoders = encoders
-        #: optional :class:`~repro.arch.stats.TallyBatch` for deferred
-        #: whole-trace tallying; falls back to immediate tally_data.
+        #: records every register/shared-memory access for tallying.
         self.batch = batch
         self.static_map = static_map        # shared per launch
         self.static_words = static_words    # shared per launch
@@ -144,12 +141,7 @@ class WarpCtx:
 
     def _tally_warp(self, unit: Unit, values: np.ndarray,
                     is_store: bool) -> None:
-        if self.batch is not None:
-            self.batch.add_warp(unit, values, self.active, is_store)
-        else:
-            self.encoders.tally_data(self.tally, unit, values,
-                                     is_store=is_store, blocked="warp",
-                                     active=self.active)
+        self.batch.add_warp(unit, values, self.active, is_store)
 
     def _reg_read(self, reg: Reg) -> None:
         if reg.is_sreg:

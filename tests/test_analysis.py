@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import (AppStats, ISAProfile, LaneHammingProfile,
                             NarrowValueProfile, Profiler, profile_binaries)
-from repro.arch.stats import AccessCounts, Encoders, Tally
+from repro.arch.stats import AccessCounts, Encoders, Tally, TallyBatch
 from repro.core.spaces import Unit
 
 
@@ -121,6 +121,16 @@ class TestTallyAndEncoders:
         assert a.get(Unit.REG, "base").read1 == 6
         assert a.get(Unit.L2, "ALL").write0 == 5
 
+    def test_tally_merge_copies_counts(self):
+        """Adding to a merged tally leaves the source tally untouched."""
+        a, b = Tally(), Tally()
+        b.add(Unit.REG, "base", False, 1, 2)
+        a.merge(b)
+        a.add(Unit.REG, "base", False, 10, 10)
+        assert b.get(Unit.REG, "base").as_dict() == {
+            "read0": 1, "read1": 2, "write0": 0, "write1": 0}
+        assert a.get(Unit.REG, "base").read0 == 11
+
     def test_encoders_variant_consistency(self):
         enc = Encoders(isa_mask=0x00FF)
         words = np.arange(32, dtype=np.uint32)
@@ -136,20 +146,22 @@ class TestTallyAndEncoders:
         assert np.array_equal(variants["ALL"], variants["NV"])
 
     def test_tally_data_counts_active_only(self):
-        enc = Encoders(isa_mask=0)
         tally = Tally()
+        batch = TallyBatch(Encoders(isa_mask=0), tally)
         active = np.zeros(32, dtype=bool)
         active[:4] = True
-        enc.tally_data(tally, Unit.REG, np.zeros(32, dtype=np.uint32),
-                       is_store=True, blocked="warp", active=active)
+        batch.add_warp(Unit.REG, np.zeros(32, dtype=np.uint32), active,
+                       is_store=True)
+        batch.flush()
         assert tally.get(Unit.REG, "base").total_bits == 4 * 32
 
     def test_tally_inst(self):
         # An all-zero mask XNORs an all-zero word to all ones.
-        enc = Encoders(isa_mask=0)
         tally = Tally()
-        enc.tally_inst(tally, Unit.IFB,
-                       np.array([0], dtype=np.uint64), is_store=False)
+        batch = TallyBatch(Encoders(isa_mask=0), tally)
+        batch.add_inst(Unit.IFB, np.array([0], dtype=np.uint64),
+                       is_store=False)
+        batch.flush()
         assert tally.get(Unit.IFB, "base").read1 == 0
         assert tally.get(Unit.IFB, "ISA").read1 == 64
 

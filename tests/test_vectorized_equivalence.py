@@ -86,6 +86,29 @@ def oracle_encode_masked(pivot_index: int, block, active) -> np.ndarray:
     return out
 
 
+def oracle_tally_warp(encoders: Encoders, tally: Tally, unit: Unit,
+                      words: np.ndarray, is_store: bool, blocked: str = "line",
+                      active=None) -> None:
+    """Verbatim copy of the pre-vectorization Encoders.tally_data."""
+    w = np.asarray(words, dtype=np.uint32)
+    if active is not None and blocked == "warp":
+        n_active = int(np.count_nonzero(active))
+        if n_active == 0:
+            return
+        total = n_active * 32
+    else:
+        if w.size == 0:
+            return
+        total = w.size * 32
+    for variant, encoded in encoders.data_variants(unit, w, blocked,
+                                                   active).items():
+        if active is not None and blocked == "warp":
+            ones = bu.hamming_weight(encoded[active])
+        else:
+            ones = bu.hamming_weight(encoded)
+        tally.add(unit, variant, is_store, total - ones, ones)
+
+
 def oracle_tally_line(encoders: Encoders, tally: Tally, unit: Unit,
                       line_words: np.ndarray, is_store: bool,
                       subset=None) -> None:
@@ -423,6 +446,19 @@ class TestDataVariantBlocks:
 # Deferred tallying
 # ---------------------------------------------------------------------------
 
+def _oracle_line_block(encoders, tally, unit, lines, is_store, counted):
+    """Tally a ``(rows, width)`` block row by row through the oracle."""
+    for row, line in enumerate(lines):
+        subset = None if counted is None else np.flatnonzero(counted[row])
+        oracle_tally_line(encoders, tally, unit, line, is_store, subset)
+
+
+def _oracle_inst_words(encoders, tally, unit, words, is_store):
+    """Tally each word of an instruction record through the oracle."""
+    for word in np.array(words, dtype=np.uint64, ndmin=1).tolist():
+        oracle_tally_inst_word(encoders, tally, unit, word, is_store)
+
+
 class TestTallyBatch:
     @given(st.integers(0, 2**32), st.integers(1, 40))
     @settings(max_examples=25, deadline=None)
@@ -436,8 +472,8 @@ class TestTallyBatch:
             active = rng.random(LANES) < rng.choice([0.0, 0.3, 1.0])
             unit = [Unit.REG, Unit.SME][int(rng.integers(2))]
             is_store = bool(rng.integers(2))
-            encoders.tally_data(scalar_tally, unit, values, is_store,
-                                blocked="warp", active=active)
+            oracle_tally_warp(encoders, scalar_tally, unit, values, is_store,
+                              blocked="warp", active=active)
             batch.add_warp(unit, values, active, is_store)
         batch.flush()
         assert batch_tally.counts == scalar_tally.counts
@@ -445,24 +481,25 @@ class TestTallyBatch:
     @given(st.integers(0, 2**32), st.integers(1, 20))
     @settings(max_examples=25, deadline=None)
     def test_line_accesses_match_scalar_tally(self, seed, n_accesses):
+        """Blocks of 1..4 lines, each with every word counted or a
+        counted mask whose rows may be sparse, full or all False."""
         rng = np.random.default_rng(seed)
         encoders = Encoders(isa_mask=0xBEEF, pivot_lane=21)
         scalar_tally, batch_tally = Tally(), Tally()
         batch = TallyBatch(encoders, batch_tally)
         for __ in range(n_accesses):
-            line = rng.integers(0, 2**32, 32, dtype=np.uint32)
+            n_rows = int(rng.integers(1, 5))
+            lines = rng.integers(0, 2**32, (n_rows, 32), dtype=np.uint32)
             unit = [Unit.L2, Unit.L1D, Unit.L1C][int(rng.integers(3))]
             is_store = bool(rng.integers(2))
-            kind = int(rng.integers(3))
-            if kind == 0:
-                subset = None
-            elif kind == 1:
-                subset = np.flatnonzero(rng.random(32) < 0.4)
+            if rng.integers(3) == 0:
+                counted = None
             else:
-                subset = np.empty(0, dtype=np.int64)  # non-contributing
-            oracle_tally_line(encoders, scalar_tally, unit, line,
-                              is_store, subset)
-            batch.add_line(unit, line, is_store, subset)
+                density = rng.choice([0.0, 0.4, 1.0], size=(n_rows, 1))
+                counted = rng.random((n_rows, 32)) < density
+            _oracle_line_block(encoders, scalar_tally, unit, lines,
+                               is_store, counted)
+            batch.add_line(unit, lines, is_store, counted)
         batch.flush()
         assert batch_tally.counts == scalar_tally.counts
 
@@ -475,9 +512,29 @@ class TestTallyBatch:
         batch = TallyBatch(encoders, batch_tally)
         for word, is_store, count in accesses:
             unit = Unit.IFB if is_store else Unit.L1I
-            oracle_tally_inst_word(encoders, scalar_tally, unit, word,
-                                   is_store, count)
-            batch.add_inst(unit, word, is_store, count)
+            for __ in range(count):
+                oracle_tally_inst_word(encoders, scalar_tally, unit, word,
+                                       is_store)
+                batch.add_inst(unit, (word,), is_store)
+        batch.flush()
+        assert batch_tally.counts == scalar_tally.counts
+
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(ADVERSARIAL_U64)
+                                       | u64s, min_size=16, max_size=16),
+                              st.booleans()),
+                    min_size=1, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_inst_lines_match_per_word_tally(self, lines):
+        """One add_inst per 16-word instruction line equals 16 oracle
+        calls, one per word."""
+        encoders = Encoders(isa_mask=0x0F0F0F0F0F0F0F0F, pivot_lane=21)
+        scalar_tally, batch_tally = Tally(), Tally()
+        batch = TallyBatch(encoders, batch_tally)
+        for words, is_store in lines:
+            line = np.array(words, dtype=np.uint64)
+            _oracle_inst_words(encoders, scalar_tally, Unit.L2, line,
+                               is_store)
+            batch.add_inst(Unit.L2, line, is_store)
         batch.flush()
         assert batch_tally.counts == scalar_tally.counts
 
@@ -487,25 +544,65 @@ class TestTallyBatch:
         batch = TallyBatch(encoders, tally)
         batch.add_warp(Unit.REG, np.ones(LANES, dtype=np.uint32),
                        np.zeros(LANES, dtype=bool), is_store=False)
-        batch.add_line(Unit.L2, np.ones(32, dtype=np.uint32), False,
-                       subset=np.empty(0, dtype=np.int64))
+        batch.add_line(Unit.L2, np.ones((2, 32), dtype=np.uint32), False,
+                       np.zeros((2, 32), dtype=bool))
         batch.flush()
         assert tally.counts == {}
 
-    def test_incremental_flush_matches_single_flush(self):
+    def test_incremental_flush_matches_single_flush(self, monkeypatch):
+        import repro.arch.stats as stats_mod
         rng = np.random.default_rng(5)
         encoders = Encoders(isa_mask=0xABCD, pivot_lane=21)
-        small_tally, big_tally = Tally(), Tally()
-        small = TallyBatch(encoders, small_tally, flush_every=2)
-        big = TallyBatch(encoders, big_tally)
-        for __ in range(11):
-            values = rng.integers(0, 2**32, LANES, dtype=np.uint32)
-            active = rng.random(LANES) < 0.5
-            small.add_warp(Unit.REG, values, active, False)
-            big.add_warp(Unit.REG, values, active, False)
-        small.flush()
-        big.flush()
-        assert small_tally.counts == big_tally.counts
+        accesses = [(rng.integers(0, 2**32, LANES, dtype=np.uint32),
+                     rng.random(LANES) < 0.5,
+                     rng.integers(0, 2**32, (3, 32), dtype=np.uint32),
+                     rng.integers(0, 2**63, 16, dtype=np.uint64))
+                    for __ in range(11)]
+
+        def record(batch):
+            for values, active, lines, words in accesses:
+                batch.add_warp(Unit.REG, values, active, False)
+                batch.add_line(Unit.L2, lines, True)
+                batch.add_inst(Unit.L2, words, False)
+            batch.flush()
+
+        big_tally = Tally()
+        record(TallyBatch(encoders, big_tally))
+        for flush_rows in (1, 2):
+            small_tally = Tally()
+            with monkeypatch.context() as patch:
+                patch.setattr(stats_mod, "FLUSH_ROWS", flush_rows)
+                record(TallyBatch(encoders, small_tally))
+            assert small_tally.counts == big_tally.counts
+
+
+class TestGroupLines:
+    @given(st.lists(st.integers(0, 4 * 128 // 4 - 1), min_size=1,
+                    max_size=LANES),
+           st.integers(0, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_grouping(self, word_offsets, base_line):
+        """``_group_lines`` equals the per-lane dict grouping it
+        replaced: sorted lines, each line's lanes in lane order, and
+        the set of words each line's lanes touch."""
+        from repro.arch.config import BASELINE_CONFIG
+        line_bytes = BASELINE_CONFIG.l1_line_bytes
+        addrs = (np.asarray(word_offsets, dtype=np.int64) * 4
+                 + base_line * line_bytes)
+        lanes_by_line, words_by_line = {}, {}
+        for lane, addr in enumerate(addrs.tolist()):
+            line = addr - addr % line_bytes
+            lanes_by_line.setdefault(line, []).append(lane)
+            words_by_line.setdefault(line, set()).add(
+                (addr % line_bytes) >> 2)
+        replay = GPUReplay(BASELINE_CONFIG, Encoders(isa_mask=0))
+        line_list, index, touched = replay._group_lines(addrs)
+        assert line_list == sorted(lanes_by_line)
+        assert touched.shape == (len(line_list), line_bytes // 4)
+        for j, line in enumerate(line_list):
+            assert np.flatnonzero(index == j).tolist() == lanes_by_line[line]
+            assert set(np.flatnonzero(touched[j]).tolist()) == \
+                words_by_line[line]
 
 
 class TestNoCEquivalence:
@@ -684,21 +781,20 @@ class TestStatsCache:
 class _ScalarBatch:
     """TallyBatch stand-in that tallies immediately via the oracles."""
 
-    def __init__(self, encoders, tally, flush_every=0):
+    def __init__(self, encoders, tally):
         self.encoders = encoders
         self.tally = tally
 
     def add_warp(self, unit, values, active, is_store):
-        self.encoders.tally_data(self.tally, unit, values, is_store,
-                                 blocked="warp", active=active)
+        oracle_tally_warp(self.encoders, self.tally, unit, values, is_store,
+                          blocked="warp", active=active)
 
-    def add_line(self, unit, line_words, is_store, subset=None):
-        oracle_tally_line(self.encoders, self.tally, unit, line_words,
-                          is_store, subset)
+    def add_line(self, unit, lines, is_store, counted=None):
+        _oracle_line_block(self.encoders, self.tally, unit, lines, is_store,
+                           counted)
 
-    def add_inst(self, unit, word, is_store, count=1):
-        oracle_tally_inst_word(self.encoders, self.tally, unit, word,
-                               is_store, count)
+    def add_inst(self, unit, words, is_store):
+        _oracle_inst_words(self.encoders, self.tally, unit, words, is_store)
 
     def flush(self):
         pass
@@ -706,9 +802,11 @@ class _ScalarBatch:
 
 class TestEndToEndEquivalence:
     def test_scalar_pipeline_reproduces_batched_results(self, monkeypatch):
-        """Simulate VEC twice — once on the vectorized pipeline, once
-        with every deferred/batched path swapped for the pinned scalar
-        oracles — and require identical tallies and NoC toggles."""
+        """Simulate VEC and ATA twice each — once on the vectorized
+        pipeline, once with every deferred/batched path swapped for the
+        pinned scalar oracles — and require identical tallies and NoC
+        toggles. ATA adds multi-line loads and many instruction-line
+        fills to VEC's few line tallies."""
         from repro.core.masks import derive_mask
         from repro.kernels import get_app
         from repro.sim import _functional_pass, clear_caches
@@ -717,27 +815,28 @@ class TestEndToEndEquivalence:
         import repro.arch.gpu as gpu_mod
         import repro.arch.noc as noc_mod
 
-        app = get_app("VEC")
+        for name in ("VEC", "ATA"):
+            app = get_app(name)
 
-        clear_caches()
-        functional, __ = _functional_pass(app, 21)
-        isa_mask = derive_mask(functional.trace.static_binary)
-        encoders = Encoders(isa_mask=isa_mask, pivot_lane=21)
-        fast = GPUReplay(BASELINE_CONFIG, encoders).run(functional.trace)
-        fast_functional_counts = functional.tally.counts
+            clear_caches()
+            functional, __ = _functional_pass(app, 21)
+            isa_mask = derive_mask(functional.trace.static_binary)
+            encoders = Encoders(isa_mask=isa_mask, pivot_lane=21)
+            fast = GPUReplay(BASELINE_CONFIG, encoders).run(functional.trace)
 
-        clear_caches()
-        monkeypatch.setattr(engine_mod, "TallyBatch", _ScalarBatch)
-        monkeypatch.setattr(gpu_mod, "TallyBatch", _ScalarBatch)
-        monkeypatch.setattr(noc_mod, "NoCStats", OracleNoC)
-        scalar_functional, __ = _functional_pass(app, 21)
-        scalar_encoders = Encoders(isa_mask=isa_mask, pivot_lane=21)
-        slow = GPUReplay(BASELINE_CONFIG,
-                         scalar_encoders).run(scalar_functional.trace)
+            clear_caches()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine_mod, "TallyBatch", _ScalarBatch)
+                patch.setattr(gpu_mod, "TallyBatch", _ScalarBatch)
+                patch.setattr(noc_mod, "NoCStats", OracleNoC)
+                scalar_functional, __ = _functional_pass(app, 21)
+                scalar_encoders = Encoders(isa_mask=isa_mask, pivot_lane=21)
+                slow = GPUReplay(BASELINE_CONFIG,
+                                 scalar_encoders).run(scalar_functional.trace)
 
-        assert scalar_functional.tally.counts == fast_functional_counts
-        assert slow.tally.counts == fast.tally.counts
-        assert slow.noc.stats.toggles == fast.noc.stats.toggles
-        assert slow.noc.stats.flits == fast.noc.stats.flits
-        assert slow.timing.cycles == fast.timing.cycles
+            assert scalar_functional.tally.counts == functional.tally.counts
+            assert slow.tally.counts == fast.tally.counts, name
+            assert slow.noc.stats.toggles == fast.noc.stats.toggles, name
+            assert slow.noc.stats.flits == fast.noc.stats.flits, name
+            assert slow.timing.cycles == fast.timing.cycles, name
         clear_caches()
