@@ -840,3 +840,21 @@ class TestEndToEndEquivalence:
             assert slow.noc.stats.flits == fast.noc.stats.flits, name
             assert slow.timing.cycles == fast.timing.cycles, name
         clear_caches()
+
+    @pytest.mark.parametrize("name, expected", [
+        ("LBM", (548, 27103, 26117, 21857, 101023)),
+        ("STO", (392, 37427, 38106, 37075, 61229)),
+    ])
+    def test_multi_line_stores_keep_pinned_counts(self, name, expected):
+        """LBM and STO issue stores that span several lines, which the
+        golden apps never do. Pinned: NoC flits and toggles (each
+        line's write packet carries its lanes in lane order) and the
+        L1D store tallies (the words each line's lanes touch)."""
+        from repro.kernels import get_app
+        from repro.sim import clear_caches, simulate_app
+        clear_caches()
+        stats = simulate_app(get_app(name))
+        l1d = stats.counts[(Unit.L1D, "ALL")]
+        assert (stats.noc_flits, stats.noc_toggles["base"],
+                stats.noc_toggles["ALL"], l1d.write0, l1d.write1) == expected
+        clear_caches()
