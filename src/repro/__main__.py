@@ -20,7 +20,6 @@ Usage::
     python -m repro obs watch run.jsonl --once      # one snapshot
     python -m repro obs diff --trace old.jsonl new.jsonl --gate
     python -m repro obs diff --ledger old.jsonl new.jsonl
-    python -m repro obs serve --dir runs/ --port 8377  # HTTP + SSE
     python -m repro bench run --suite smoke        # BENCH_<ts>.json
     python -m repro bench hotspots t.jsonl --folded out.folded
     python -m repro bench compare old.json new.json --gate
@@ -57,6 +56,7 @@ import sys
 # a closed set resolves it here (repro/cli_util.py), so the suggestion
 # behaviour and exit-2 contract can never drift between subcommands.
 from .cli_util import (lookup_app as _lookup_app,
+                       nonneg_float as _nonneg_float,
                        resolve_apps as _resolve_apps,
                        unknown_name as _unknown_name)
 from .compare import gate_exit_code
@@ -241,22 +241,15 @@ def _cmd_obs_watch(args) -> int:
     if args.interval <= 0:
         print("--interval must be > 0", file=sys.stderr)
         return 2
+    if args.max_rows < 0:
+        print("--max-rows must be >= 0", file=sys.stderr)
+        return 2
     if args.timeout is not None and args.timeout <= 0:
         print("--timeout must be > 0", file=sys.stderr)
         return 2
     return watch(args.ledger, once=args.once, interval_s=args.interval,
                  max_rows=args.max_rows, wait=args.wait,
                  timeout_s=args.timeout)
-
-
-def _cmd_obs_serve(args) -> int:
-    from .obs.serve import serve
-    if args.poll_interval <= 0:
-        print("--poll-interval must be > 0", file=sys.stderr)
-        return 2
-    return serve(args.dir, host=args.host, port=args.port,
-                 poll_interval_s=args.poll_interval,
-                 heartbeat_s=args.heartbeat, verbose=args.verbose)
 
 
 def _cmd_obs_diff(args) -> int:
@@ -302,8 +295,8 @@ def _cmd_obs_report(args) -> int:
         if args.prometheus:
             from .obs.metrics import MetricsRegistry
             # write(), not print(): to_prometheus() already ends with
-            # a newline, and the output must stay byte-identical to
-            # the /metrics body of ``obs serve``.
+            # a newline, and the output must be exactly the exposition
+            # text, with no second trailing newline.
             sys.stdout.write(
                 MetricsRegistry.from_dict(snapshot).to_prometheus())
             return 0
@@ -333,8 +326,7 @@ def _cmd_obs_report(args) -> int:
 
 def cmd_obs(args) -> int:
     handler = {"tree": _cmd_obs_tree, "watch": _cmd_obs_watch,
-               "diff": _cmd_obs_diff, "report": _cmd_obs_report,
-               "serve": _cmd_obs_serve}
+               "diff": _cmd_obs_diff, "report": _cmd_obs_report}
     return handler[args.obs_command](args)
 
 
@@ -634,9 +626,7 @@ def main(argv=None) -> int:
                                "p50/p95/p99)")
     report_p.add_argument("--prometheus", action="store_true",
                           help="with --metrics: emit the snapshot in "
-                               "Prometheus text exposition format "
-                               "(byte-identical to 'obs serve' "
-                               "/metrics)")
+                               "Prometheus text exposition format")
     tree_p = obs_sub.add_parser(
         "tree", help="render a --trace JSONL dump as an indented tree")
     tree_p.add_argument("trace", metavar="TRACE.jsonl")
@@ -688,11 +678,11 @@ def main(argv=None) -> int:
     diff_p.add_argument("--gate", action="store_true",
                         help="exit 1 on any regression/changed/new/"
                              "missing identity")
-    diff_p.add_argument("--threshold", type=float, metavar="REL",
+    diff_p.add_argument("--threshold", type=_nonneg_float, metavar="REL",
                         default=obs_diff.DEFAULT_REL_THRESHOLD,
                         help="relative wall-shift bar for trace timing "
                              "verdicts (default: %(default)g)")
-    diff_p.add_argument("--abs-floor-s", type=float, metavar="S",
+    diff_p.add_argument("--abs-floor-s", type=_nonneg_float, metavar="S",
                         default=obs_diff.DEFAULT_ABS_FLOOR_S,
                         help="absolute wall-shift floor in seconds "
                              "(default: %(default)g)")
@@ -701,29 +691,6 @@ def main(argv=None) -> int:
     diff_p.add_argument("--json", action="store_true",
                         help="emit the deltas as machine-readable JSON "
                              "instead of the table")
-
-    serve_p = obs_sub.add_parser(
-        "serve", help="zero-dependency HTTP telemetry service over a "
-                      "runs directory: /runs /status /metrics (Prom "
-                      "0.0.4) /events (SSE, Last-Event-ID resume) "
-                      "/diff")
-    serve_p.add_argument("--dir", default=".", metavar="DIR",
-                         help="runs directory to index and serve "
-                              "(default: .)")
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default: 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=8377, metavar="N",
-                         help="bind port (default: 8377; 0 = ephemeral)")
-    serve_p.add_argument("--poll-interval", type=float, default=0.25,
-                         metavar="S",
-                         help="ledger poll cadence for SSE streams in "
-                              "seconds (default: 0.25)")
-    serve_p.add_argument("--heartbeat", type=float, default=15.0,
-                         metavar="S",
-                         help="SSE keep-alive comment cadence in "
-                              "seconds (default: 15)")
-    serve_p.add_argument("--verbose", action="store_true",
-                         help="log each request to stderr")
 
     bench_p = sub.add_parser(
         "bench", help="continuous benchmarking: run suites, attribute "
@@ -765,15 +732,15 @@ def main(argv=None) -> int:
     cmp_p.add_argument("new", metavar="NEW.json")
     cmp_p.add_argument("--gate", action="store_true",
                        help="exit 1 when any scenario regresses")
-    cmp_p.add_argument("--threshold", type=float, metavar="REL",
+    cmp_p.add_argument("--threshold", type=_nonneg_float, metavar="REL",
                        default=bench_compare.DEFAULT_REL_THRESHOLD,
                        help="relative median-shift bar (default: "
                             "%(default).2f)")
-    cmp_p.add_argument("--mad-k", type=float,
+    cmp_p.add_argument("--mad-k", type=_nonneg_float,
                        default=bench_compare.DEFAULT_MAD_K, metavar="K",
                        help="noise bar: shift must exceed K x MAD "
                             "(default: %(default)g)")
-    cmp_p.add_argument("--min-seconds", type=float, metavar="S",
+    cmp_p.add_argument("--min-seconds", type=_nonneg_float, metavar="S",
                        default=bench_compare.DEFAULT_MIN_SECONDS,
                        help="never gate scenarios faster than S seconds "
                             "(default: %(default)g)")

@@ -3,16 +3,20 @@
 Every subcommand that takes a name from a closed set — applications,
 experiments, bench suites/scenarios, fidelity scales — routes its
 failure through :func:`unknown_name`, so the suggestion behaviour and
-the exit-2 usage contract can never drift between subcommands.
+the exit-2 usage contract can never drift between subcommands. The
+comparators' numeric bars parse through :func:`nonneg_float` for the
+same reason.
 """
 
 from __future__ import annotations
 
+import argparse
 import difflib
+import math
 import sys
 
 __all__ = ["unknown_name", "lookup_app", "resolve_apps",
-           "resolve_experiments"]
+           "resolve_experiments", "nonneg_float"]
 
 
 def unknown_name(kind: str, name: str, known) -> "SystemExit":
@@ -64,3 +68,20 @@ def resolve_experiments(spec):
         if exp_id not in EXPERIMENTS:
             raise unknown_name("experiment", exp_id, EXPERIMENTS)
     return ids
+
+
+def nonneg_float(raw: str) -> float:
+    """argparse ``type=`` for a comparator bar: a finite number >= 0.
+
+    NaN compares false against everything and infinity exceeds every
+    shift, so either would silently grade every delta ok; argparse
+    turns the error into a usage message and exit 2.
+    """
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, not {raw!r}")
+    return value

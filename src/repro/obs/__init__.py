@@ -1,6 +1,6 @@
 """``repro.obs`` — observability for the BVF reproduction pipeline.
 
-Three first-class artifacts, threaded through the whole stack:
+Four first-class artifacts, threaded through the whole stack:
 
 * **structured tracing** (:mod:`~repro.obs.tracer`): nested spans with
   wall/CPU time around ``simulate_app``/``simulate_suite``, the replay
@@ -17,20 +17,13 @@ Three first-class artifacts, threaded through the whole stack:
   reproduce :meth:`~repro.power.chip.ChipModel.evaluate` exactly.
 * **live run ledger** (:mod:`~repro.obs.ledger`): an append-only JSONL
   stream of typed, monotonically sequenced sweep lifecycle events,
-  tailed by :mod:`~repro.obs.live` (``repro obs watch``), compared
-  across runs by :mod:`~repro.obs.diff` (``repro obs diff``), and
-  fanned out to many clients by :class:`~repro.obs.ledger.LedgerHub`.
-* **telemetry service** (:mod:`~repro.obs.serve` over
-  :mod:`~repro.obs.runindex`): a stdlib-only HTTP server (``repro obs
-  serve``) exposing a cross-run catalog (``/runs``), folded run state
-  (``/status``), Prometheus metrics (``/metrics``), live SSE event
-  streams with ``Last-Event-ID`` resume (``/events``), and the
-  cross-run comparator (``/diff``).
+  tailed by :mod:`~repro.obs.live` (``repro obs watch``) and compared
+  across runs by :mod:`~repro.obs.diff` (``repro obs diff``).
 
-CLI: ``repro obs report`` (provenance tables), ``repro obs tree``
-(render a trace), ``repro obs watch`` (live dashboard over a ledger),
-``repro obs diff`` (cross-run comparator), ``repro obs serve`` (HTTP
-telemetry service), and ``--trace``/``--metrics-out``/``--ledger`` on
+CLI: ``repro obs report`` (provenance tables, or a metrics snapshot as
+Prometheus text), ``repro obs tree`` (render a trace), ``repro obs
+watch`` (live dashboard over a ledger), ``repro obs diff`` (cross-run
+comparator), and ``--trace``/``--metrics-out``/``--ledger`` on
 ``repro run``.
 """
 
@@ -57,15 +50,10 @@ _LAZY = {
     "RotatingJsonlSink": "ledger", "read_ledger": "ledger",
     "read_jsonl_segments": "ledger", "normalize_events": "ledger",
     "validate_ledger": "ledger",
-    "LedgerHub": "ledger", "LedgerSubscription": "ledger",
     "RunState": "live", "render_dashboard": "live", "watch": "live",
-    "load_run_state": "live",
     "diff_paths": "diff", "diff_traces": "diff",
     "diff_metrics": "diff", "diff_ledgers": "diff",
     "render_diff_table": "diff", "diff_to_dict": "diff",
-    "RunIndex": "runindex", "classify_artifact": "runindex",
-    "run_id_for": "runindex",
-    "ObsHTTPServer": "serve", "serve": "serve",
 }
 
 
@@ -96,10 +84,7 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION", "EVENT_TYPES", "RunLedger",
     "LedgerFollower", "RotatingJsonlSink", "read_ledger",
     "read_jsonl_segments", "normalize_events", "validate_ledger",
-    "LedgerHub", "LedgerSubscription",
-    "RunState", "render_dashboard", "watch", "load_run_state",
+    "RunState", "render_dashboard", "watch",
     "diff_paths", "diff_traces", "diff_metrics",
     "diff_ledgers", "render_diff_table", "diff_to_dict",
-    "RunIndex", "classify_artifact", "run_id_for",
-    "ObsHTTPServer", "serve",
 ]

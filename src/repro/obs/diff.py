@@ -235,8 +235,8 @@ def diff_paths(trace: Optional[Tuple[str, str]] = None,
                ) -> List[Delta]:
     """Load and diff whichever artifact pairs were given.
 
-    Deltas come in trace, metrics, ledger order — the one dispatch
-    behind both ``obs diff`` and ``GET /diff``.
+    Deltas come in trace, metrics, ledger order — the dispatch behind
+    ``obs diff``.
     """
     deltas: List[Delta] = []
     if trace is not None:
@@ -276,9 +276,8 @@ def render_diff_table(deltas: List[Delta], show_ok: bool = False) -> str:
 def diff_to_dict(deltas: List[Delta]) -> dict:
     """Machine-readable render of a delta list.
 
-    The JSON counterpart of :func:`render_diff_table` — the payload
-    ``repro obs serve`` answers ``GET /diff`` with and ``obs diff
-    --json`` prints, so scripted consumers never scrape the table.
+    The JSON counterpart of :func:`render_diff_table` — what ``obs
+    diff --json`` prints, so scripted consumers never scrape the table.
     """
     return {
         "deltas": [{"kind": d.kind, "name": d.name, "verdict": d.verdict,

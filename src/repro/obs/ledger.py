@@ -7,9 +7,8 @@ counterpart: one JSONL stream per sweep of typed, monotonically
 sequenced lifecycle events (unit scheduled/started/attempt/retry/
 timeout, straggler re-queue, quarantine, chaos injection, checkpoint
 flush, completed), appended and flushed line by line as they happen,
-so an external watcher — ``repro obs watch``, a tail -f, or the future
-sweep-service SSE endpoint — can follow a two-hour sweep while it
-runs.
+so an external watcher — ``repro obs watch`` or a tail -f — can
+follow a two-hour sweep while it runs.
 
 Crash-safety follows the trace-JSONL contract (``jsonl_to_trees``):
 each line is independently parseable, a killed writer leaves a torn
@@ -27,13 +26,11 @@ Three pieces:
   ``max_bytes`` plus ``.1``/``.2`` suffix rollover (``.1`` is the
   most recently rotated segment), used by the ledger and by the trace
   sink so long sweeps cannot grow either file unboundedly.
-* :class:`LedgerFollower` — the tailer, with resume-from-sequence
-  semantics: ``poll()`` returns only events with ``seq`` greater than
-  the last one seen, surviving torn tails (the partial line is left
-  for the next poll) and rotation (detected via the active file's
-  identity; recovery rescans the segment chain by sequence number).
-  This is verbatim the event source a sweep-as-a-service endpoint
-  streams as server-sent events.
+* :class:`LedgerFollower` — the tailer: ``poll()`` returns only events
+  with ``seq`` greater than the last one seen, surviving torn tails
+  (the partial line is left for the next poll) and rotation (detected
+  via the active file's identity; recovery rescans the segment chain
+  by sequence number).
 
 Event lines are JSON objects with four reserved fields — ``seq``
 (1-based, monotonic per run), ``ts`` (unix wall clock), ``type``, and
@@ -49,7 +46,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 import time
 import warnings
@@ -57,18 +53,17 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION", "EVENT_TYPES", "VOLATILE_EVENT_ATTRS",
-    "RotatingJsonlSink", "RunLedger", "LedgerFollower", "LedgerHub",
-    "LedgerSubscription", "ledger_segments", "read_jsonl_segments",
-    "parse_ledger_text", "read_ledger", "normalize_events",
-    "validate_ledger",
+    "RotatingJsonlSink", "RunLedger", "LedgerFollower",
+    "ledger_segments", "read_jsonl_segments", "parse_ledger_text",
+    "read_ledger", "normalize_events", "validate_ledger",
 ]
 
 #: On-disk schema of ledger event lines. History: 1 — first version.
 LEDGER_SCHEMA_VERSION = 1
 
 #: The typed event vocabulary. Emitters must stay inside it so
-#: followers (the watch dashboard, the diff comparator, the future
-#: SSE endpoint) can switch on ``type`` without defensive guessing.
+#: followers (the watch dashboard, the diff comparator) can switch on
+#: ``type`` without defensive guessing.
 EVENT_TYPES = (
     "ledger_open",          # first line: schema version + run meta
     "sweep_begin",          # run() entered
@@ -311,7 +306,7 @@ def read_ledger(path: str) -> List[dict]:
 
 
 class LedgerFollower:
-    """Tail a live ledger with resume-from-sequence semantics.
+    """Tail a live ledger, delivering each event exactly once.
 
     ``poll()`` is non-blocking and returns the events that arrived
     since the last call (strictly ``seq > last_seq``), in sequence
@@ -329,14 +324,11 @@ class LedgerFollower:
     rollover — unless rotation dropped an unread segment entirely, in
     which case the gap is counted in ``missed`` rather than silently
     swallowed.
-
-    ``last_seq`` may be seeded at construction to resume a consumer —
-    this is the SSE ``Last-Event-ID`` contract.
     """
 
-    def __init__(self, path: str, last_seq: int = 0):
+    def __init__(self, path: str):
         self.path = path
-        self.last_seq = int(last_seq)
+        self.last_seq = 0
         self.missed = 0
         self._offset = 0
         self._first_line: Optional[bytes] = None
@@ -423,126 +415,6 @@ class LedgerFollower:
         self._offset = 0
         self._first_line = None
         return self._rescan()
-
-
-# ---------------------------------------------------------------------------
-# Multi-client fan-out
-# ---------------------------------------------------------------------------
-
-class LedgerSubscription:
-    """One consumer's view of a :class:`LedgerHub` event feed.
-
-    Events arrive on an internal queue, already filtered to
-    ``seq > last_seq`` — the same strictly-monotonic contract
-    :class:`LedgerFollower` keeps for a single consumer, so a
-    subscription resumed from a stored sequence number (the SSE
-    ``Last-Event-ID``) never re-delivers and never skips.
-    """
-
-    def __init__(self, hub: "LedgerHub", last_seq: int = 0):
-        self._hub = hub
-        self.last_seq = int(last_seq)
-        self._queue: "queue.Queue[dict]" = queue.Queue()
-
-    def _offer(self, event: dict) -> None:
-        """Enqueue an event iff it advances the sequence frontier.
-
-        All offers happen under the hub lock, in sequence order per
-        source, so this monotonic filter is exactly what makes a
-        catch-up rescan and the live feed compose without duplicates.
-        """
-        seq = event.get("seq", 0)
-        if isinstance(seq, int) and seq > self.last_seq:
-            self.last_seq = seq
-            self._queue.put(event)
-
-    def get(self, timeout: Optional[float] = None) -> Optional[dict]:
-        """Next queued event, or None when there is none.
-
-        ``timeout=None`` (or 0) returns immediately; a positive
-        timeout waits up to that long for the next event.
-        """
-        try:
-            return self._queue.get(block=timeout is not None and timeout > 0,
-                                   timeout=timeout or None)
-        except queue.Empty:
-            return None
-
-    def pending(self) -> bool:
-        """Whether queued events await :meth:`get` (non-destructive)."""
-        return not self._queue.empty()
-
-    def close(self) -> None:
-        self._hub.unsubscribe(self)
-
-
-class LedgerHub:
-    """Fan one ledger's event stream out to many live consumers.
-
-    N concurrent SSE clients tailing the same run must not each
-    re-read the whole segment chain on every poll. The hub owns a
-    single :class:`LedgerFollower`; :meth:`pump` advances it once and
-    offers the fresh events to every subscriber. Any consumer thread
-    may pump — the hub serializes under a lock — so a server can drive
-    the hub from its request handlers without a dedicated poller.
-
-    :meth:`subscribe` accepts a resume point: the new subscriber is
-    caught up from the on-disk segments (``seq > last_seq``, rotation
-    handled by the follower's rescan) *inside* the hub lock, then
-    joins the live feed — the per-subscription monotonic filter closes
-    the seam, so delivery is exactly-once across catch-up, rotation,
-    and reconnects.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._follower = LedgerFollower(path)
-        self._lock = threading.Lock()
-        self._subscribers: List[LedgerSubscription] = []
-        #: True once a terminal ``sweep_end`` event has been seen —
-        #: streams can then finish instead of waiting for more.
-        self.ended = False
-        self.pump()
-
-    def _saw(self, event: dict) -> None:
-        if event.get("type") == "sweep_end":
-            self.ended = True
-
-    def pump(self) -> int:
-        """Advance the shared follower once; returns fresh-event count."""
-        with self._lock:
-            events = self._follower.poll()
-            for event in events:
-                self._saw(event)
-                for subscriber in self._subscribers:
-                    subscriber._offer(event)
-            return len(events)
-
-    def subscribe(self, last_seq: int = 0) -> LedgerSubscription:
-        """Join the feed, resuming after ``last_seq`` exactly once."""
-        subscription = LedgerSubscription(self, last_seq)
-        with self._lock:
-            catchup = LedgerFollower(self.path, last_seq=last_seq)
-            for event in catchup.poll():
-                self._saw(event)
-                subscription._offer(event)
-            self._subscribers.append(subscription)
-        return subscription
-
-    def unsubscribe(self, subscription: LedgerSubscription) -> None:
-        with self._lock:
-            if subscription in self._subscribers:
-                self._subscribers.remove(subscription)
-
-    def last_seq(self) -> int:
-        """Newest sequence number the shared follower has consumed."""
-        with self._lock:
-            return self._follower.last_seq
-
-    @property
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,10 @@ tailed read-only through :class:`~repro.obs.ledger.LedgerFollower`, so
 watching a live sweep cannot block or corrupt it.
 
 :class:`RunState` is the pure part: fold ledger events into per-unit
-state and sweep-level aggregates. Both front ends share it —
-:func:`render_dashboard` turns one state into the terminal screenful
-for ``obs watch``, and :meth:`RunState.snapshot` turns the same state
-into the JSON payload ``repro obs serve`` answers ``GET /status``
-with — so the dashboard and the HTTP service can never disagree about
-what a ledger means. :func:`watch` is the poll/redraw loop with
-``--once`` snapshot mode and ``--wait`` appearance polling. The ETA uses the median completed-unit wall
+state and sweep-level aggregates; :func:`render_dashboard` turns one
+state into the terminal screenful for ``obs watch``. :func:`watch` is
+the poll/redraw loop with ``--once`` snapshot mode and ``--wait``
+appearance polling. The ETA uses the median completed-unit wall
 time with a MAD-derived uncertainty band — the same robust statistics
 the pool's straggler detector and the bench gate already use — and the
 straggler highlight mirrors the pool's threshold
@@ -27,10 +24,10 @@ import time
 from statistics import median
 from typing import Callable, Dict, List, Optional
 
-from .ledger import LedgerFollower, ledger_segments, read_ledger
+from .ledger import LedgerFollower, ledger_segments
 
 __all__ = ["RunState", "UnitView", "render_dashboard", "watch",
-           "load_run_state", "DEFAULT_INTERVAL_S", "DEFAULT_MAX_ROWS"]
+           "DEFAULT_INTERVAL_S", "DEFAULT_MAX_ROWS"]
 
 DEFAULT_INTERVAL_S = 1.0
 DEFAULT_MAX_ROWS = 24
@@ -83,11 +80,8 @@ class RunState:
         self.ended_ts: Optional[float] = None
         self.end_status: Optional[str] = None
         self.last_ts: Optional[float] = None
-        self.last_seq = 0
-        self.checkpoint_flushes = 0
         self.checkpoint_failures = 0
         self.chaos_injected = 0
-        self.events_seen = 0
 
     # -- folding ---------------------------------------------------------
 
@@ -102,12 +96,8 @@ class RunState:
         key = event.get("key")
         attrs = event.get("attrs") or {}
         ts = event.get("ts")
-        self.events_seen += 1
         if isinstance(ts, (int, float)):
             self.last_ts = float(ts)
-        seq = event.get("seq")
-        if isinstance(seq, int):
-            self.last_seq = max(self.last_seq, seq)
 
         if type_ == "ledger_open":
             self.meta = attrs.get("meta") or {}
@@ -159,8 +149,6 @@ class RunState:
             wall = attrs.get("unit_wall_s", attrs.get("wall_s"))
             if isinstance(wall, (int, float)):
                 view.wall_s = float(wall)
-        elif type_ == "checkpoint_flush":
-            self.checkpoint_flushes += 1
         elif type_ == "checkpoint_save_failed":
             self.checkpoint_failures += 1
         elif type_ == "chaos_injected":
@@ -237,68 +225,6 @@ class RunState:
         if limit is None or view.started_ts is None or ref is None:
             return False
         return ref - view.started_ts > limit
-
-    # -- serialization ----------------------------------------------------
-
-    def snapshot(self, now: Optional[float] = None) -> dict:
-        """JSON-safe view of the whole run state.
-
-        This is the ``GET /status`` payload of ``repro obs serve`` —
-        the same folded state the dashboard renders, as data instead
-        of a screenful: sweep aggregates (throughput, the median/MAD
-        ETA band, chaos/checkpoint counters) plus one row per
-        unit with its lifecycle state and the live straggler verdict.
-        """
-        now = now if now is not None else time.time()
-        counts = self.counts()
-        eta = self.eta_s()
-        elapsed = None
-        if self.begun_ts is not None:
-            end = self.ended_ts if self.ended_ts is not None else now
-            elapsed = end - self.begun_ts
-        units = []
-        for key in sorted(self.units):
-            view = self.units[key]
-            wall = view.wall_s
-            if wall is None and view.started_ts is not None and \
-                    view.state in ("running", "retrying"):
-                wall = now - view.started_ts
-            units.append({
-                "key": view.key, "state": view.state,
-                "attempts": view.attempts, "dispatches": view.dispatches,
-                "wall_s": None if wall is None else round(wall, 6),
-                "note": view.note,
-                "straggling": self.is_straggling(view, now),
-            })
-        done = (counts.get("ok", 0) + counts.get("failed", 0)
-                + counts.get("quarantined", 0))
-        rate = self.throughput(now)
-        return {
-            "meta": self.meta, "jobs": self.jobs,
-            "planned": self.planned, "skipped": self.skipped,
-            "begun_ts": self.begun_ts, "ended_ts": self.ended_ts,
-            "end_status": self.end_status, "last_seq": self.last_seq,
-            "events_seen": self.events_seen,
-            "elapsed_s": None if elapsed is None else round(elapsed, 6),
-            "counts": counts, "done": done, "total": len(self.units),
-            "throughput_units_per_s": (None if rate is None
-                                       else round(rate, 6)),
-            "eta_s": None if eta is None else round(eta[0], 6),
-            "eta_uncertainty_s": None if eta is None else round(eta[1], 6),
-            "straggler_limit_s": self.straggler_limit_s(),
-            "chaos_injected": self.chaos_injected,
-            "checkpoint_flushes": self.checkpoint_flushes,
-            "checkpoint_failures": self.checkpoint_failures,
-            "units": units,
-        }
-
-
-def load_run_state(path: str) -> RunState:
-    """Fold a whole on-disk ledger (rotated segments included) into a
-    fresh :class:`RunState` — the one-shot counterpart of tailing."""
-    state = RunState()
-    state.fold_all(read_ledger(path))
-    return state
 
 
 # ---------------------------------------------------------------------------

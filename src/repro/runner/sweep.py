@@ -343,8 +343,8 @@ class SweepRunner:
                     self._write_sinks()
         except BaseException:
             # The drain path still gets a terminal event, so a watcher
-            # (and the future SSE stream) sees the sweep end rather
-            # than a silent stall; --resume starts a fresh ledger.
+            # sees the sweep end rather than a silent stall; --resume
+            # starts a fresh ledger.
             self._emit("sweep_end", status="interrupted",
                        run=self.stats.run, failed=self.stats.failed)
             self.ledger.close()

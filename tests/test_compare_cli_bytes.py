@@ -11,6 +11,10 @@ after an intentional output change with::
 
     PYTHONPATH=src python -m pytest tests/test_compare_cli_bytes.py \
         --update-golden
+
+The plain tests at the end pin the argument contract the golden cases
+run under: a comparator bar that is not a finite number >= 0 is a
+usage error.
 """
 
 import json
@@ -113,3 +117,33 @@ def test_cli_bytes_match_golden(case, copies, capsys, update_golden):
         "missing golden case — generate it with `python -m pytest "
         "tests/test_compare_cli_bytes.py --update-golden`")
     assert observed == golden[case]
+
+
+#: Every numeric bar of the two timing comparators, with a pair of
+#: inputs the command would otherwise grade.
+BARS = {
+    "obs diff": (_diff_pairs(), ("--threshold", "--abs-floor-s")),
+    "bench compare": (["bench", "compare", str(PRE), str(POST)],
+                      ("--threshold", "--mad-k", "--min-seconds")),
+}
+BAR_FLAGS = [(command, flag) for command, (_, flags) in sorted(BARS.items())
+             for flag in flags]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+@pytest.mark.parametrize("command,flag", BAR_FLAGS)
+def test_comparator_bars_must_be_finite_and_non_negative(
+        command, flag, value, capsys):
+    """NaN or infinity would grade every delta ok, hiding the
+    regression the bar exists to catch: a usage error instead."""
+    argv = BARS[command][0] + ["--gate", flag, value]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "finite number >= 0" in err
+
+
+@pytest.mark.parametrize("command,flag", BAR_FLAGS)
+def test_comparator_bars_accept_zero(command, flag, capsys):
+    assert main(BARS[command][0] + ["--gate", flag, "0"]) in (0, 1)

@@ -2,10 +2,9 @@
 
 Covers the crash-safety contracts the ledger promises: torn tails are
 "not yet an event" for every reader, rotation never double-delivers
-(and gaps are *counted*, not swallowed), a follower can resume from a
-sequence number, SIGKILLed chaos sweeps still produce a valid ledger,
-and ``obs watch --once`` / ``obs diff`` work against a ledger mid-
-write without blocking or corrupting it. The serial-vs-``--jobs``
+(and gaps are *counted*, not swallowed), SIGKILLed chaos sweeps still
+produce a valid ledger, and ``obs watch --once`` / ``obs diff`` work
+against a ledger mid-write without blocking or corrupting it. The serial-vs-``--jobs``
 normalized event-set identity is pinned against a committed fixture
 in ``test_golden.py``.
 """
@@ -151,7 +150,7 @@ class TestTornTails:
 
 
 # ---------------------------------------------------------------------------
-# LedgerFollower: tailing, resume, rotation
+# LedgerFollower: tailing, rotation
 # ---------------------------------------------------------------------------
 
 class TestLedgerFollower:
@@ -185,16 +184,6 @@ class TestLedgerFollower:
         assert follower.missed == 0
         ledger.close()
 
-    def test_resume_from_sequence_number(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        ledger = RunLedger(path=path)
-        ledger.emit("sweep_begin", jobs=1)
-        ledger.emit("sweep_plan", units=1, skipped=0)
-        ledger.close()
-        resumed = LedgerFollower(path, last_seq=2)  # SSE Last-Event-ID
-        assert [e["seq"] for e in resumed.poll()] == [3]
-        assert resumed.missed == 0
-
     def test_follows_across_rotation_exactly_once(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         ledger = RunLedger(path=path, max_bytes=160)
@@ -218,30 +207,6 @@ class TestLedgerFollower:
         follower = LedgerFollower(path)
         assert [e["seq"] for e in follower.poll()] == [1, 2, 5, 6]
         assert follower.missed == 2
-
-    def test_reconnect_from_stored_seq_across_rotation(self, tmp_path):
-        """A client reconnect mid-stream: the follower is torn down and
-        a new one rebuilt from the stored sequence number (the SSE
-        ``Last-Event-ID`` contract) while the writer keeps appending
-        *and rotates the sink* between the two lives. Every event must
-        arrive exactly once end to end."""
-        path = str(tmp_path / "run.jsonl")
-        ledger = RunLedger(path=path, max_bytes=160)
-        follower = LedgerFollower(path)
-        delivered = [e["seq"] for e in follower.poll()]
-        for i in range(5):
-            ledger.emit("unit_started", f"fig09::u{i}")
-        delivered += [e["seq"] for e in follower.poll()]
-        stored = follower.last_seq               # client's Last-Event-ID
-        del follower                             # connection dropped
-        for i in range(5, 12):                   # writer keeps going...
-            ledger.emit("unit_started", f"fig09::u{i}")
-        ledger.close()
-        assert len(ledger_segments(path)) > 1    # ...and rotated
-        resumed = LedgerFollower(path, last_seq=stored)
-        delivered += [e["seq"] for e in resumed.poll()]
-        assert delivered == list(range(1, 14))   # no dupes, no gaps
-        assert resumed.missed == 0
 
     def test_poll_before_ledger_exists_waits(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -368,10 +333,10 @@ class TestSweepLedger:
         types = [e["type"] for e in events]
         assert "unit_redispatch" in types
         assert status_totals(events) == {"ok": 2}
-        # resume-from-seq across the whole chaotic stream
-        follower = LedgerFollower(path, last_seq=events[3]["seq"])
+        # a fresh follower replays the whole chaotic stream in order
+        follower = LedgerFollower(path)
         assert [e["seq"] for e in follower.poll()] \
-            == [e["seq"] for e in events[4:]]
+            == [e["seq"] for e in events]
 
     def test_interrupted_sweep_gets_terminal_event(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -511,6 +476,17 @@ class TestWatch:
         from repro.__main__ import main
         assert main(["obs", "watch", str(tmp_path / "x.jsonl"),
                      "--once", "--interval", "0"]) == 2
+
+    def test_watch_cli_rejects_negative_max_rows(self, tmp_path, capsys):
+        """A negative row cap would slice rows off the end of the
+        table instead of capping it."""
+        from repro.__main__ import main
+        path = self._finished_ledger(tmp_path)
+        assert main(["obs", "watch", path, "--once",
+                     "--max-rows", "-1"]) == 2
+        assert "--max-rows" in capsys.readouterr().err
+        assert main(["obs", "watch", path, "--once",
+                     "--max-rows", "0"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.obs.ledger import RunLedger
 from repro.obs.metrics import (MetricsRegistry, current_registry,
                                metric_inc, use_registry)
 from repro.obs.tracer import (Span, Tracer, current_tracer,
@@ -591,6 +592,98 @@ class TestPrometheusConformance:
         runner.run()
         samples = _parse_prometheus(runner.metrics.to_prometheus())
         assert samples[("sweep_units_total", (("status", "ok"),))] == 1
+
+    def test_cli_report_writes_exactly_the_exposition(self, tmp_path,
+                                                      capsys):
+        """``obs report --metrics SNAP --prometheus`` prints the
+        registry's exposition text byte for byte: no second trailing
+        newline."""
+        from repro.__main__ import main
+        reg = MetricsRegistry()
+        reg.counter("flits_total", {"app": "VEC"},
+                    help_text="data flits").inc(3)
+        reg.histogram("sizes", bounds=(10, 100)).observe(50)
+        snap = reg.to_dict()
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(snap), encoding="utf-8")
+        assert main(["obs", "report", "--metrics", str(path),
+                     "--prometheus"]) == 0
+        out = capsys.readouterr().out
+        assert out == MetricsRegistry.from_dict(snap).to_prometheus()
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        assert _parse_prometheus(out)[("flits_total",
+                                       (("app", "VEC"),))] == 3
+
+
+# ---------------------------------------------------------------------------
+# obs watch --wait and the JSON/Prometheus CLI modes
+# ---------------------------------------------------------------------------
+
+class TestWatchWait:
+    def test_wait_polls_until_ledger_appears(self, tmp_path):
+        from repro.obs.live import watch
+        path = str(tmp_path / "late.jsonl")
+        frames, naps = [], []
+
+        def arrive_during_nap(seconds):
+            naps.append(seconds)
+            ledger = RunLedger(path=path)
+            ledger.emit("sweep_begin", jobs=1)
+            ledger.emit("sweep_plan", units=1, skipped=0)
+            ledger.emit("sweep_end", status="ok")
+            ledger.close()
+
+        code = watch(path, once=True, wait=True, interval_s=0.01,
+                     write=frames.append, sleep=arrive_during_nap)
+        assert code == 0
+        assert naps == [0.01]                  # exactly one wait nap
+        assert "ENDED (ok)" in "\n".join(frames)
+
+    def test_wait_timeout_expires_to_exit_2(self, tmp_path):
+        from repro.obs.live import watch
+        ticks = iter([0.0, 10.0, 20.0])
+        frames = []
+        code = watch(str(tmp_path / "never.jsonl"), wait=True,
+                     timeout_s=5.0, interval_s=0.01,
+                     write=frames.append, sleep=lambda s: None,
+                     clock=lambda: next(ticks))
+        assert code == 2
+        assert "after waiting 5s" in frames[0]
+
+    def test_no_wait_no_ledger_exits_nonzero_cli(self, tmp_path, capsys):
+        from repro.__main__ import main
+        assert main(["obs", "watch", str(tmp_path / "none.jsonl"),
+                     "--once"]) == 2
+        assert "no ledger" in capsys.readouterr().out
+
+    def test_cli_rejects_nonpositive_timeout(self, tmp_path):
+        from repro.__main__ import main
+        assert main(["obs", "watch", str(tmp_path / "x.jsonl"),
+                     "--wait", "--timeout", "0"]) == 2
+
+
+class TestJsonCLIModes:
+    def test_diff_json_round_trips(self, tmp_path, capsys):
+        from repro.__main__ import main
+        path = str(tmp_path / "run.jsonl")
+        ledger = RunLedger(path=path)
+        ledger.emit("sweep_begin", jobs=1)
+        ledger.emit("unit_started", "fig09::ATA")
+        ledger.emit("unit_completed", "fig09::ATA", status="ok",
+                    attempts=1, unit_wall_s=1.0)
+        ledger.emit("sweep_end", status="ok")
+        ledger.close()
+        assert main(["obs", "diff", "--ledger", path, path,
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gating"] == 0
+        assert payload["verdicts"] == {"ok": payload["aligned"]}
+        assert {d["kind"] for d in payload["deltas"]} == {"ledger"}
+
+    def test_report_prometheus_requires_metrics(self, capsys):
+        from repro.__main__ import main
+        assert main(["obs", "report", "--prometheus"]) == 2
+        assert "--metrics" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
