@@ -20,7 +20,6 @@ Usage::
     python -m repro obs watch run.jsonl --once      # one snapshot
     python -m repro obs diff --trace old.jsonl new.jsonl --gate
     python -m repro obs diff --ledger old.jsonl new.jsonl
-    python -m repro bench run --suite smoke        # BENCH_<ts>.json
     python -m repro bench hotspots t.jsonl --folded out.folded
     python -m repro bench compare old.json new.json --gate
     python -m repro fidelity run --scale smoke     # FIDELITY_<ts>.json
@@ -38,8 +37,8 @@ the same way.
 Exit codes: 0 success, 1 regression flagged by a ``--gate`` (``bench
 compare``, ``fidelity compare``, ``obs diff``, a calibrated-claim
 failure under ``fidelity run --gate``, or a chaos campaign scenario
-that did not survive), 2 usage error (unknown experiment/app/suite/
-scenario/scale/campaign, bad --chaos spec, missing resume/trace/
+that did not survive), 2 usage error (unknown experiment/app/scale/
+campaign, bad --chaos spec or comparator bar, missing resume/trace/
 ledger/record file), 3 sweep completed but some units failed (or a
 provenance total failed to reproduce the chip model exactly, or an
 output sink was unwritable), 130 sweep drained after SIGTERM/SIGINT —
@@ -330,45 +329,14 @@ def cmd_obs(args) -> int:
     return handler[args.obs_command](args)
 
 
-def _cmd_bench_run(args) -> int:
-    from .bench import (SCENARIOS, SUITES, default_bench_path, run_suite,
-                        write_bench_record)
-    if args.suite not in SUITES:
-        raise _unknown_name("bench suite", args.suite, SUITES)
-    only = [n.strip() for n in (args.only or "").split(",") if n.strip()]
-    for name in only:
-        if name not in SCENARIOS:
-            raise _unknown_name("bench scenario", name, SCENARIOS)
-    if args.repeats < 1:
-        print("--repeats must be >= 1", file=sys.stderr)
-        return 2
-
-    def _progress(name, entry):
-        wall = entry["wall_s"]
-        print(f"  {name}: median {wall['median']:.4f}s "
-              f"(MAD {wall['mad']:.4f}s, best {wall['best']:.4f}s, "
-              f"n={args.repeats})", file=sys.stderr)
-
-    record = run_suite(args.suite, repeats=args.repeats,
-                       warmup=args.warmup, only=only or None,
-                       progress=_progress)
-    out = args.out or default_bench_path()
-    if not write_bench_record(record, out):
-        return 3
-    print(f"wrote {out} ({len(record['scenarios'])} scenarios, "
-          f"suite={args.suite})")
-    if args.baseline:
-        if not write_bench_record(record, args.baseline):
-            return 3
-        print(f"wrote baseline copy {args.baseline}")
-    return 0
-
-
 def _cmd_bench_hotspots(args) -> int:
     from .bench import (aggregate_hotspots, folded_stacks,
                         render_hotspot_table)
     from .obs.report import write_text_sink
     from .obs.tracer import jsonl_to_trees
+    if args.limit is not None and args.limit < 0:
+        print("--limit must be >= 0", file=sys.stderr)
+        return 2
     text = _read_trace_file(args.trace)
     if text is None:
         return 2
@@ -407,7 +375,7 @@ def _cmd_bench_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    handler = {"run": _cmd_bench_run, "hotspots": _cmd_bench_hotspots,
+    handler = {"hotspots": _cmd_bench_hotspots,
                "compare": _cmd_bench_compare}
     return handler[args.bench_command](args)
 
@@ -693,26 +661,9 @@ def main(argv=None) -> int:
                              "instead of the table")
 
     bench_p = sub.add_parser(
-        "bench", help="continuous benchmarking: run suites, attribute "
-                      "hotspots, gate regressions")
+        "bench", help="benchmark records: attribute hotspots, gate "
+                      "regressions")
     bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
-    bench_run_p = bench_sub.add_parser(
-        "run", help="run a pinned scenario suite and write BENCH_*.json")
-    bench_run_p.add_argument("--suite", default="smoke",
-                             help="suite name (smoke | full)")
-    bench_run_p.add_argument("--repeats", type=int, default=3, metavar="N",
-                             help="recorded repeats per scenario "
-                                  "(default: 3; median/MAD over these)")
-    bench_run_p.add_argument("--warmup", type=int, default=1, metavar="N",
-                             help="unrecorded warmup repeats (default: 1)")
-    bench_run_p.add_argument("--only", default="", metavar="NAMES",
-                             help="comma-separated scenario subset")
-    bench_run_p.add_argument("--out", default=None, metavar="PATH",
-                             help="record path (default: "
-                                  "BENCH_<utc-timestamp>.json)")
-    bench_run_p.add_argument("--baseline", default=None, metavar="PATH",
-                             help="also write the record here (e.g. "
-                                  "benchmarks/baselines/smoke.json)")
     hot_p = bench_sub.add_parser(
         "hotspots", help="fold a trace JSONL dump into a per-span-name "
                          "self/cumulative-time table")

@@ -317,6 +317,13 @@ class TallyBatch:
             self.tally.add(unit, variant, is_store, total - count, count)
 
 
+#: Packets one :class:`NoCStats` channel records before it counts them:
+#: bounds memory on long traces. Even, so a drain never splits a VC
+#: pair; toggle sums are order-exact, so the bound never changes a
+#: count.
+DRAIN_PACKETS = 1024
+
+
 class NoCStats:
     """Per-channel consecutive-flit toggle counting, per variant.
 
@@ -324,117 +331,92 @@ class NoCStats:
     request channel per L2 bank (all SMs' flits serialise at the bank's
     input port) and one response channel per SM. Wormhole routing with
     virtual-channel arbitration interleaves the flits of packets in
-    flight on the same channel; we model two VCs per channel, so a
-    packet's flits alternate on the wire with its neighbour's whenever
-    two packets overlap. Call :meth:`flush` after the last packet to
-    drain half-full channels.
+    flight on the same channel; we model two VCs per channel, so each
+    pair of consecutive packets alternates its flits on the wire.
 
     A packet is one ``(variants, bytes)`` uint8 array, rows in
-    :data:`VARIANTS` order, and stays one ``(variants, flits,
-    flit_bytes)`` array until its toggles are counted.
+    :data:`VARIANTS` order. :meth:`send` only records it; every
+    :data:`DRAIN_PACKETS` packets, and at :meth:`flush` after the last
+    packet, a channel's recorded packets become one ``(variants,
+    flits, flit_bytes)`` wire whose toggles are counted in one pass.
     """
 
-    def __init__(self, flit_bytes: int, virtual_channels: int = 2,
-                 drain_every: int = 4096):
+    def __init__(self, flit_bytes: int):
         self.flit_bytes = flit_bytes
-        self.virtual_channels = virtual_channels
         self.toggles: Dict[str, int] = {v: 0 for v in VARIANTS}
         self.flits: int = 0
-        #: Per-channel ``(variants, flit_bytes)`` wire state.
+        #: Per-channel packets not yet counted, in send order.
+        self._packets: Dict[Tuple[str, int], list] = {}
+        #: Per-channel ``(variants, flit_bytes)`` wire state after the
+        #: last drain.
         self._last: Dict[Tuple[str, int], np.ndarray] = {}
-        #: Per-channel ``(flits, sizes)`` packet awaiting a VC partner.
-        self._pending: Dict[Tuple[str, int], tuple] = {}
-        #: Per-channel ``(flits, sizes)`` backlog in wire order, counted
-        #: in one pass per channel at :meth:`flush` (or every
-        #: ``drain_every`` flits, bounding memory). Toggle sums are
-        #: order-exact, so deferral cannot change a single count.
-        self._accum: Dict[Tuple[str, int], list] = {}
-        self._accum_flits: Dict[Tuple[str, int], int] = {}
-        self._drain_every = drain_every
 
-    def _flits(self, payload: np.ndarray) -> tuple:
-        """Pad a packet to whole flits: the ``(variants, flits,
-        flit_bytes)`` array plus each flit's driven byte count (an
-        empty packet still takes one undriven flit)."""
-        fb = self.flit_bytes
-        n_variants, n_bytes = payload.shape
-        n_flits = max(1, -(-n_bytes // fb))
-        sizes = np.full(n_flits, fb)
-        sizes[-1] = n_bytes - (n_flits - 1) * fb
-        if n_bytes < n_flits * fb:
-            payload = np.pad(payload, ((0, 0), (0, n_flits * fb - n_bytes)))
-        return payload.reshape(n_variants, n_flits, fb), sizes
+    def send(self, channel: Tuple[str, int], payload: np.ndarray) -> None:
+        """Record a ``(variants, bytes)`` packet on one channel."""
+        packets = self._packets.setdefault(channel, [])
+        packets.append(np.asarray(payload, dtype=np.uint8))
+        if len(packets) >= DRAIN_PACKETS:
+            self._drain(channel)
 
-    @staticmethod
-    def _interleave(a: np.ndarray, a_sizes: np.ndarray, b: np.ndarray,
-                    b_sizes: np.ndarray) -> tuple:
-        """Alternate two packets' flits on the wire, ``a`` first; the
-        longer packet's surplus flits follow back to back."""
-        n_a, n_b = a.shape[1], b.shape[1]
-        if n_a == n_b:
-            return (np.stack((a, b), axis=2).reshape(a.shape[0], 2 * n_a, -1),
-                    np.stack((a_sizes, b_sizes), axis=1).ravel())
-        order = np.argsort(np.concatenate((np.arange(0, 2 * n_a, 2),
-                                           np.arange(1, 2 * n_b, 2))))
-        return (np.concatenate((a, b), axis=1)[:, order],
-                np.concatenate((a_sizes, b_sizes))[order])
-
-    def _transmit(self, channel: Tuple[str, int], flits: np.ndarray,
-                  sizes: np.ndarray) -> None:
-        self.flits += sizes.size
-        self._accum.setdefault(channel, []).append((flits, sizes))
-        queued = self._accum_flits.get(channel, 0) + sizes.size
-        self._accum_flits[channel] = queued
-        if queued >= self._drain_every:
+    def flush(self) -> None:
+        """Count every channel's packets not yet counted."""
+        for channel in self._packets:
             self._drain(channel)
 
     def _drain(self, channel: Tuple[str, int]) -> None:
-        """Count the channel's backlog in one whole-sequence pass.
+        """Count a channel's recorded packets in one pass and forget
+        them; the wire state carries over to the next drain.
 
         A partial flit leaves its unused wires holding their previous
         values (idle bus lines do not switch), so each byte lane is
-        forward-filled from the latest flit that drove it.
+        forward-filled from the latest state that drove it.
         """
-        backlog = self._accum.pop(channel, None)
-        if not backlog:
+        packets = self._packets[channel]
+        if not packets:
             return
-        del self._accum_flits[channel]
-        flits = np.concatenate([f for f, __ in backlog], axis=1)
-        sizes = np.concatenate([s for __, s in backlog])
-        n_variants, n_flits, fb = flits.shape
-        states = np.empty((n_variants, n_flits + 1, fb), dtype=np.uint8)
-        states[:, 0] = self._last.get(channel, 0)
-        states[:, 1:] = flits
+        states, sizes = self._wire(self._last.get(channel), packets)
+        packets.clear()
+        fb = self.flit_bytes
         if sizes.min() < fb:
-            driven = np.arange(fb) < np.r_[fb, sizes][:, None]
-            rows = np.arange(n_flits + 1)[:, None]
+            driven = np.arange(fb) < sizes[:, None]
+            rows = np.arange(sizes.size)[:, None]
             source = np.maximum.accumulate(np.where(driven, rows, 0), axis=0)
             states = np.take_along_axis(states, source[None], axis=1)
+        self.flits += sizes.size - 1
         counts = sequence_toggles(states).sum(axis=1)
         for variant, count in zip(VARIANTS, counts.tolist()):
             self.toggles[variant] += count
         self._last[channel] = states[:, -1].copy()
 
-    def send(self, channel: Tuple[str, int], payload: np.ndarray) -> None:
-        """Transmit a ``(variants, bytes)`` packet on one channel."""
-        flits, sizes = self._flits(np.asarray(payload, dtype=np.uint8))
-        if self.virtual_channels < 2:
-            self._transmit(channel, flits, sizes)
-            return
-        pending = self._pending.pop(channel, None)
-        if pending is None:
-            self._pending[channel] = (flits, sizes)
-            return
-        self._transmit(channel, *self._interleave(*pending, flits, sizes))
+    def _wire(self, last: Optional[np.ndarray], packets: list) -> tuple:
+        """The ``(variants, states, flit_bytes)`` wire states that
+        ``packets`` drive after ``last`` (all zero on a fresh channel),
+        and each state's driven byte count.
 
-    def flush(self) -> None:
-        """Drain packets still waiting for a VC partner, then count
-        every channel's deferred backlog."""
-        for channel in sorted(self._pending):
-            self._transmit(channel, *self._pending[channel])
-        self._pending.clear()
-        for channel in sorted(self._accum):
-            self._drain(channel)
+        A packet pads to whole flits, its last flit driving only the
+        bytes left (an empty packet still takes one undriven flit).
+        Each pair of consecutive packets alternates its flits on the
+        two VCs, the first packet first; the longer one's surplus flits
+        follow back to back, and an odd last packet goes alone.
+        """
+        fb = self.flit_bytes
+        n_variants = packets[0].shape[0]
+        n_bytes = np.array([p.shape[1] for p in packets])
+        counts = np.maximum(1, -(-n_bytes // fb))
+        if last is None:
+            last = np.zeros((n_variants, fb), dtype=np.uint8)
+        flits = np.concatenate(
+            [last] + [p if p.shape[1] == fb * n else
+                      np.pad(p, ((0, 0), (0, fb * n - p.shape[1])))
+                      for p, n in zip(packets, counts.tolist())],
+            axis=1).reshape(n_variants, -1, fb)
+        ends = np.cumsum(counts)
+        sizes = np.full(ends[-1] + 1, fb)
+        sizes[ends] = n_bytes - (counts - 1) * fb
+        packet = np.repeat(np.arange(counts.size), counts)
+        slot = np.arange(packet.size) - np.repeat(ends - counts, counts)
+        order = np.r_[0, np.lexsort((2 * slot + packet % 2, packet // 2)) + 1]
+        return flits[:, order], sizes[order]
 
     @property
     def bit_slots(self) -> int:

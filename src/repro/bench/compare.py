@@ -1,4 +1,9 @@
-"""Noise-aware regression gate over two BENCH_*.json records.
+"""Noise-aware regression gate over two ``repro-bench`` records.
+
+A record is tagged :data:`SCHEMA` at :data:`SCHEMA_VERSION`, and its
+``scenarios`` table maps each name to ``{"wall_s": {"median", "mad",
+"best", "samples"}, ...}``. The end-to-end benchmark
+(``benchmarks/e2e``) writes one per report, one scenario per workload.
 
 ``repro bench compare old.json new.json`` lines the two records'
 scenarios up and flags a **regression** only when the median wall-time
@@ -30,10 +35,12 @@ from typing import List, Tuple
 
 from ..compare import Delta, align, render_table, shift_verdict
 from ..records import RecordError, load_schema_record
-from .suite import SCHEMA, SCHEMA_VERSION
 
-__all__ = ["BenchRecordError", "compare_paths", "compare_records",
-           "load_bench_record", "render_compare_table"]
+__all__ = ["SCHEMA", "SCHEMA_VERSION", "BenchRecordError", "compare_paths",
+           "compare_records", "load_bench_record", "render_compare_table"]
+
+SCHEMA = "repro-bench"
+SCHEMA_VERSION = 1
 
 DEFAULT_REL_THRESHOLD = 0.10
 DEFAULT_MAD_K = 3.0
@@ -49,7 +56,7 @@ class BenchRecordError(RecordError):
 
 
 def load_bench_record(path: str) -> dict:
-    """Load and schema-validate one BENCH_*.json record."""
+    """Load and schema-validate one ``repro-bench`` record."""
     return load_schema_record(path, SCHEMA, SCHEMA_VERSION, "scenarios",
                               error_cls=BenchRecordError)
 

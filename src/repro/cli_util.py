@@ -1,7 +1,7 @@
 """Shared CLI name-resolution helpers with did-you-mean hints.
 
 Every subcommand that takes a name from a closed set — applications,
-experiments, bench suites/scenarios, fidelity scales — routes its
+experiments, fidelity scales, chaos campaigns — routes its
 failure through :func:`unknown_name`, so the suggestion behaviour and
 the exit-2 usage contract can never drift between subcommands. The
 comparators' numeric bars parse through :func:`nonneg_float` for the

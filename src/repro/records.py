@@ -1,11 +1,12 @@
 """Shared loader for schema-versioned JSON history records.
 
-Both record families the toolkit writes — ``BENCH_*.json`` (the
-benchmark harness) and ``FIDELITY_*.json`` (the paper-fidelity
-scorecard) — follow the same envelope: a ``schema`` tag naming the
-record family, an integer ``schema_version`` readers refuse to read
-past, and one mandatory payload table. This module is the one place
-that envelope is validated, so the two families cannot drift apart.
+Both record families — ``repro-bench`` records (the reports of the
+end-to-end benchmark, ``benchmarks/e2e``) and ``FIDELITY_*.json`` (the
+paper-fidelity scorecard) — follow the same envelope: a ``schema`` tag
+naming the record family, an integer ``schema_version`` readers refuse
+to read past, and one mandatory payload table. This module is the one
+place that envelope is validated, so the two families cannot drift
+apart.
 """
 
 from __future__ import annotations

@@ -511,28 +511,6 @@ class SweepRunner:
         self.tracer = tracer
         self.metrics = registry
 
-    def stage_timings(self) -> Dict[str, dict]:
-        """Per-span-name timing aggregates of the merged trace.
-
-        Requires an observed run (``observe``/``trace_path``/
-        ``metrics_path``); returns ``{}`` before :meth:`run` or on an
-        unobserved runner. Keys are span names (``unit``,
-        ``simulate_app``, ``replay``, ...); values carry ``calls``,
-        ``self_wall_s``, ``cum_wall_s`` and ``self_cpu_s`` as computed
-        by :func:`repro.bench.hotspots.aggregate_hotspots`.
-        """
-        if self.tracer is None:
-            return {}
-        from ..bench.hotspots import aggregate_hotspots
-        report = aggregate_hotspots(self.tracer)
-        return {
-            name: {"calls": spot.calls,
-                   "self_wall_s": spot.self_wall_s,
-                   "cum_wall_s": spot.cum_wall_s,
-                   "self_cpu_s": spot.self_cpu_s}
-            for name, spot in sorted(report.hotspots.items())
-        }
-
     def _write_sinks(self) -> None:
         from ..obs.report import write_metrics, write_trace_jsonl
         if self.trace_path and self.tracer is not None:

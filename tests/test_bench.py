@@ -1,13 +1,11 @@
 """Tests for the continuous-benchmarking subsystem (:mod:`repro.bench`).
 
-Three layers, matching the module split:
+Two layers, matching the module split:
 
 * **hotspots** — folding span trees into per-name self/cumulative
   aggregates, with the telescoping invariant (sum of self times ==
   root wall, exactly, even with negative parallel-overlap entries) and
   the nested-same-name no-double-count rule;
-* **suite** — the best-of-N harness and the BENCH record shape,
-  including "stages explain the measured wall" within tolerance;
 * **compare** — the noise-aware regression gate's verdict table and
   the CLI exit-code contract CI relies on (0 clean / 1 regression /
   2 unusable records or usage / 3 unwritable sink).
@@ -17,14 +15,12 @@ import json
 
 import pytest
 
-from repro.bench import (SCENARIOS, SUITES, BenchRecordError, Hotspot,
-                         Scenario, aggregate_hotspots, compare_records,
+from repro.bench import (SCHEMA, SCHEMA_VERSION, BenchRecordError,
+                         Hotspot, aggregate_hotspots, compare_records,
                          folded_stacks, load_bench_record,
-                         render_compare_table, render_hotspot_table,
-                         run_scenario, run_suite)
-from repro.bench.suite import SCHEMA, SCHEMA_VERSION
+                         render_compare_table, render_hotspot_table)
 from repro.compare import gate_exit_code
-from repro.obs.tracer import Tracer, jsonl_to_trees, trace_span
+from repro.obs.tracer import Tracer, jsonl_to_trees
 
 
 def _node(name, wall, cpu=None, children=(), attrs=None):
@@ -202,93 +198,6 @@ class TestRenderHotspotTable:
 
 
 # ---------------------------------------------------------------------------
-# Benchmark harness
-# ---------------------------------------------------------------------------
-
-def _spin(seconds):
-    import time
-    t0 = time.perf_counter()
-    while time.perf_counter() - t0 < seconds:
-        pass
-
-
-def _toy_scenario():
-    def body():
-        with trace_span("phase_a"):
-            _spin(0.004)
-        with trace_span("phase_b"):
-            _spin(0.002)
-    return Scenario("toy", "two spun phases", body)
-
-
-class TestRunScenario:
-    def test_entry_shape_and_spread_fields(self):
-        entry = run_scenario(_toy_scenario(), repeats=3, warmup=1)
-        for series in (entry["wall_s"], entry["cpu_s"]):
-            assert set(series) == {"median", "mad", "best", "samples"}
-            assert len(series["samples"]) == 3
-            assert series["best"] <= series["median"]
-            assert series["median"] in series["samples"]
-        assert entry["description"] == "two spun phases"
-        assert entry["wall_s"]["median"] >= 0.006
-
-    def test_stages_explain_the_measured_wall(self):
-        """The stage breakdown's self times must sum (within harness
-        overhead tolerance) to the wall the gate will compare."""
-        entry = run_scenario(_toy_scenario(), repeats=3, warmup=0)
-        stage_sum = sum(s["self_wall_s"] for s in entry["stages"].values())
-        assert stage_sum == pytest.approx(entry["stages_wall_s"], abs=0.02)
-        assert set(entry["stages"]) == {"toy", "phase_a", "phase_b"}
-        assert entry["stages"]["phase_a"]["calls"] == 1
-        assert entry["stages"]["phase_a"]["self_wall_s"] >= 0.003
-
-    def test_repeats_must_be_positive(self):
-        with pytest.raises(ValueError, match="repeats"):
-            run_scenario(_toy_scenario(), repeats=0)
-
-
-class TestRunSuite:
-    def test_record_schema_and_host_stamp(self, monkeypatch):
-        monkeypatch.setitem(SUITES, "toy", ["toy"])
-        monkeypatch.setitem(SCENARIOS, "toy", _toy_scenario())
-        record = run_suite("toy", repeats=2, warmup=0)
-        assert record["schema"] == SCHEMA == "repro-bench"
-        assert record["schema_version"] == SCHEMA_VERSION
-        assert record["suite"] == "toy" and record["repeats"] == 2
-        assert set(record["host"]) == \
-            {"platform", "machine", "python", "cpu_count"}
-        assert set(record["scenarios"]) == {"toy"}
-
-    def test_only_filters_and_rejects_unknown_names(self, monkeypatch):
-        monkeypatch.setitem(SUITES, "toy", ["toy"])
-        monkeypatch.setitem(SCENARIOS, "toy", _toy_scenario())
-        seen = []
-        record = run_suite("toy", repeats=1, warmup=0, only=["toy"],
-                           progress=lambda name, entry: seen.append(name))
-        assert seen == ["toy"] and "toy" in record["scenarios"]
-        with pytest.raises(KeyError, match="sweep-serail"):
-            run_suite("smoke", only=["sweep-serail"])
-
-    def test_smoke_suite_covers_the_three_hot_paths(self):
-        names = SUITES["smoke"]
-        assert any(n.startswith("sweep-") for n in names)
-        assert any(n.startswith("replay-") for n in names)
-        assert any(n.startswith("micro-") for n in names)
-        assert set(SUITES["smoke"]) <= set(SUITES["full"]) == set(SCENARIOS)
-
-    def test_real_micro_scenario_stage_sum_acceptance(self):
-        """Acceptance slice of the full-suite property on a real (but
-        cheap) pinned scenario: the BENCH entry's stage breakdown sums
-        to the measured wall within tolerance."""
-        record = run_suite("smoke", repeats=1, warmup=0,
-                           only=["micro-toggles"])
-        entry = record["scenarios"]["micro-toggles"]
-        stage_sum = sum(s["self_wall_s"] for s in entry["stages"].values())
-        assert stage_sum == pytest.approx(entry["stages_wall_s"], abs=0.02)
-        assert entry["stages"]["pack_and_toggle"]["calls"] == 1
-
-
-# ---------------------------------------------------------------------------
 # Noise-aware comparison
 # ---------------------------------------------------------------------------
 
@@ -395,62 +304,40 @@ class TestLoadBenchRecord:
 # ---------------------------------------------------------------------------
 
 class TestBenchCli:
-    def _run_record(self, tmp_path, capsys):
-        from repro.__main__ import main
-        out = tmp_path / "bench.json"
-        assert main(["bench", "run", "--only", "micro-toggles",
-                     "--repeats", "1", "--warmup", "0",
-                     "--out", str(out)]) == 0
-        assert "wrote" in capsys.readouterr().out
-        return out
+    def _write(self, tmp_path, name, record):
+        path = tmp_path / name
+        path.write_text(json.dumps(record), encoding="utf-8")
+        return str(path)
 
-    def test_run_writes_schema_versioned_record(self, tmp_path, capsys):
-        out = self._run_record(tmp_path, capsys)
-        record = load_bench_record(str(out))
-        assert record["schema_version"] == SCHEMA_VERSION
-        assert set(record["scenarios"]) == {"micro-toggles"}
-
-    def test_run_baseline_copy_and_self_compare_passes(
-            self, tmp_path, capsys):
+    def test_self_compare_passes_the_gate(self, tmp_path, capsys):
         from repro.__main__ import main
-        out = tmp_path / "bench.json"
-        baseline = tmp_path / "baseline.json"
-        assert main(["bench", "run", "--only", "micro-toggles",
-                     "--repeats", "1", "--warmup", "0",
-                     "--out", str(out), "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "compare", str(baseline), str(out),
-                     "--gate"]) == 0
+        path = self._write(tmp_path, "a.json",
+                           _bench_record({"a": (0.5, 0.01)}))
+        assert main(["bench", "compare", path, path, "--gate"]) == 0
         assert "0 regression(s)" in capsys.readouterr().out
 
     def test_injected_slowdown_fails_the_gate(self, tmp_path, capsys):
         from repro.__main__ import main
-        out = self._run_record(tmp_path, capsys)
-        slowed = json.loads(out.read_text(encoding="utf-8"))
-        wall = slowed["scenarios"]["micro-toggles"]["wall_s"]
-        for field in ("median", "best"):
-            wall[field] *= 2.0
-        wall["samples"] = [s * 2.0 for s in wall["samples"]]
-        slow_path = tmp_path / "slow.json"
-        slow_path.write_text(json.dumps(slowed), encoding="utf-8")
-        assert main(["bench", "compare", str(out), str(slow_path),
-                     "--gate"]) == 1
+        old = self._write(tmp_path, "old.json",
+                          _bench_record({"a": (0.5, 0.01)}))
+        slow = self._write(tmp_path, "slow.json",
+                           _bench_record({"a": (1.0, 0.02)}))
+        assert main(["bench", "compare", old, slow, "--gate"]) == 1
         captured = capsys.readouterr()
         assert "REGRESSION" in captured.out
         assert "regression gate FAILED" in captured.err
         # without --gate the same comparison only reports
-        assert main(["bench", "compare", str(out), str(slow_path)]) == 0
+        assert main(["bench", "compare", old, slow]) == 0
 
-    def test_unknown_suite_and_scenario_suggest(self, capsys):
+    def test_only_hotspots_and_compare_remain(self, capsys):
         from repro.__main__ import main
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "run", "--suite", "smok"])
-        assert excinfo.value.code == 2
-        assert "did you mean smoke" in capsys.readouterr().err
+            main(["bench", "--help"])
+        assert excinfo.value.code == 0
+        assert "{hotspots,compare}" in capsys.readouterr().out
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "run", "--only", "micro-togles"])
+            main(["bench", "run"])
         assert excinfo.value.code == 2
-        assert "did you mean micro-toggles" in capsys.readouterr().err
 
     def test_compare_unusable_record_is_usage_error(self, tmp_path,
                                                     capsys):
@@ -485,3 +372,17 @@ class TestBenchCli:
         empty.write_text("", encoding="utf-8")
         assert main(["bench", "hotspots", str(empty)]) == 2
         assert "no spans" in capsys.readouterr().err
+
+    def test_hotspots_negative_limit_is_usage_error(self, tmp_path,
+                                                    capsys):
+        from repro.__main__ import main
+        tracer = Tracer("sweep")
+        with tracer.span("unit"):
+            pass
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(tracer.to_jsonl(), encoding="utf-8")
+        assert main(["bench", "hotspots", str(trace), "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--limit must be >= 0" in captured.err
+        assert captured.out == ""
+        assert main(["bench", "hotspots", str(trace), "--limit", "0"]) == 0

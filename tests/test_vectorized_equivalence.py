@@ -12,6 +12,7 @@ the code under test.
 """
 
 import multiprocessing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -615,10 +616,9 @@ class TestNoCEquivalence:
             noc.send(channel, np.tile(payload, (len(VARIANTS), 1)))
         noc.flush()
 
-    @pytest.mark.parametrize("vcs", [1, 2])
-    def test_transmit_matches_scalar_loop(self, vcs):
-        fast = NoCStats(flit_bytes=16, virtual_channels=vcs)
-        slow = OracleNoC(flit_bytes=16, virtual_channels=vcs)
+    def test_transmit_matches_scalar_loop(self):
+        fast = NoCStats(flit_bytes=16)
+        slow = OracleNoC(flit_bytes=16)
         self._run_packets(fast, seed=11)
         self._run_packets(slow, seed=11)
         assert fast.toggles == slow.toggles
@@ -638,8 +638,7 @@ class TestNoCEquivalence:
         assert fast.toggles == slow.toggles
 
     @given(flit_bytes=st.sampled_from([4, 8, 16, 32]),
-           vcs=st.sampled_from([1, 2]),
-           drain_every=st.integers(1, 64),
+           drain_pairs=st.integers(1, 16),
            packets=st.lists(st.tuples(st.integers(0, 2),
                                       st.integers(0, 4 * 32 - 1),
                                       st.booleans()),
@@ -647,23 +646,26 @@ class TestNoCEquivalence:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle_on_random_packet_streams(
-            self, flit_bytes, vcs, drain_every, packets, seed):
+            self, flit_bytes, drain_pairs, packets, seed):
         """Exact toggles and flits for 0..3 whole flits plus a partial
-        flit, unequal VC partners and distinct or shared variant rows."""
+        flit, unequal VC partners, distinct or shared variant rows and
+        drains every ``2 * drain_pairs`` packets of a channel."""
+        import repro.arch.stats as stats_mod
         rng = np.random.default_rng(seed)
-        fast = NoCStats(flit_bytes, virtual_channels=vcs,
-                        drain_every=drain_every)
-        slow = OracleNoC(flit_bytes, virtual_channels=vcs)
-        for channel, size, distinct in packets:
-            size %= 4 * flit_bytes
-            if distinct:
-                payload = rng.integers(0, 256, (len(VARIANTS), size),
-                                       dtype=np.uint8)
-            else:
-                payload = np.tile(rng.integers(0, 256, size, dtype=np.uint8),
-                                  (len(VARIANTS), 1))
-            fast.send(("req", channel), payload)
-            slow.send(("req", channel), payload)
+        fast = NoCStats(flit_bytes)
+        slow = OracleNoC(flit_bytes)
+        with mock.patch.object(stats_mod, "DRAIN_PACKETS", 2 * drain_pairs):
+            for channel, size, distinct in packets:
+                size %= 4 * flit_bytes
+                if distinct:
+                    payload = rng.integers(0, 256, (len(VARIANTS), size),
+                                           dtype=np.uint8)
+                else:
+                    payload = np.tile(
+                        rng.integers(0, 256, size, dtype=np.uint8),
+                        (len(VARIANTS), 1))
+                fast.send(("req", channel), payload)
+                slow.send(("req", channel), payload)
         fast.flush()
         slow.flush()
         assert fast.toggles == slow.toggles
