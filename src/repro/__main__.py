@@ -110,7 +110,6 @@ def _run_resilient(args, experiments, apps) -> int:
             chaos=chaos,
             max_dispatches=args.max_dispatches,
             ledger_path=args.ledger,
-            max_sink_bytes=args.max_sink_bytes,
         )
     except FileNotFoundError:
         print(f"resume checkpoint not found: {args.resume!r}",
@@ -169,9 +168,12 @@ def cmd_run(args) -> int:
         return _unknown_name("experiment", args.experiment,
                              EXPERIMENTS).code
 
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
+    for flag, value in (("--jobs", args.jobs),
+                        ("--max-attempts", args.max_attempts),
+                        ("--max-dispatches", args.max_dispatches)):
+        if value < 1:
+            print(f"{flag} must be >= 1", file=sys.stderr)
+            return 2
     # Observability sinks need the unit-record machinery, so they force
     # the resilient path (which is result-identical to the plain one).
     resilient = bool(args.checkpoint or args.resume or args.jobs > 1
@@ -212,15 +214,11 @@ OBS_REPORT_DEFAULT_APPS = "ATA,VEC"
 
 
 def _read_trace_file(path: str):
-    """Trace JSONL text, or None after printing a usage error.
-
-    Size-capped sinks rotate into ``path.1``, ``path.2``, … — the
-    segments are reassembled (oldest first) transparently, so ``obs
-    tree`` and ``bench hotspots`` work on rotated traces unchanged.
-    """
-    from .obs.ledger import read_jsonl_segments
+    """Trace JSONL text, or None after printing a usage error (the
+    shared reader of ``obs tree`` and ``bench hotspots``)."""
     try:
-        return read_jsonl_segments(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         print(f"cannot read trace {path!r}: {exc}", file=sys.stderr)
         return None
@@ -533,7 +531,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--max-attempts", type=int, default=3,
                        help="attempts per unit before recording a failure "
                             "(default: 3)")
-    run_p.add_argument("--retry-backoff", type=float, default=0.5,
+    run_p.add_argument("--retry-backoff", type=_nonneg_float, default=0.5,
                        help="base retry backoff in seconds, doubled per "
                             "retry (default: 0.5)")
     run_p.add_argument("--timeout", type=float, default=None,
@@ -550,13 +548,8 @@ def main(argv=None) -> int:
                             "Prometheus text for .prom/.txt)")
     run_p.add_argument("--ledger", default=None, metavar="PATH",
                        help="stream live lifecycle events to this "
-                            "append-only JSONL run ledger (tail it with "
+                            "append-only JSONL run ledger (watch it with "
                             "'repro obs watch PATH')")
-    run_p.add_argument("--max-sink-bytes", type=int, default=None,
-                       metavar="N",
-                       help="size-cap the ledger and trace sinks: rotate "
-                            "to PATH.1, PATH.2, ... past N bytes "
-                            "(default: unbounded)")
     run_p.add_argument("--chaos", default=None, metavar="SPEC",
                        help="inject deterministic harness faults, e.g. "
                             "'kill=0.5,torn=0.3,hang_s=2' (kinds: kill, "

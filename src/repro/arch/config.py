@@ -14,7 +14,7 @@ count-sensitive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict
 
 __all__ = ["GPUConfig", "BASELINE_CONFIG", "CAPACITY_CONFIGS", "SCHEDULERS"]
@@ -26,7 +26,9 @@ SCHEDULERS = ("gto", "lrr", "two_level")
 class GPUConfig:
     """One simulated GPU configuration."""
 
-    name: str = "gtx480-baseline"
+    # A label only: no simulation reads it, so it stays out of
+    # equality and hashing (the per-config result-cache key).
+    name: str = field(default="gtx480-baseline", compare=False)
     # System overview (Table 3)
     n_sms: int = 15
     lanes: int = 32

@@ -17,7 +17,7 @@ Four first-class artifacts, threaded through the whole stack:
   reproduce :meth:`~repro.power.chip.ChipModel.evaluate` exactly.
 * **live run ledger** (:mod:`~repro.obs.ledger`): an append-only JSONL
   stream of typed, monotonically sequenced sweep lifecycle events,
-  tailed by :mod:`~repro.obs.live` (``repro obs watch``) and compared
+  re-read by :mod:`~repro.obs.live` (``repro obs watch``) and compared
   across runs by :mod:`~repro.obs.diff` (``repro obs diff``).
 
 CLI: ``repro obs report`` (provenance tables, or a metrics snapshot as
@@ -46,10 +46,8 @@ _LAZY = {
     "write_trace_jsonl": "report", "write_metrics": "report",
     "provenance_report": "report",
     "LEDGER_SCHEMA_VERSION": "ledger", "EVENT_TYPES": "ledger",
-    "RunLedger": "ledger", "LedgerFollower": "ledger",
-    "RotatingJsonlSink": "ledger", "read_ledger": "ledger",
-    "read_jsonl_segments": "ledger", "normalize_events": "ledger",
-    "validate_ledger": "ledger",
+    "RunLedger": "ledger", "read_ledger": "ledger",
+    "normalize_events": "ledger", "validate_ledger": "ledger",
     "RunState": "live", "render_dashboard": "live", "watch": "live",
     "diff_paths": "diff", "diff_traces": "diff",
     "diff_metrics": "diff", "diff_ledgers": "diff",
@@ -82,8 +80,7 @@ __all__ = [
     "publish_app_metrics", "write_text_sink", "write_trace_jsonl",
     "write_metrics", "provenance_report",
     "LEDGER_SCHEMA_VERSION", "EVENT_TYPES", "RunLedger",
-    "LedgerFollower", "RotatingJsonlSink", "read_ledger",
-    "read_jsonl_segments", "normalize_events", "validate_ledger",
+    "read_ledger", "normalize_events", "validate_ledger",
     "RunState", "render_dashboard", "watch",
     "diff_paths", "diff_traces", "diff_metrics",
     "diff_ledgers", "render_diff_table", "diff_to_dict",

@@ -5,9 +5,9 @@ as a one-command question, by aligning two runs' artifacts on their
 stable identities and reporting deltas with the bench-style verdict
 vocabulary and exit-code contract:
 
-* **span trees** (trace JSONL files, rotated segments included) align
-  by *name-path* — the ``/``-joined span names from the root down,
-  enriched with the identifying ``key``/``app`` attrs so
+* **span trees** (trace JSONL files) align by *name-path* — the
+  ``/``-joined span names from the root down, enriched with the
+  identifying ``key``/``app`` attrs so
   ``sweep/unit[fig18::BFS]/simulate_app`` is one row regardless of
   worker count or completion order. Wall/CPU shifts past both a
   relative threshold and an absolute floor grade ``regression`` /
@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..compare import Delta, align, render_table, shift_verdict
-from .ledger import normalize_events, read_ledger, read_jsonl_segments
+from .ledger import normalize_events, read_ledger
 from .metrics import VOLATILE_METRIC_FAMILIES
 from .tracer import jsonl_to_trees, span_paths
 
@@ -240,7 +241,8 @@ def diff_paths(trace: Optional[Tuple[str, str]] = None,
     """
     deltas: List[Delta] = []
     if trace is not None:
-        old_text, new_text = map(read_jsonl_segments, trace)
+        old_text, new_text = (Path(p).read_text(encoding="utf-8")
+                              for p in trace)
         deltas.extend(diff_traces(jsonl_to_trees(old_text),
                                   jsonl_to_trees(new_text),
                                   rel_threshold=rel_threshold,

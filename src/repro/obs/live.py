@@ -2,9 +2,11 @@
 
 Stdlib only, by design: the watcher is the thing you run on a login
 node over ssh while a two-hour sweep grinds elsewhere, so it must not
-care whether numpy imports. It never *writes* anything — the ledger is
-tailed read-only through :class:`~repro.obs.ledger.LedgerFollower`, so
-watching a live sweep cannot block or corrupt it.
+care whether numpy imports. It never *writes* anything — each poll
+re-reads the ledger read-only with :func:`~repro.obs.ledger.read_ledger`
+and folds it into a fresh :class:`RunState`, so watching a live sweep
+cannot block or corrupt it, and a new run that rewrites the same path
+simply shows up on the next frame.
 
 :class:`RunState` is the pure part: fold ledger events into per-unit
 state and sweep-level aggregates; :func:`render_dashboard` turns one
@@ -20,11 +22,12 @@ straggler highlight mirrors the pool's threshold
 
 from __future__ import annotations
 
+import os
 import time
 from statistics import median
 from typing import Callable, Dict, List, Optional
 
-from .ledger import LedgerFollower, ledger_segments
+from .ledger import read_ledger
 
 __all__ = ["RunState", "UnitView", "render_dashboard", "watch",
            "DEFAULT_INTERVAL_S", "DEFAULT_MAX_ROWS"]
@@ -63,11 +66,11 @@ class UnitView:
 class RunState:
     """Aggregate view of one sweep, built by folding ledger events.
 
-    Feed events (in any seq-respecting order) through :meth:`fold`;
-    read the per-unit table from ``units`` and the sweep aggregates
-    from the remaining attributes. Folding is idempotent per event and
-    never raises on unknown event types — future vocabulary growth
-    must not break old watchers.
+    Feed events in seq order through :meth:`fold`; read the per-unit
+    table from ``units`` and the sweep aggregates from the remaining
+    attributes. The fold is pure — the same events always give the
+    same state — and never raises on unknown event types, so future
+    vocabulary growth cannot break old watchers.
     """
 
     def __init__(self):
@@ -339,7 +342,7 @@ def watch(path: str, once: bool = False,
           max_polls: Optional[int] = None,
           wait: bool = False,
           timeout_s: Optional[float] = None) -> int:
-    """Tail a ledger and redraw the dashboard until the sweep ends.
+    """Re-read a ledger and redraw the dashboard until the sweep ends.
 
     Returns a CLI exit code: 0 after a clean ``sweep_end`` (or a
     ``--once`` snapshot of a usable ledger), 2 when the ledger does
@@ -348,21 +351,22 @@ def watch(path: str, once: bool = False,
     immediately (so a script launching sweep + watcher can tell "not
     yet" from "watching"); with ``wait`` it polls for the file to
     appear — bounded by ``timeout_s`` when given — and only then
-    starts tailing, which is how a watcher is started *before* the
-    sweep. ``write``/``sleep``/``clock``/``max_polls`` are test
-    injection points.
+    starts polling, which is how a watcher is started *before* the
+    sweep. Every poll rebuilds the state from the whole file.
+    ``write``/``sleep``/``clock``/``max_polls`` are test injection
+    points.
     """
     import sys
     write = write or (lambda text: print(text, file=sys.stdout, flush=True))
     try:
-        if not ledger_segments(path):
+        if not os.path.exists(path):
             if not wait:
                 write(f"obs watch: no ledger at {path} "
                       f"(--wait polls for it)")
                 return 2
             deadline = (clock() + timeout_s
                         if timeout_s is not None else None)
-            while not ledger_segments(path):
+            while not os.path.exists(path):
                 if deadline is not None and clock() >= deadline:
                     write(f"obs watch: no ledger at {path} after "
                           f"waiting {timeout_s:g}s")
@@ -373,17 +377,16 @@ def watch(path: str, once: bool = False,
                     return 2
     except BrokenPipeError:
         return 0
-    follower = LedgerFollower(path)
-    state = RunState()
     polls = 0
     try:
         while True:
             polls += 1
-            state.fold_all(follower.poll())
+            state = RunState()
+            try:
+                state.fold_all(read_ledger(path))
+            except FileNotFoundError:
+                pass    # removed since the last poll: an empty frame
             if once:
-                if not ledger_segments(path):
-                    write(f"obs watch: no ledger at {path}")
-                    return 2
                 write(render_dashboard(state, now=clock(),
                                        max_rows=max_rows, source=path))
                 return 0

@@ -137,23 +137,9 @@ def write_text_sink(path: str, text: str, what: str) -> bool:
         return False
 
 
-def write_trace_jsonl(tracer: Tracer, path: str,
-                      max_bytes: Optional[int] = None) -> bool:
-    """Serialise a tracer's span tree to a JSONL file.
-
-    With ``max_bytes`` the sink rotates (``path.1``, ``path.2``, …)
-    instead of growing without bound; readers reassemble the segments
-    with :func:`repro.obs.ledger.read_jsonl_segments` (``repro obs
-    tree`` and ``bench hotspots`` do so transparently).
-    """
-    if max_bytes is None:
-        return write_text_sink(path, tracer.to_jsonl(), "trace")
-    from .ledger import RotatingJsonlSink
-    sink = RotatingJsonlSink(path, max_bytes=max_bytes)
-    for line in tracer.to_jsonl().splitlines():
-        sink.write_line(line)
-    sink.close()
-    return sink.ok
+def write_trace_jsonl(tracer: Tracer, path: str) -> bool:
+    """Serialise a tracer's span tree to a JSONL file."""
+    return write_text_sink(path, tracer.to_jsonl(), "trace")
 
 
 def write_metrics(registry: MetricsRegistry, path: str) -> bool:

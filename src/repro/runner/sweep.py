@@ -117,16 +117,14 @@ class SweepRunner:
         Supervision knobs for the pool backend: total worker hand-outs
         per unit before quarantine, and the straggler threshold
         (``k × median completed unit time``, floored).
-    ledger_path / max_sink_bytes:
+    ledger_path:
         Live telemetry. ``ledger_path`` streams typed, monotonically
         sequenced lifecycle events to an append-only JSONL ledger as
-        they happen (``repro obs watch`` tails it); without a path the
+        they happen (``repro obs watch`` re-reads it); without a path the
         events are still retained on ``self.ledger.events``. All
         emission happens in the parent — workers ship their facts home
         inside unit records — so serial and parallel sweeps produce
         identical event sets after order-normalization.
-        ``max_sink_bytes`` size-caps the ledger *and* trace sinks with
-        ``.1``/``.2`` suffix rotation (None = unbounded).
     """
 
     def __init__(self,
@@ -147,8 +145,7 @@ class SweepRunner:
                  max_dispatches: int = DEFAULT_MAX_DISPATCHES,
                  straggler_k: float = DEFAULT_STRAGGLER_K,
                  straggler_floor_s: float = DEFAULT_STRAGGLER_FLOOR_S,
-                 ledger_path: Optional[str] = None,
-                 max_sink_bytes: Optional[int] = None):
+                 ledger_path: Optional[str] = None):
         self.experiments = list(experiments or EXPERIMENTS)
         unknown = [e for e in self.experiments if e not in EXPERIMENTS]
         if unknown:
@@ -186,7 +183,6 @@ class SweepRunner:
                 meta={"experiments": self.experiments,
                       "apps": [app.name for app in self.apps]})
             self.checkpoint.save()
-        self.max_sink_bytes = max_sink_bytes
         # The ledger always exists — pathless means in-memory only —
         # so tests and downstream consumers can read self.ledger.events
         # from any run. All emission is parent-side: workers return
@@ -195,7 +191,7 @@ class SweepRunner:
         # what makes serial and parallel event sets identical after
         # order-normalization.
         self.ledger = RunLedger(
-            path=ledger_path, max_bytes=max_sink_bytes,
+            path=ledger_path,
             meta={"experiments": self.experiments,
                   "apps": [app.name for app in self.apps],
                   "jobs": self.jobs,
@@ -514,8 +510,7 @@ class SweepRunner:
     def _write_sinks(self) -> None:
         from ..obs.report import write_metrics, write_trace_jsonl
         if self.trace_path and self.tracer is not None:
-            write_trace_jsonl(self.tracer, self.trace_path,
-                              max_bytes=self.max_sink_bytes)
+            write_trace_jsonl(self.tracer, self.trace_path)
         if self.metrics_path and self.metrics is not None:
             write_metrics(self.metrics, self.metrics_path)
 

@@ -1,12 +1,14 @@
-"""Tests for the live run ledger, its tailer, and the obs CLI on top.
+"""Tests for the live run ledger and the obs CLI on top.
 
 Covers the crash-safety contracts the ledger promises: torn tails are
-"not yet an event" for every reader, rotation never double-delivers
-(and gaps are *counted*, not swallowed), SIGKILLed chaos sweeps still
-produce a valid ledger, and ``obs watch --once`` / ``obs diff`` work
-against a ledger mid-write without blocking or corrupting it. The serial-vs-``--jobs``
-normalized event-set identity is pinned against a committed fixture
-in ``test_golden.py``.
+"not yet an event" for every reader, reads mid-sweep see a growing,
+valid stream, SIGKILLed chaos sweeps still produce a valid ledger,
+``obs watch`` rebuilds each frame from the file (so a run that
+rewrites the path replaces the old one on screen), and ``obs watch
+--once`` / ``obs diff`` work against a ledger mid-write without
+blocking or corrupting it. The serial-vs-``--jobs`` normalized
+event-set identity is pinned against a committed fixture in
+``test_golden.py``.
 """
 
 import json
@@ -15,10 +17,8 @@ import os
 import pytest
 
 from repro.obs.ledger import (EVENT_TYPES, LEDGER_SCHEMA_VERSION,
-                              LedgerFollower, RotatingJsonlSink,
-                              RunLedger, ledger_segments,
-                              normalize_events, parse_ledger_text,
-                              read_jsonl_segments, read_ledger,
+                              RunLedger, normalize_events,
+                              parse_ledger_text, read_ledger,
                               status_totals, validate_ledger)
 
 SMOKE_EXPERIMENTS = ["fig09"]
@@ -31,60 +31,6 @@ def _smoke_runner(ledger_path=None, **kwargs):
     return SweepRunner(experiments=SMOKE_EXPERIMENTS,
                        apps=[get_app(name) for name in SMOKE_APPS],
                        ledger_path=ledger_path, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# RotatingJsonlSink
-# ---------------------------------------------------------------------------
-
-class TestRotatingJsonlSink:
-    def test_rotates_and_reassembles_oldest_first(self, tmp_path):
-        path = str(tmp_path / "s.jsonl")
-        sink = RotatingJsonlSink(path, max_bytes=24)
-        for i in range(6):
-            assert sink.write_line(f'{{"i": {i}}}')
-        sink.close()
-        segments = ledger_segments(path)
-        assert len(segments) > 1
-        assert segments[-1] == path          # active file reads last
-        text = read_jsonl_segments(path)
-        assert [json.loads(line)["i"] for line in text.splitlines()] \
-            == list(range(6))
-
-    def test_max_segments_drops_oldest_by_overwrite(self, tmp_path):
-        path = str(tmp_path / "s.jsonl")
-        sink = RotatingJsonlSink(path, max_bytes=12, max_segments=2)
-        for i in range(10):
-            sink.write_line(f'{{"i": {i}}}')
-        sink.close()
-        assert not os.path.exists(f"{path}.3")
-        kept = [json.loads(line)["i"]
-                for line in read_jsonl_segments(path).splitlines()]
-        assert kept == sorted(kept)          # still oldest-first
-        assert kept[-1] == 9                 # newest survives
-        assert 0 not in kept                 # oldest rolled off
-
-    def test_fresh_open_removes_stale_segments(self, tmp_path):
-        path = str(tmp_path / "s.jsonl")
-        (tmp_path / "s.jsonl.1").write_text('{"stale": 1}\n')
-        sink = RotatingJsonlSink(path, max_bytes=1000)
-        sink.write_line('{"i": 0}')
-        sink.close()
-        assert not os.path.exists(f"{path}.1")
-        assert "stale" not in read_jsonl_segments(path)
-
-    def test_unwritable_path_degrades_to_warning(self, tmp_path):
-        path = str(tmp_path / "nodir" / "s.jsonl")
-        with pytest.warns(RuntimeWarning, match="unwritable"):
-            sink = RotatingJsonlSink(path)
-        assert sink.ok is False
-        assert sink.write_line('{"i": 0}') is False  # dropped, no raise
-
-    def test_bad_caps_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            RotatingJsonlSink(str(tmp_path / "s.jsonl"), max_bytes=0)
-        with pytest.raises(ValueError):
-            RotatingJsonlSink(str(tmp_path / "s.jsonl"), max_segments=0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +59,17 @@ class TestRunLedger:
         assert [e["type"] for e in ledger.events] \
             == ["ledger_open", "sweep_begin"]
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_path_degrades_to_warning(self, tmp_path):
+        path = str(tmp_path / "nodir" / "run.jsonl")
+        with pytest.warns(RuntimeWarning, match="unwritable"):
+            ledger = RunLedger(path=path)
+        assert ledger.ok is False
+        ledger.emit("sweep_begin", jobs=1)   # dropped from disk, no raise
+        assert [e["type"] for e in ledger.events] \
+            == ["ledger_open", "sweep_begin"]
+        ledger.close()
+        assert not os.path.exists(path)
 
     def test_reserved_attr_names_rejected(self):
         ledger = RunLedger()
@@ -148,73 +105,51 @@ class TestTornTails:
         assert [e["seq"] for e in events] == [1, 2]
         assert validate_ledger(events) == []
 
-
-# ---------------------------------------------------------------------------
-# LedgerFollower: tailing, rotation
-# ---------------------------------------------------------------------------
-
-class TestLedgerFollower:
-    def test_poll_returns_only_new_events(self, tmp_path):
+    def test_torn_tail_invisible_until_completed(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         ledger = RunLedger(path=path)
-        follower = LedgerFollower(path)
-        assert [e["seq"] for e in follower.poll()] == [1]
-        assert follower.poll() == []
-        ledger.emit("sweep_begin", jobs=1)
-        ledger.emit("sweep_plan", units=2, skipped=0)
-        assert [e["seq"] for e in follower.poll()] == [2, 3]
-        ledger.close()
-        assert follower.missed == 0
-
-    def test_torn_tail_left_for_next_poll(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        ledger = RunLedger(path=path)
-        follower = LedgerFollower(path)
-        follower.poll()
         # A writer mid-write: half an event, no newline yet.
         line = json.dumps({"seq": 2, "ts": 0.0, "type": "sweep_begin",
                            "key": None, "attrs": {}})
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line[:10])
             fh.flush()
-            assert follower.poll() == []     # not yet an event
+            assert [e["seq"] for e in read_ledger(path)] == [1]
             fh.write(line[10:] + "\n")
-        polled = follower.poll()             # completed line arrives whole
-        assert [e["seq"] for e in polled] == [2]
-        assert follower.missed == 0
+        assert [e["seq"] for e in read_ledger(path)] == [1, 2]
         ledger.close()
 
-    def test_follows_across_rotation_exactly_once(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        ledger = RunLedger(path=path, max_bytes=160)
-        follower = LedgerFollower(path)
-        seen = [e["seq"] for e in follower.poll()]
-        for i in range(12):                  # forces several rollovers
-            ledger.emit("unit_started", f"fig09::u{i}")
-            seen += [e["seq"] for e in follower.poll()]
-        ledger.close()
-        assert len(ledger_segments(path)) > 1
-        assert seen == list(range(1, 14))    # every event, exactly once
-        assert follower.missed == 0
 
-    def test_dropped_segment_counts_missed_not_silent(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        lines = [json.dumps({"seq": s, "ts": 0.0, "type": "unit_started",
-                             "key": "k", "attrs": {}})
-                 for s in (1, 2, 5, 6)]      # 3-4 rotated off the disk
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        follower = LedgerFollower(path)
-        assert [e["seq"] for e in follower.poll()] == [1, 2, 5, 6]
-        assert follower.missed == 2
+class TestLedgerFollower:
+    """Following a ledger live is the watcher's poll loop over the file."""
 
     def test_poll_before_ledger_exists_waits(self, tmp_path):
+        from repro.obs.live import watch
         path = str(tmp_path / "run.jsonl")
-        follower = LedgerFollower(path)      # watcher starts first
-        assert follower.poll() == []
-        ledger = RunLedger(path=path)
-        ledger.close()
-        assert [e["seq"] for e in follower.poll()] == [1]
+        frames, naps = [], []
+        ledger = None
+
+        def sweep_progresses_during_nap(seconds):
+            nonlocal ledger
+            naps.append(seconds)
+            if ledger is None:              # watcher started first
+                assert not os.path.exists(path)
+                ledger = RunLedger(path=path)
+            else:
+                ledger.emit("sweep_begin", jobs=1)
+                ledger.emit("sweep_plan", units=1, skipped=0)
+                ledger.emit("sweep_end", status="ok")
+                ledger.close()
+
+        code = watch(path, wait=True, interval_s=0.01,
+                     write=frames.append,
+                     sleep=sweep_progresses_during_nap, max_polls=5)
+        assert code == 0
+        assert naps == [0.01, 0.01]         # one wait nap, one poll nap
+        assert len(frames) == 2
+        assert "ENDED" not in frames[0]     # header only: not yet ended
+        assert "ENDED (ok)" in frames[1]
+        assert [e["seq"] for e in read_ledger(path)] == [1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +190,6 @@ class TestNormalizeValidate:
         assert "attrs is list" in problems
         assert validate_ledger([]) == ["ledger has no events"]
 
-    def test_validate_allow_gaps_for_rotation_capped_ledgers(self):
-        events = [
-            {"seq": 1, "ts": 0.0, "type": "ledger_open",
-             "attrs": {"schema_version": LEDGER_SCHEMA_VERSION}},
-            {"seq": 5, "ts": 0.1, "type": "sweep_end", "attrs": {}},
-        ]
-        assert validate_ledger(events, allow_gaps=True) == []
-        assert validate_ledger(events) != []
-
     def test_status_totals_keeps_final_status_only(self):
         events = [
             {"type": "unit_completed", "key": "a",
@@ -298,25 +224,25 @@ class TestSweepLedger:
                                   "unit_attempt", "unit_completed"]
 
     def test_follower_tails_a_live_sweep(self, tmp_path):
-        """Polling mid-sweep (from the parent's unit callback) sees the
-        stream grow and never disturbs the writer."""
+        """Reading mid-sweep (from the parent's unit callback) sees a
+        growing, valid stream and never disturbs the writer."""
         path = str(tmp_path / "run.jsonl")
-        follower = LedgerFollower(path)
-        mid_polls = []
+        mid_reads = []
 
         def on_unit_done(key, record):
-            mid_polls.append(len(follower.poll()))
+            events = read_ledger(path)
+            assert validate_ledger(events) == []
+            assert events[-1]["type"] != "sweep_end"
+            mid_reads.append(len(events))
 
         runner = _smoke_runner(ledger_path=path,
                                on_unit_done=on_unit_done)
         runner.run()
-        assert len(mid_polls) == 2 and any(n > 0 for n in mid_polls)
-        tail = follower.poll()               # drain the post-run events
-        assert tail and tail[-1]["type"] == "sweep_end"
-        assert follower.missed == 0
+        assert len(mid_reads) == 2 and mid_reads[0] < mid_reads[1]
         events = read_ledger(path)
         assert validate_ledger(events) == []
-        assert follower.last_seq == events[-1]["seq"]
+        assert len(events) > mid_reads[-1]
+        assert events[-1]["type"] == "sweep_end"
 
     def test_sigkilled_workers_still_yield_valid_ledger(self, tmp_path):
         """Chaos SIGKILLs every unit's first dispatch; the ledger must
@@ -333,10 +259,8 @@ class TestSweepLedger:
         types = [e["type"] for e in events]
         assert "unit_redispatch" in types
         assert status_totals(events) == {"ok": 2}
-        # a fresh follower replays the whole chaotic stream in order
-        follower = LedgerFollower(path)
-        assert [e["seq"] for e in follower.poll()] \
-            == [e["seq"] for e in events]
+        # the whole chaotic stream reads back in seq order
+        assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
 
     def test_interrupted_sweep_gets_terminal_event(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -350,15 +274,6 @@ class TestSweepLedger:
         events = read_ledger(path)
         assert events[-1]["type"] == "sweep_end"
         assert events[-1]["attrs"]["status"] == "interrupted"
-
-    def test_rotated_ledger_validates_with_gaps_allowed(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        runner = _smoke_runner(ledger_path=path, max_sink_bytes=512)
-        runner.run()
-        assert len(ledger_segments(path)) > 1
-        events = read_ledger(path)
-        assert validate_ledger(events, allow_gaps=True) == []
-        assert events[-1]["type"] == "sweep_end"
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +334,42 @@ class TestWatch:
         assert "fig09::ATA" in screen and "running" in screen
         assert open(path, "rb").read() == before      # reader never writes
         ledger.close()
+
+    def test_rewritten_ledger_shows_the_new_run(self, tmp_path):
+        """A sweep killed before ``sweep_end`` and resumed onto the same
+        ledger path rewrites the file from seq 1; the next frame must
+        show the resumed run, not the dead one."""
+        from repro.obs.live import watch
+        path = str(tmp_path / "run.jsonl")
+        first = RunLedger(path=path, meta={"experiments": ["fig09"]})
+        first.emit("sweep_begin", jobs=1)
+        first.emit("sweep_plan", units=3, skipped=0)
+        for app in ("ATA", "BFS", "VEC"):
+            first.emit("unit_scheduled", f"fig09::{app}")
+        first.emit("unit_started", "fig09::ATA")     # killed here: 7 events
+        first.close()
+
+        def resume(_seconds):
+            second = RunLedger(path=path, meta={"experiments": ["fig09"]})
+            second.emit("sweep_begin", jobs=1)
+            second.emit("sweep_plan", units=1, skipped=2)
+            second.emit("unit_scheduled", "fig09::VEC")
+            second.emit("unit_started", "fig09::VEC")
+            second.emit("unit_completed", "fig09::VEC", status="ok",
+                        attempts=1, unit_wall_s=0.5)
+            second.close()
+
+        frames = []
+        assert watch(path, interval_s=0.01, write=frames.append,
+                     sleep=resume, max_polls=2) == 0
+        assert len(frames) == 2
+        assert "0/3 units" in frames[0] and "fig09::ATA" in frames[0]
+        assert "1/1 units (1 ok" in frames[1]
+        assert "2 resumed" in frames[1]
+        assert "fig09::ATA" not in frames[1]
+        vec_row = next(line for line in frames[1].splitlines()
+                       if line.startswith("fig09::VEC"))
+        assert " ok " in vec_row
 
     def test_dashboard_eta_and_straggler_mark(self):
         from repro.obs.live import RunState, render_dashboard

@@ -767,6 +767,23 @@ class TestCLI:
         assert main(["run", "fig01", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-attempts", "0"), ("--max-dispatches", "0"),
+        ("--retry-backoff", "-1")])
+    def test_bad_retry_options_exit_2(self, tmp_path, capsys, flag, value):
+        """Rejected up front with a one-line usage error, not a runner
+        traceback or a negative sleep on the first retry."""
+        from repro.__main__ import main
+        ck = tmp_path / "ck.json"
+        try:
+            code = main(["run", "fig01", "--checkpoint", str(ck),
+                         flag, value])
+        except SystemExit as exc:      # argparse type errors
+            code = exc.code
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not ck.exists()
+
     def test_resume_from_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         from repro.__main__ import main
         path = tmp_path / "ck.json"

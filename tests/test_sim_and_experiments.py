@@ -23,6 +23,28 @@ class TestSimulateApp:
         b = simulate_app(get_app("VEC"))
         assert a is b
 
+    def test_scheduler_rename_is_a_cache_hit(self, monkeypatch):
+        """``with_scheduler("gto")`` on the GTO baseline changes only
+        the cosmetic name, so it must reuse the baseline's stats
+        rather than replay the app a second time."""
+        from repro.arch.config import BASELINE_CONFIG
+        from repro.arch.gpu import GPUReplay
+        from repro.sim import clear_caches
+        replays = []
+        real_run = GPUReplay.run
+
+        def counting_run(self, trace):
+            replays.append(self.config.name)
+            return real_run(self, trace)
+
+        monkeypatch.setattr(GPUReplay, "run", counting_run)
+        clear_caches()
+        renamed = BASELINE_CONFIG.with_scheduler("gto")
+        assert renamed.name != BASELINE_CONFIG.name
+        base = simulate_app(get_app("VEC"), BASELINE_CONFIG)
+        assert simulate_app(get_app("VEC"), renamed) is base
+        assert replays == [BASELINE_CONFIG.name]
+
     def test_static_binary_attached(self):
         stats = simulate_app(get_app("VEC"))
         assert stats.static_binary is not None
