@@ -56,6 +56,7 @@ import sys
 # behaviour and exit-2 contract can never drift between subcommands.
 from .cli_util import (lookup_app as _lookup_app,
                        nonneg_float as _nonneg_float,
+                       positive_float as _positive_float,
                        resolve_apps as _resolve_apps,
                        unknown_name as _unknown_name)
 from .compare import gate_exit_code
@@ -174,11 +175,12 @@ def cmd_run(args) -> int:
         if value < 1:
             print(f"{flag} must be >= 1", file=sys.stderr)
             return 2
-    # Observability sinks need the unit-record machinery, so they force
-    # the resilient path (which is result-identical to the plain one).
+    # Observability sinks and the per-attempt time guard need the
+    # unit-record machinery, so they force the resilient path (which
+    # is result-identical to the plain one).
     resilient = bool(args.checkpoint or args.resume or args.jobs > 1
                      or args.trace or args.metrics_out or args.chaos
-                     or args.ledger)
+                     or args.ledger or args.timeout is not None)
     if args.experiment == "all" or resilient:
         experiments = None if args.experiment == "all" else [args.experiment]
         return _run_resilient(args, experiments, apps)
@@ -235,14 +237,8 @@ def _cmd_obs_tree(args) -> int:
 
 def _cmd_obs_watch(args) -> int:
     from .obs.live import watch
-    if args.interval <= 0:
-        print("--interval must be > 0", file=sys.stderr)
-        return 2
     if args.max_rows < 0:
         print("--max-rows must be >= 0", file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("--timeout must be > 0", file=sys.stderr)
         return 2
     return watch(args.ledger, once=args.once, interval_s=args.interval,
                  max_rows=args.max_rows, wait=args.wait,
@@ -534,9 +530,10 @@ def main(argv=None) -> int:
     run_p.add_argument("--retry-backoff", type=_nonneg_float, default=0.5,
                        help="base retry backoff in seconds, doubled per "
                             "retry (default: 0.5)")
-    run_p.add_argument("--timeout", type=float, default=None,
-                       help="soft per-attempt time limit in seconds "
-                            "(default: none)")
+    run_p.add_argument("--timeout", type=_positive_float, default=None,
+                       help="soft per-attempt time limit in seconds, the "
+                            "one bound on a slow or hung unit (default: "
+                            "none)")
     run_p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for the sweep (default: 1 = "
                             "serial; results are identical either way)")
@@ -552,10 +549,10 @@ def main(argv=None) -> int:
                             "'repro obs watch PATH')")
     run_p.add_argument("--chaos", default=None, metavar="SPEC",
                        help="inject deterministic harness faults, e.g. "
-                            "'kill=0.5,torn=0.3,hang_s=2' (kinds: kill, "
-                            "exit, hang, corrupt, torn, enospc, eacces, "
+                            "'kill=0.5,torn=0.3,times=2' (kinds: kill, "
+                            "exit, corrupt, torn, enospc, eacces, "
                             "stale_tmp, sigterm, sigint, sigterm_merge; "
-                            "params: hang_s, times, max_signals)")
+                            "params: times, max_signals)")
     run_p.add_argument("--chaos-seed", type=int, default=0, metavar="N",
                        help="seed for the chaos plan (default: 0); the "
                             "fault schedule is a pure function of "
@@ -600,13 +597,12 @@ def main(argv=None) -> int:
                              "longest-first (duration)")
     watch_p = obs_sub.add_parser(
         "watch", help="live terminal dashboard over a --ledger stream: "
-                      "per-unit state, throughput, MAD-based ETA, "
-                      "straggler highlighting")
+                      "per-unit state, throughput, MAD-based ETA")
     watch_p.add_argument("ledger", metavar="LEDGER.jsonl")
     watch_p.add_argument("--once", action="store_true",
                          help="render one snapshot and exit (exit 2 if "
                               "the ledger does not exist yet)")
-    watch_p.add_argument("--interval", type=float, default=1.0,
+    watch_p.add_argument("--interval", type=_positive_float, default=1.0,
                          metavar="S",
                          help="poll/redraw cadence in seconds "
                               "(default: 1.0)")
@@ -616,7 +612,7 @@ def main(argv=None) -> int:
     watch_p.add_argument("--wait", action="store_true",
                          help="poll until the ledger appears instead of "
                               "exiting 2 when it does not exist yet")
-    watch_p.add_argument("--timeout", type=float, default=None,
+    watch_p.add_argument("--timeout", type=_positive_float, default=None,
                          metavar="S",
                          help="with --wait: give up (exit 2) after S "
                               "seconds without a ledger")

@@ -77,9 +77,3 @@ class Crossbar:
 
     def toggle_rate(self, variant: str) -> float:
         return self.stats.toggle_rate(variant)
-
-    def to_metrics(self, registry) -> None:
-        """Publish flit/toggle volume plus packet-level counters."""
-        self.stats.to_metrics(registry)
-        registry.counter("noc_packets_total").inc(self.packets)
-        registry.counter("noc_control_flits_total").inc(self.control_flits)

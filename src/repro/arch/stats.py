@@ -93,20 +93,6 @@ class Tally:
     def units(self):
         return sorted({unit for unit, __ in self.counts}, key=lambda u: u.name)
 
-    def to_metrics(self, registry, name: str = "bvf_bits_total") -> None:
-        """Publish per-(unit, variant, access-type) bit volumes.
-
-        Series are emitted in sorted key order so two identically-
-        populated tallies produce identical registry snapshots.
-        """
-        for key in sorted(self.counts, key=lambda k: (k[0].name, k[1])):
-            unit, variant = key
-            for kind, value in self.counts[key].as_dict().items():
-                if value:
-                    registry.counter(
-                        name, {"unit": unit.name, "variant": variant,
-                               "access": kind}).inc(value)
-
 
 class Encoders:
     """Applies each variant's coder stack to word batches for tallying.
@@ -427,14 +413,6 @@ class NoCStats:
         slots = self.bit_slots
         return self.toggles[variant] / slots if slots else 0.0
 
-    def to_metrics(self, registry) -> None:
-        """Publish per-variant toggle totals plus flit/bit-slot volume."""
-        for variant in sorted(self.toggles):
-            registry.counter("noc_toggles_total",
-                             {"variant": variant}).inc(self.toggles[variant])
-        registry.counter("noc_flits_total").inc(self.flits)
-        registry.counter("noc_bit_slots_total").inc(self.bit_slots)
-
 
 @dataclass
 class TimingStats:
@@ -463,13 +441,3 @@ class TimingStats:
         if not self.l1d_accesses:
             return 0.0
         return 1.0 - self.l1d_misses / self.l1d_accesses
-
-    def to_metrics(self, registry) -> None:
-        """Publish the coarse replay performance counters."""
-        registry.counter("sim_cycles_total").inc(self.cycles)
-        registry.counter("sim_instructions_total").inc(self.instructions)
-        registry.counter("sim_dram_accesses_total").inc(self.dram_accesses)
-        for op_class in sorted(self.class_lane_ops):
-            registry.counter("sim_lane_ops_total",
-                             {"class": op_class}).inc(
-                                 self.class_lane_ops[op_class])

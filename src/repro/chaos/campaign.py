@@ -2,8 +2,8 @@
 
 A campaign is a fixed list of scenarios, each a :class:`ChaosPlan`
 spec aimed at one class of harness fault (worker SIGKILL, torn
-checkpoint writes, stragglers, SIGTERM draining, and an everything-at-
-once finale). :func:`run_campaign` runs every scenario against a small
+checkpoint writes, SIGTERM draining, and an everything-at-once
+finale). :func:`run_campaign` runs every scenario against a small
 reference sweep and checks the survival contract:
 
 * the sweep **completes** (graceful-drain interrupts are resumed,
@@ -53,7 +53,6 @@ class CampaignScenario:
     name: str
     description: str
     rates: Dict[str, float]
-    hang_s: float = 0.8
     times: int = 1
     max_signals: int = 1
 
@@ -70,9 +69,6 @@ CAMPAIGNS: Dict[str, Tuple[CampaignScenario, ...]] = {
             "corrupt-result", "workers return mangled records",
             {"corrupt": 1.0}),
         CampaignScenario(
-            "straggler-hang", "workers stall past the straggler bar",
-            {"hang": 0.6}),
-        CampaignScenario(
             "torn-checkpoint", "checkpoint writes die at byte k",
             {"torn": 0.5}, times=2),
         CampaignScenario(
@@ -87,9 +83,9 @@ CAMPAIGNS: Dict[str, Tuple[CampaignScenario, ...]] = {
             "result merge",
             {"sigterm_merge": 1.0}),
         CampaignScenario(
-            "everything", "kills, stragglers, torn writes and a drain "
-            "in one sweep",
-            {"kill": 0.4, "hang": 0.3, "corrupt": 0.3, "torn": 0.4,
+            "everything", "kills, corrupt results, torn writes and a "
+            "drain in one sweep",
+            {"kill": 0.4, "corrupt": 0.3, "torn": 0.4,
              "enospc": 0.3, "sigterm": 0.3}, times=1),
     ),
 }
@@ -142,7 +138,7 @@ def run_scenario(scenario: CampaignScenario, seed: int, jobs: int,
 
     base_bytes, base_digest = baseline
     plan = ChaosPlan(seed=seed, rates=dict(scenario.rates),
-                     hang_s=scenario.hang_s, times=scenario.times,
+                     times=scenario.times,
                      max_signals=scenario.max_signals)
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="chaos-")
@@ -153,13 +149,11 @@ def run_scenario(scenario: CampaignScenario, seed: int, jobs: int,
     results = None
     error = None
     runner = None
-    straggler_floor = max(0.2, scenario.hang_s / 2.0)
     try:
         while True:
             runner = _reference_runner(
                 experiments, apps, jobs=jobs, chaos=plan,
-                checkpoint_path=ckpt, resume=resumes > 0,
-                straggler_floor_s=straggler_floor)
+                checkpoint_path=ckpt, resume=resumes > 0)
             try:
                 results = runner.run()
                 break
@@ -198,7 +192,6 @@ def run_scenario(scenario: CampaignScenario, seed: int, jobs: int,
         "stats": None if runner is None else {
             "run": runner.stats.run, "failed": runner.stats.failed,
             "redispatched": runner.stats.redispatched,
-            "stragglers": runner.stats.stragglers,
             "quarantined": runner.stats.quarantined,
             "checkpoint_save_failures": runner.checkpoint.save_failures,
         },

@@ -4,10 +4,9 @@ The plan (:mod:`repro.chaos.plan`) *decides*; this module *acts*. Each
 site gets one small hook:
 
 * :func:`apply_worker_event` runs inside a pool worker before the unit
-  executes — it kills the process, exits nonzero, or sleeps to fake a
-  straggler. Corruption happens after the unit via
-  :func:`corrupt_record`, so the corrupted payload reaches the parent
-  looking like a real (broken) result.
+  executes — it kills the process or exits nonzero. Corruption happens
+  after the unit via :func:`corrupt_record`, so the corrupted payload
+  reaches the parent looking like a real (broken) result.
 * :func:`checkpoint_chaos_hook` wraps :meth:`Checkpoint.save`: it
   raises ``ENOSPC``/``EACCES``, performs a torn partial write that
   leaves a stale temp file behind, or drops an orphan ``*.tmp`` — the
@@ -25,7 +24,6 @@ from __future__ import annotations
 import errno
 import os
 import signal
-import time
 from typing import Callable, Optional
 
 from .plan import ChaosEvent, ChaosPlan
@@ -37,21 +35,14 @@ __all__ = ["apply_worker_event", "checkpoint_chaos_hook", "corrupt_record",
 CORRUPT_MARKER = "__chaos_corrupt__"
 
 
-def apply_worker_event(event: Optional[ChaosEvent],
-                       hang_s: float) -> None:
-    """Apply a pre-execution worker fault. Returns for hang/None."""
+def apply_worker_event(event: Optional[ChaosEvent]) -> None:
+    """Apply a pre-execution worker fault. Returns for corrupt/None."""
     if event is None or event.site != "worker":
         return
     if event.kind == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
     elif event.kind == "exit":
         os._exit(3)
-    elif event.kind == "hang":
-        # A straggler, not a deadlock: the worker stalls long enough to
-        # trip the parent's straggler detector, then proceeds normally.
-        # Duplicate execution is safe — units are seeded by key, so the
-        # late record is byte-identical to the re-dispatched one.
-        time.sleep(max(0.0, hang_s))
     # "corrupt" is applied after execution via corrupt_record().
 
 

@@ -2,12 +2,11 @@
 
 :mod:`repro.faults` injects faults into the *simulated silicon* (read
 disturb, stuck-at cells); this module injects faults into the *runner
-itself* — the process pool, checkpoint I/O, and merge path that a
-multi-machine sweep service will depend on. Mirroring the paper's §7.1
-methodology (validate the SRAM under injected bit faults), the harness
-is validated under injected harness faults: a sweep that survives a
-:class:`ChaosPlan` must produce merged results byte-identical to a
-fault-free run.
+itself* — the process pool, checkpoint I/O, and merge path. Mirroring
+the paper's §7.1 methodology (validate the SRAM under injected bit
+faults), the harness is validated under injected harness faults: a
+sweep that survives a :class:`ChaosPlan` must produce merged results
+byte-identical to a fault-free run.
 
 Every decision is derived from ``sha256(seed | site | kind | token)``
 alone — the same scheme as per-unit result seeding — so a failure
@@ -17,8 +16,7 @@ schedule is fully replayable from ``(seed, spec)``: no wall clock, no
 Fault sites and kinds:
 
 * ``worker`` (pool workers only, never the parent): ``kill`` (SIGKILL
-  mid-unit), ``exit`` (``os._exit`` nonzero), ``hang`` (sleep
-  ``hang_s`` before the unit — a straggler), ``corrupt`` (return a
+  mid-unit), ``exit`` (``os._exit`` nonzero), ``corrupt`` (return a
   mangled record).
 * ``checkpoint`` (any path through :meth:`Checkpoint.save`): ``torn``
   (partial tmp write then an I/O error), ``enospc`` / ``eacces``
@@ -45,14 +43,14 @@ from typing import Dict, Optional
 __all__ = ["CHECKPOINT_KINDS", "MERGE_KINDS", "SWEEP_KINDS", "WORKER_KINDS",
            "ChaosError", "ChaosEvent", "ChaosPlan", "parse_chaos_spec"]
 
-WORKER_KINDS = ("kill", "exit", "hang", "corrupt")
+WORKER_KINDS = ("kill", "exit", "corrupt")
 CHECKPOINT_KINDS = ("torn", "enospc", "eacces", "stale_tmp")
 SWEEP_KINDS = ("sigterm", "sigint")
 MERGE_KINDS = ("sigterm_merge",)
 ALL_KINDS = WORKER_KINDS + CHECKPOINT_KINDS + SWEEP_KINDS + MERGE_KINDS
 
 #: Spec tokens that set plan parameters instead of fault rates.
-_PARAM_TOKENS = {"hang_s": float, "times": int, "max_signals": int}
+_PARAM_TOKENS = {"times": int, "max_signals": int}
 
 
 class ChaosError(ValueError):
@@ -92,7 +90,6 @@ class ChaosPlan:
 
     seed: int = 0
     rates: Dict[str, float] = field(default_factory=dict)
-    hang_s: float = 1.0
     times: int = 1
     max_signals: int = 1
     _ckpt_fired: Dict[str, int] = field(default_factory=dict, repr=False)
@@ -175,14 +172,14 @@ class ChaosPlan:
         active = ", ".join(f"{kind}={self.rates[kind]:g}"
                            for kind in ALL_KINDS if kind in self.rates)
         return (f"ChaosPlan(seed={self.seed}, {active or 'no faults'}, "
-                f"times={self.times}, hang_s={self.hang_s:g})")
+                f"times={self.times})")
 
 
 def parse_chaos_spec(spec: str, seed: int = 0, **overrides) -> ChaosPlan:
-    """Build a plan from a CLI spec like ``"kill=0.5,torn=0.3,hang_s=2"``.
+    """Build a plan from a CLI spec like ``"kill=0.5,torn=0.3,times=2"``.
 
     Tokens are comma-separated ``kind=rate`` pairs (a bare ``kind``
-    means rate 1.0); ``hang_s``/``times``/``max_signals`` tokens set
+    means rate 1.0); ``times``/``max_signals`` tokens set
     plan parameters instead. Raises :class:`ChaosError` on anything
     unrecognisable, with the valid kinds in the message.
     """

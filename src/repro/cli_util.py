@@ -4,8 +4,9 @@ Every subcommand that takes a name from a closed set — applications,
 experiments, fidelity scales, chaos campaigns — routes its
 failure through :func:`unknown_name`, so the suggestion behaviour and
 the exit-2 usage contract can never drift between subcommands. The
-comparators' numeric bars parse through :func:`nonneg_float` for the
-same reason.
+comparators' numeric bars parse through :func:`nonneg_float`, and time
+limits and poll intervals through :func:`positive_float`, for the same
+reason.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import sys
 
 __all__ = ["unknown_name", "lookup_app", "resolve_apps",
-           "resolve_experiments", "nonneg_float"]
+           "resolve_experiments", "nonneg_float", "positive_float"]
 
 
 def unknown_name(kind: str, name: str, known) -> "SystemExit":
@@ -84,4 +85,22 @@ def nonneg_float(raw: str) -> float:
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(
             f"must be a finite number >= 0, not {raw!r}")
+    return value
+
+
+def positive_float(raw: str) -> float:
+    """argparse ``type=`` for a time limit or poll interval: finite, > 0.
+
+    Zero and negatives would silently disable a limit or spin a poll
+    loop, NaN never compares true against a deadline, and infinity
+    overflows the timer it arms; argparse turns the error into a usage
+    message and exit 2.
+    """
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, not {raw!r}")
     return value

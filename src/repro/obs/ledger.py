@@ -5,9 +5,9 @@ snapshots, bench and fidelity records — is post-mortem: it exists only
 once the run that produced it has finished. The ledger is the *live*
 counterpart: one JSONL stream per sweep of typed, monotonically
 sequenced lifecycle events (unit scheduled/started/attempt/retry/
-timeout, straggler re-queue, quarantine, chaos injection, checkpoint
-flush, completed), appended and flushed line by line as they happen,
-so an external watcher — ``repro obs watch`` or a tail -f — can
+timeout, redispatch, quarantine, chaos injection, checkpoint flush,
+completed), appended and flushed line by line as they happen, so an
+external watcher — ``repro obs watch`` or a tail -f — can
 follow a two-hour sweep while it runs.
 
 Crash-safety follows the trace-JSONL contract (``jsonl_to_trees``):
@@ -63,7 +63,6 @@ EVENT_TYPES = (
     "unit_attempt",         # one attempt of the retry loop
     "unit_retry",           # attempts 2..N (backoff taken)
     "unit_timeout",         # a unit failed with UnitTimeout
-    "straggler_requeue",    # supervisor re-dispatched a slow unit
     "unit_redispatch",      # supervisor re-dispatched after a crash
     "unit_quarantined",     # poison unit recorded as structured failure
     "chaos_injected",       # a harness fault fired (site, kind)
@@ -75,10 +74,10 @@ EVENT_TYPES = (
 )
 
 #: Attrs that honestly measure the *host* or the execution schedule —
-#: wall times, dispatch and worker counts — rather than what the sweep
-#: does. :func:`normalize_events` drops them, which is what makes the
+#: wall times and worker counts — rather than what the sweep does.
+#: :func:`normalize_events` drops them, which is what makes the
 #: serial-vs-parallel event-set identity checkable.
-VOLATILE_EVENT_ATTRS = ("wall_s", "unit_wall_s", "dispatch", "jobs")
+VOLATILE_EVENT_ATTRS = ("wall_s", "unit_wall_s", "jobs")
 
 #: Reserved top-level fields of an event line (everything else rides
 #: inside ``attrs``).

@@ -14,10 +14,7 @@ state into the terminal screenful for ``obs watch``. :func:`watch` is
 the poll/redraw loop with ``--once`` snapshot mode and ``--wait``
 appearance polling. The ETA uses the median completed-unit wall
 time with a MAD-derived uncertainty band — the same robust statistics
-the pool's straggler detector and the bench gate already use — and the
-straggler highlight mirrors the pool's threshold
-(``max(k × median, floor)``) so "!" in the dashboard means exactly
-"the supervisor would re-queue this now".
+the bench gate already uses.
 """
 
 from __future__ import annotations
@@ -35,11 +32,6 @@ __all__ = ["RunState", "UnitView", "render_dashboard", "watch",
 DEFAULT_INTERVAL_S = 1.0
 DEFAULT_MAX_ROWS = 24
 
-#: Straggler-highlight defaults; mirrored from the pool supervisor so
-#: the dashboard's "!" and the supervisor's re-queue agree.
-_STRAGGLER_K = 4.0
-_STRAGGLER_FLOOR_S = 30.0
-
 #: Dashboard ordering weight per unit state: live work first, then
 #: terminal failures, then the quiet bulk.
 _STATE_ORDER = {"running": 0, "retrying": 1, "quarantined": 2,
@@ -50,7 +42,7 @@ class UnitView:
     """Mutable per-unit state folded out of the event stream."""
 
     __slots__ = ("key", "state", "started_ts", "ended_ts", "attempts",
-                 "dispatches", "wall_s", "note")
+                 "wall_s", "note")
 
     def __init__(self, key: str):
         self.key = key
@@ -58,7 +50,6 @@ class UnitView:
         self.started_ts: Optional[float] = None
         self.ended_ts: Optional[float] = None
         self.attempts = 0
-        self.dispatches = 0
         self.wall_s: Optional[float] = None
         self.note = ""
 
@@ -118,8 +109,6 @@ class RunState:
                 view.state = "running"
                 if view.started_ts is None:
                     view.started_ts = ts
-            view.dispatches = max(view.dispatches,
-                                  int(attrs.get("dispatch", 1) or 1))
         elif type_ == "unit_attempt" and key:
             view = self._unit(key)
             view.attempts = max(view.attempts,
@@ -132,9 +121,6 @@ class RunState:
                 view.state = "retrying"
         elif type_ == "unit_timeout" and key:
             self._unit(key).note = "timeout"
-        elif type_ == "straggler_requeue" and key:
-            view = self._unit(key)
-            view.note = "straggler"
         elif type_ == "unit_redispatch" and key:
             view = self._unit(key)
             view.note = "redispatched"
@@ -210,24 +196,6 @@ class RunState:
         mad = median([abs(w - med) for w in walls])
         jobs = max(self.jobs, 1)
         return (remaining * med / jobs, remaining * mad / jobs)
-
-    def straggler_limit_s(self) -> Optional[float]:
-        walls = self.completed_walls()
-        if not walls:
-            return None
-        return max(_STRAGGLER_K * median(walls), _STRAGGLER_FLOOR_S)
-
-    def is_straggling(self, view: UnitView,
-                      now: Optional[float] = None) -> bool:
-        if view.state not in ("running", "retrying"):
-            return False
-        if view.note == "straggler":
-            return True
-        limit = self.straggler_limit_s()
-        ref = now if now is not None else self.last_ts
-        if limit is None or view.started_ts is None or ref is None:
-            return False
-        return ref - view.started_ts > limit
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +283,10 @@ def render_dashboard(state: RunState, now: Optional[float] = None,
         if wall is None and view.started_ts is not None and \
                 view.state in ("running", "retrying"):
             wall = now - view.started_ts
-        mark = "!" if state.is_straggling(view, now) else " "
-        note = view.note
-        if mark == "!" and "straggler" not in note:
-            note = (note + " straggling").strip()
         lines.append(
             f"{view.key[:key_w]:<{key_w}}  {view.state:<12} "
-            f"{view.attempts or '-':>3} {_fmt_duration(wall):>8} {mark}"
-            f"{note}")
+            f"{view.attempts or '-':>3} {_fmt_duration(wall):>8}  "
+            f"{view.note}")
     if len(views) > len(shown):
         lines.append(f"… {len(views) - len(shown)} more units "
                      f"(--max-rows to widen)")

@@ -39,11 +39,10 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
 #: values vary run to run, so byte-identity fixtures (the golden
 #: suite) must drop them before comparing snapshots.
 #: The supervision counters are volatile too: how many re-dispatches
-#: or straggler re-queues a chaotic run needed is timing-dependent,
+#: or quarantines a chaotic run needed is timing-dependent,
 #: while the scientific payload stays byte-identical.
 VOLATILE_METRIC_FAMILIES = ("unit_peak_rss_bytes",
                             "sweep_redispatches_total",
-                            "sweep_straggler_requeues_total",
                             "sweep_quarantined_units_total",
                             "sweep_checkpoint_save_failures_total")
 

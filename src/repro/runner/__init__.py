@@ -1,11 +1,10 @@
 """Resilient sweep engine: checkpoint/resume, retry, soft timeouts,
-supervised process-pool execution with bounded re-dispatch, straggler
-re-queuing, poison-unit quarantine, and graceful signal draining."""
+supervised process-pool execution with bounded re-dispatch, poison-unit
+quarantine, and graceful signal draining."""
 
 from .checkpoint import (CHECKPOINT_SCHEMA_VERSION, CHECKPOINT_VERSION,
                          Checkpoint, CheckpointError, unit_key)
-from .pool import (DEFAULT_MAX_DISPATCHES, DEFAULT_STRAGGLER_FLOOR_S,
-                   DEFAULT_STRAGGLER_K, UnitTask, UnitTimeout,
+from .pool import (DEFAULT_MAX_DISPATCHES, UnitTask, UnitTimeout,
                    call_with_wall_clock_limit, error_report,
                    execute_unit_task, quarantine_record,
                    run_unit_attempts, run_units_parallel, seed_unit_rngs,
@@ -22,6 +21,5 @@ __all__ = [
     "UnitTask", "unit_seed", "seed_unit_rngs", "run_unit_attempts",
     "execute_unit_task", "run_units_parallel",
     "validate_unit_record", "quarantine_record",
-    "DEFAULT_MAX_DISPATCHES", "DEFAULT_STRAGGLER_K",
-    "DEFAULT_STRAGGLER_FLOOR_S",
+    "DEFAULT_MAX_DISPATCHES",
 ]

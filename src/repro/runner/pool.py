@@ -21,7 +21,8 @@ ProcessPoolExecutor`:
   failed with :class:`UnitTimeout` once the deadline passes;
 * :func:`run_units_parallel` — submit tasks, stream completed records
   back to the caller as they finish (completion order), cancel what is
-  still pending if the caller aborts.
+  still pending if the caller aborts. At most one copy of a unit is in
+  flight; a slow unit ends only at its per-attempt timeout.
 
 Workers resolve the experiment driver from the registry *by id*, so
 the task payload stays small and lambdas never cross the process
@@ -46,7 +47,6 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from statistics import median
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -349,8 +349,7 @@ def execute_unit_task(task: UnitTask) -> Tuple[str, dict]:
 
     When the task carries a :class:`~repro.chaos.plan.ChaosPlan`, its
     scheduled worker fault is applied here: SIGKILL/``os._exit`` never
-    return (the supervisor sees a broken pool and re-dispatches), a
-    hang stalls before the unit (the straggler detector's prey), and
+    return (the supervisor sees a broken pool and re-dispatches), and
     a corrupt-result fault mangles the record on the way out (caught
     by :func:`validate_unit_record` in the parent).
     """
@@ -359,7 +358,7 @@ def execute_unit_task(task: UnitTask) -> Tuple[str, dict]:
         chaos_event = task.chaos.worker_event(task.key, task.dispatch)
         if chaos_event is not None:
             from ..chaos.inject import apply_worker_event
-            apply_worker_event(chaos_event, task.chaos.hang_s)
+            apply_worker_event(chaos_event)
     record = run_unit_attempts(
         task.exp_id, task.app, task.key,
         max_attempts=task.max_attempts,
@@ -438,20 +437,14 @@ def quarantine_record(key: str, dispatches: int, reason: str,
 # Supervised parallel dispatch
 # ---------------------------------------------------------------------------
 
-#: Default supervision knobs (overridable per SweepRunner).
+#: Default supervision knob (overridable per SweepRunner).
 DEFAULT_MAX_DISPATCHES = 3
-DEFAULT_STRAGGLER_K = 4.0
-DEFAULT_STRAGGLER_FLOOR_S = 30.0
-
-_POLL_S = 0.05  # supervisor wake-up cadence for straggler checks
 
 
 def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
                        on_record: Callable[[str, dict], None],
                        *,
                        max_dispatches: int = DEFAULT_MAX_DISPATCHES,
-                       straggler_k: float = DEFAULT_STRAGGLER_K,
-                       straggler_floor_s: float = DEFAULT_STRAGGLER_FLOOR_S,
                        on_event: Optional[Callable[[str, str], None]] = None,
                        ) -> None:
     """Execute ``tasks`` on a *supervised* process pool.
@@ -467,13 +460,12 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
     * quarantines poison units — a unit whose dispatch budget runs out
       is recorded as a structured ``failed`` result
       (:func:`quarantine_record`) instead of sinking the sweep;
-    * re-queues stragglers: a unit in flight longer than
-      ``max(straggler_k × median completed unit time,
-      straggler_floor_s)`` is dispatched a second time; units are
-      seeded by key, so duplicate execution is idempotent and the
-      first record wins;
     * rejects corrupt records (:func:`validate_unit_record`) the same
       way as crashes — bounded re-dispatch, then quarantine.
+
+    At most one copy of a unit is in flight, so every key yields
+    exactly one record. A slow or hung unit is bounded only by the
+    task's ``timeout_s`` (the wall-clock guard in the worker).
 
     If the caller's callback raises (KeyboardInterrupt, the graceful
     SIGTERM drain), completed-but-uncollected futures are drained into
@@ -483,8 +475,8 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
 
     ``on_event(kind, key)`` observes supervision actions —
     ``start`` (every worker hand-out, including re-dispatches) /
-    ``redispatch`` / ``straggler`` / ``quarantine`` — for stats,
-    metrics, and the run ledger.
+    ``redispatch`` / ``quarantine`` — for stats, metrics, and the run
+    ledger.
     """
     if not tasks:
         return
@@ -493,11 +485,7 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
 
     queue = deque(tasks)
     in_flight: Dict[object, UnitTask] = {}
-    submitted_at: Dict[object, float] = {}
     dispatches: Dict[str, int] = {task.key: 0 for task in tasks}
-    done_keys: set = set()
-    requeued: set = set()
-    completed_walls: List[float] = []
     started = time.monotonic()
     pool = ProcessPoolExecutor(max_workers=workers)
 
@@ -506,15 +494,11 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
         shipped = replace(task, dispatch=dispatches[task.key])
         future = pool.submit(execute_unit_task, shipped)
         in_flight[future] = task
-        submitted_at[future] = time.monotonic()
         notify("start", task.key)
 
     def _retire_or_quarantine(task: UnitTask, reason: str) -> None:
         """Bounded retry for a unit whose dispatch went wrong."""
-        if task.key in done_keys:
-            return
         if dispatches[task.key] >= max_dispatches:
-            done_keys.add(task.key)
             notify("quarantine", task.key)
             on_record(task.key, quarantine_record(
                 task.key, dispatches[task.key], reason,
@@ -536,36 +520,19 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
         for task in list(in_flight.values()):
             _retire_or_quarantine(task, reason)
         in_flight.clear()
-        submitted_at.clear()
         pool = ProcessPoolExecutor(max_workers=workers)
-
-    def _check_stragglers() -> None:
-        if not completed_walls:
-            return
-        limit = max(straggler_k * median(completed_walls),
-                    straggler_floor_s)
-        now = time.monotonic()
-        for future, task in list(in_flight.items()):
-            if (now - submitted_at[future] > limit
-                    and task.key not in requeued
-                    and task.key not in done_keys
-                    and dispatches[task.key] < max_dispatches):
-                requeued.add(task.key)
-                notify("straggler", task.key)
-                queue.append(task)
 
     def _drain_completed() -> None:
         """Record whatever already finished before propagating an abort."""
-        for future, task in list(in_flight.items()):
+        for future in list(in_flight):
             if not future.done() or future.cancelled():
                 continue
             try:
                 key, record = future.result(timeout=0)
             except BaseException:  # noqa: BLE001 — draining, not failing
                 continue
-            if key in done_keys or validate_unit_record(record):
+            if validate_unit_record(record):
                 continue
-            done_keys.add(key)
             try:
                 on_record(key, record)
             except BaseException:  # noqa: BLE001 — callback is the aborter
@@ -575,8 +542,6 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
         while queue or in_flight:
             while queue and len(in_flight) < 2 * workers:
                 task = queue.popleft()
-                if task.key in done_keys:
-                    continue  # straggler duplicate that got obsoleted
                 try:
                     _submit(task)
                 except BrokenExecutor:
@@ -585,12 +550,12 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
                     _rebuild_after_break("worker pool broke on submit")
             if not in_flight:
                 continue
-            done, _ = wait(set(in_flight), timeout=_POLL_S,
-                           return_when=FIRST_COMPLETED)
+            # No timeout: nothing but a completion needs the loop, and a
+            # signal (the graceful drain) still ends the wait at once.
+            done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
             broke = None
             for future in done:
                 task = in_flight.pop(future)
-                submitted_at.pop(future, None)
                 try:
                     key, record = future.result()
                 except (BrokenProcessPool, BrokenExecutor, OSError) as exc:
@@ -604,21 +569,13 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
                     _retire_or_quarantine(
                         task, f"dispatch failed: {error_report(exc)['message']}")
                     continue
-                if key in done_keys:
-                    continue  # late straggler duplicate; first record won
                 reason = validate_unit_record(record)
                 if reason is not None:
                     _retire_or_quarantine(task, f"corrupt record: {reason}")
                     continue
-                done_keys.add(key)
-                completed_walls.append(
-                    float(record.get("unit_wall_s") or record.get("wall_s")
-                          or 0.0))
                 on_record(key, record)
             if broke is not None:
                 _rebuild_after_break(broke)
-            else:
-                _check_stragglers()
     except BaseException:
         _drain_completed()
         for future in in_flight:

@@ -4,7 +4,8 @@ Wraps every unit of work — an ``(experiment, app)`` pair when the
 driver accepts an app list, the whole experiment otherwise — with:
 
 * exception isolation (one crashing app can't abort the sweep),
-* a configurable soft timeout per attempt,
+* a configurable soft timeout per attempt — the one bound on a slow
+  or hung unit, serial or parallel,
 * bounded retry with exponential backoff,
 * a JSON checkpoint so a killed ``run all`` resumes where it stopped,
 * and, with ``jobs > 1``, a process-pool backend that runs pending
@@ -37,9 +38,9 @@ from ..obs.ledger import RunLedger
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, trace_span
 from .checkpoint import Checkpoint, unit_key
-from .pool import (DEFAULT_MAX_DISPATCHES, DEFAULT_STRAGGLER_FLOOR_S,
-                   DEFAULT_STRAGGLER_K, UnitTask, UnitTimeout, error_report,
-                   run_unit_attempts, run_units_parallel, soft_time_limit)
+from .pool import (DEFAULT_MAX_DISPATCHES, UnitTask, UnitTimeout,
+                   error_report, run_unit_attempts, run_units_parallel,
+                   soft_time_limit)
 
 __all__ = ["SweepRunner", "SweepStats", "SweepInterrupted", "UnitTimeout",
            "soft_time_limit", "error_report"]
@@ -67,7 +68,6 @@ class SweepStats:
     retried: int = 0    # extra attempts beyond the first, summed
     quarantined: int = 0   # poison units recorded by the supervisor
     redispatched: int = 0  # re-submissions after worker death/corruption
-    stragglers: int = 0    # duplicate dispatches of slow units
     sleeps: List[float] = field(default_factory=list)  # serial path only
 
 
@@ -86,7 +86,9 @@ class SweepRunner:
         must already exist and its completed units are skipped.
     max_attempts / backoff_s / timeout_s:
         Per-unit retry budget, base backoff (doubles per retry), and
-        per-attempt soft time limit in seconds (None disables it).
+        per-attempt soft time limit in seconds (None disables it). The
+        limit is the one bound on a slow or hung unit: ``SIGALRM`` in
+        the serial path, the wall-clock guard in pool workers.
     jobs:
         Number of worker processes. 1 (the default) runs in-process;
         larger values dispatch pending units to a
@@ -113,10 +115,9 @@ class SweepRunner:
         checkpoint saves, and post-unit/merge signals. The hardened
         runner must produce byte-identical merged results under any
         recoverable plan.
-    max_dispatches / straggler_k / straggler_floor_s:
-        Supervision knobs for the pool backend: total worker hand-outs
-        per unit before quarantine, and the straggler threshold
-        (``k × median completed unit time``, floored).
+    max_dispatches:
+        Supervision knob for the pool backend: total worker hand-outs
+        per unit before quarantine.
     ledger_path:
         Live telemetry. ``ledger_path`` streams typed, monotonically
         sequenced lifecycle events to an append-only JSONL ledger as
@@ -143,8 +144,6 @@ class SweepRunner:
                  observe: bool = False,
                  chaos=None,
                  max_dispatches: int = DEFAULT_MAX_DISPATCHES,
-                 straggler_k: float = DEFAULT_STRAGGLER_K,
-                 straggler_floor_s: float = DEFAULT_STRAGGLER_FLOOR_S,
                  ledger_path: Optional[str] = None):
         self.experiments = list(experiments or EXPERIMENTS)
         unknown = [e for e in self.experiments if e not in EXPERIMENTS]
@@ -171,8 +170,6 @@ class SweepRunner:
         if max_dispatches < 1:
             raise ValueError("max_dispatches must be >= 1")
         self.max_dispatches = int(max_dispatches)
-        self.straggler_k = float(straggler_k)
-        self.straggler_floor_s = float(straggler_floor_s)
         if resume:
             if checkpoint_path is None:
                 raise ValueError("resume requires a checkpoint path")
@@ -307,8 +304,6 @@ class SweepRunner:
                         run_units_parallel(
                             tasks, self.jobs, self._record,
                             max_dispatches=self.max_dispatches,
-                            straggler_k=self.straggler_k,
-                            straggler_floor_s=self.straggler_floor_s,
                             on_event=self._on_pool_event)
                     else:
                         for exp_id, app, key in todo:
@@ -376,9 +371,6 @@ class SweepRunner:
         if kind == "redispatch":
             self.stats.redispatched += 1
             self._emit("unit_redispatch", key)
-        elif kind == "straggler":
-            self.stats.stragglers += 1
-            self._emit("straggler_requeue", key)
         elif kind == "quarantine":
             self.stats.quarantined += 1
             self._emit("unit_quarantined", key)
@@ -484,9 +476,6 @@ class SweepRunner:
                 ("sweep_redispatches_total",
                  "unit re-dispatches after worker death or corrupt "
                  "records", self.stats.redispatched),
-                ("sweep_straggler_requeues_total",
-                 "duplicate dispatches of units past the straggler "
-                 "threshold", self.stats.stragglers),
                 ("sweep_quarantined_units_total",
                  "poison units recorded as structured failures",
                  self.stats.quarantined),
@@ -635,10 +624,9 @@ class SweepRunner:
         s = self.stats
         line = (f"sweep: {s.run} run, {s.skipped} resumed, "
                 f"{s.failed} failed, {s.retried} retries")
-        if s.quarantined or s.redispatched or s.stragglers:
+        if s.quarantined or s.redispatched:
             line += (f", {s.quarantined} quarantined, "
-                     f"{s.redispatched} redispatched, "
-                     f"{s.stragglers} straggler requeues")
+                     f"{s.redispatched} redispatched")
         if self.jobs > 1:
             line += f" (jobs={self.jobs})"
         if self.checkpoint.path:

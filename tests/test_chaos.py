@@ -11,6 +11,7 @@ import json
 import os
 import signal
 import sys
+import threading
 import time
 
 import pytest
@@ -60,8 +61,8 @@ def golden():
 
 class TestChaosPlan:
     def test_same_seed_same_decisions(self):
-        a = parse_chaos_spec("kill=0.4,torn=0.3,hang=0.2", seed=42)
-        b = parse_chaos_spec("kill=0.4,torn=0.3,hang=0.2", seed=42)
+        a = parse_chaos_spec("kill=0.4,torn=0.3,exit=0.2", seed=42)
+        b = parse_chaos_spec("kill=0.4,torn=0.3,exit=0.2", seed=42)
         keys = [f"fig09::{app}" for app in ("ATA", "VEC", "BLA", "FFT")]
         assert ([a.worker_event(k, 1) for k in keys]
                 == [b.worker_event(k, 1) for k in keys])
@@ -101,15 +102,16 @@ class TestChaosPlan:
         assert all(0 <= o < 1000 for o in offs)
 
     @pytest.mark.parametrize("spec", ["nope=1", "kill=x", "kill=-0.1",
-                                      "kill=1.5", "hang_s=oops", ""])
+                                      "kill=1.5", "times=oops", "hang=1",
+                                      "hang_s=oops", ""])
     def test_bad_specs_raise_chaos_error(self, spec):
         with pytest.raises(ChaosError):
             parse_chaos_spec(spec)
 
     def test_bare_kind_means_rate_one(self):
-        plan = parse_chaos_spec("kill,hang_s=2.5")
+        plan = parse_chaos_spec("kill,times=3")
         assert plan.rates["kill"] == 1.0
-        assert plan.hang_s == 2.5
+        assert plan.times == 3
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +127,8 @@ class TestWorkerFaultSurvival:
         assert checkpoint_digest(runner.checkpoint.records) == golden[1]
         assert runner.stats.redispatched > 0
         assert not runner.quarantined_units
+        # one record per planned unit, however often it was dispatched
+        assert runner.stats.run == len(runner.plan())
 
     def test_corrupt_results_are_redispatched(self, tmp_path, golden):
         runner = make_runner(tmp_path, jobs=2,
@@ -133,19 +137,10 @@ class TestWorkerFaultSurvival:
         results = runner.run()
         assert merged_bytes(results) == golden[0]
         assert runner.stats.redispatched > 0
+        assert runner.stats.run == len(runner.plan())
         # the mangled payloads never reach the checkpoint
         text = json.dumps(runner.checkpoint.records)
         assert CORRUPT_MARKER not in text
-
-    def test_straggler_hang_requeues_and_matches(self, tmp_path, golden):
-        runner = make_runner(
-            tmp_path, jobs=2,
-            chaos=ChaosPlan(seed=13, rates={"hang": 1.0}, hang_s=1.0),
-            straggler_k=2.0, straggler_floor_s=0.25)
-        results = runner.run()
-        assert merged_bytes(results) == golden[0]
-        assert runner.stats.stragglers > 0
-        assert not runner.failed_units
 
 
 def _poison_driver(apps=None):  # noqa: ARG001 — registry signature
@@ -153,6 +148,13 @@ def _poison_driver(apps=None):  # noqa: ARG001 — registry signature
     # fig09 units (warm, see below) finish before the worker dies.
     time.sleep(0.5)
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+_SLOW_S = 4.0
+
+
+def _slow_driver(apps=None):  # noqa: ARG001 — registry signature
+    time.sleep(_SLOW_S)
 
 
 class TestQuarantine:
@@ -282,6 +284,35 @@ class TestGracefulDrain:
         loaded = Checkpoint.load(str(path))
         assert seen[0] in loaded.records
 
+    def test_sigterm_ends_a_blocked_pool_wait(self, tmp_path, monkeypatch):
+        # The supervisor blocks on the first completion with no poll
+        # timeout; a signal must still end that wait at once rather
+        # than after the slowest in-flight unit.
+        from repro.experiments import registry
+        monkeypatch.setitem(registry.EXPERIMENTS, "slow", _slow_driver)
+        runner = make_runner(tmp_path, experiments=["slow"], jobs=2,
+                             max_attempts=1)
+        default = signal.getsignal(signal.SIGTERM)
+
+        def terminate_once_armed():
+            deadline = time.monotonic() + _SLOW_S
+            while signal.getsignal(signal.SIGTERM) is default:
+                if time.monotonic() > deadline:
+                    return      # never armed: the run fails on its own
+                time.sleep(0.01)
+            time.sleep(0.5)     # let the pool start and the wait block
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        killer = threading.Thread(target=terminate_once_armed, daemon=True)
+        killer.start()
+        start = time.monotonic()
+        with pytest.raises(SweepInterrupted):
+            runner.run()
+        assert time.monotonic() - start < _SLOW_S / 2
+        assert runner.stats.run == 0
+        killer.join(timeout=_SLOW_S)
+        assert not killer.is_alive()
+
 
 # ---------------------------------------------------------------------------
 # Campaign machinery
@@ -292,7 +323,7 @@ class TestCampaign:
         faults = set()
         for scenario in CAMPAIGNS["smoke"]:
             faults.update(scenario.rates)
-        assert {"kill", "torn", "hang", "sigterm"} <= faults
+        assert {"kill", "torn", "sigterm"} <= faults
 
     def test_single_scenario_survives(self, tmp_path, golden):
         scenario = CAMPAIGNS["smoke"][0]  # worker-sigkill

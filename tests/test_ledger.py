@@ -163,9 +163,10 @@ class TestNormalizeValidate:
              "attrs": {"schema_version": 1,
                        "meta": {"jobs": 4, "experiments": ["fig09"]}}},
             {"seq": 2, "ts": 9.1, "type": "unit_started", "key": "b",
-             "attrs": {"dispatch": 2}},
+             "attrs": {}},
             {"seq": 3, "ts": 9.2, "type": "unit_completed", "key": "a",
-             "attrs": {"status": "ok", "wall_s": 0.5, "attempts": 1}},
+             "attrs": {"status": "ok", "wall_s": 0.5, "unit_wall_s": 0.4,
+                       "attempts": 1}},
         ]
         normalized = normalize_events(events)
         # sweep-level first (empty key), then units a, b
@@ -371,7 +372,7 @@ class TestWatch:
                        if line.startswith("fig09::VEC"))
         assert " ok " in vec_row
 
-    def test_dashboard_eta_and_straggler_mark(self):
+    def test_dashboard_eta_band(self):
         from repro.obs.live import RunState, render_dashboard
         state = RunState()
         base = 1000.0
@@ -397,12 +398,12 @@ class TestWatch:
         est, unc = state.eta_s()
         assert est == pytest.approx(1.0)     # 1 unit x median 2s / 2 jobs
         assert unc == pytest.approx(0.0)
-        # "slow" has run 200s against a 30s straggler floor -> flagged
         screen = render_dashboard(state, now=base + 202, max_rows=10)
+        assert "ETA 1.0s ± 0.0s" in screen
+        # a long-running unit is shown with its elapsed wall time
         slow_row = next(line for line in screen.splitlines()
                         if line.startswith("slow"))
-        assert "!" in slow_row and "straggling" in slow_row
-        assert "ETA" in screen
+        assert "running" in slow_row and "3m20s" in slow_row
 
     def test_closed_pipe_is_a_clean_exit(self, tmp_path):
         """`obs watch ... | head` closes stdout early; the watcher must
@@ -425,8 +426,10 @@ class TestWatch:
 
     def test_watch_cli_rejects_bad_interval(self, tmp_path):
         from repro.__main__ import main
-        assert main(["obs", "watch", str(tmp_path / "x.jsonl"),
-                     "--once", "--interval", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:   # argparse type error
+            main(["obs", "watch", str(tmp_path / "x.jsonl"),
+                  "--once", "--interval", "0"])
+        assert exc.value.code == 2
 
     def test_watch_cli_rejects_negative_max_rows(self, tmp_path, capsys):
         """A negative row cap would slice rows off the end of the

@@ -658,8 +658,10 @@ class TestWatchWait:
 
     def test_cli_rejects_nonpositive_timeout(self, tmp_path):
         from repro.__main__ import main
-        assert main(["obs", "watch", str(tmp_path / "x.jsonl"),
-                     "--wait", "--timeout", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:   # argparse type error
+            main(["obs", "watch", str(tmp_path / "x.jsonl"),
+                  "--wait", "--timeout", "0"])
+        assert exc.value.code == 2
 
 
 class TestJsonCLIModes:

@@ -57,6 +57,11 @@ def toy_sleepy(apps=None):
     return toy_perapp(apps=apps)
 
 
+def toy_slow_whole():
+    time.sleep(2.0)
+    return toy_whole()
+
+
 def toy_always_fails(apps=None):
     raise ValueError(f"bad data in {apps[0].name}")
 
@@ -783,6 +788,43 @@ class TestCLI:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not ck.exists()
+
+    def test_timeout_bounds_a_plain_run(self, monkeypatch, capsys):
+        """--timeout alone (no checkpoint, jobs, sink or chaos flag)
+        still guards every attempt: the unit fails and the run exits 3
+        instead of printing the driver's table."""
+        from repro.__main__ import main
+        monkeypatch.setitem(EXPERIMENTS, "toy-slow", toy_slow_whole)
+        assert main(["run", "toy-slow", "--timeout", "0.05",
+                     "--max-attempts", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert "UnitTimeout" in out
+        assert "failed unit: toy-slow::*" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig01", "--timeout", "0"],
+        ["run", "fig01", "--timeout", "-1"],
+        ["run", "fig01", "--timeout", "nan"],
+        ["run", "fig01", "--timeout", "inf"],
+        ["obs", "watch", "LEDGER", "--once", "--interval", "nan"],
+        ["obs", "watch", "LEDGER", "--once", "--interval", "inf"],
+        ["obs", "watch", "LEDGER", "--once", "--timeout", "nan"],
+        ["obs", "watch", "LEDGER", "--once", "--timeout", "inf"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_time_options_must_be_finite_and_positive(self, tmp_path,
+                                                      capsys, argv):
+        """A zero, negative, NaN or infinite time option would disable
+        the limit, never fire, or overflow the timer; it is a usage
+        error (exit 2) naming the option."""
+        from repro.__main__ import main
+        from repro.obs.ledger import RunLedger
+        ledger = str(tmp_path / "run.jsonl")
+        RunLedger(path=ledger).close()
+        argv = [ledger if arg == "LEDGER" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
 
     def test_resume_from_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         from repro.__main__ import main
