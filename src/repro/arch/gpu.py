@@ -151,14 +151,19 @@ class _SM:
 
 
 class GPUReplay:
-    """Replays an :class:`~repro.arch.trace.AppTrace` on a GPU config."""
+    """Replays an :class:`~repro.arch.trace.AppTrace` on a GPU config.
+
+    Every access that reads the arrays (a load, or an instruction-fetch
+    miss) reads its distinct lines once, through :meth:`_array_read`;
+    that one block serves all of the access's tallies and NoC payloads.
+    """
 
     def __init__(self, config: GPUConfig, encoders: Encoders,
                  fault_model=None):
         self.config = config
         self.encoders = encoders
-        #: optional :class:`repro.faults.FaultModel` injected into the
-        #: memory image's line reads, L2 fills and the NoC flit path.
+        #: optional :class:`repro.faults.FaultModel`: it corrupts each
+        #: access's array read and the NoC's data flits.
         self.fault_model = fault_model
         self._batch: Optional[TallyBatch] = None
 
@@ -166,12 +171,19 @@ class GPUReplay:
     # Line helpers
     # ------------------------------------------------------------------
 
-    def _line_words(self, mem: GlobalMemory, line_addr: int) -> np.ndarray:
-        # Through mem.read_line so an attached fault model sees (and,
-        # for destructive modes, damages) every line-granularity read.
-        # read_line returns a fresh copy, so deferred tallying is safe.
-        raw = mem.read_line(line_addr, self.config.l1_line_bytes)
-        return raw.view(np.uint32)
+    def _array_read(self, mem: GlobalMemory, line_list) -> np.ndarray:
+        """One access's array read: its distinct lines as one ``(lines,
+        words)`` uint32 block, which serves every tally and NoC payload
+        of the access. A fault model corrupts the block in one draw, and
+        the damage is written back: read disturbance is destructive."""
+        line_bytes = self.config.l1_line_bytes
+        addrs = np.asarray(line_list, dtype=np.int64)
+        rows = mem.read_lines(addrs, line_bytes)
+        if self.fault_model is not None:
+            rows = self.fault_model.corrupt_line(rows)
+            mem.image[addrs[:, None]
+                      + np.arange(line_bytes, dtype=np.int64)] = rows
+        return rows.view(np.uint32)
 
     def _group_lines(self, addrs: np.ndarray) -> tuple:
         """Group a warp's addresses by cache line: the sorted distinct
@@ -203,13 +215,11 @@ class GPUReplay:
     # ------------------------------------------------------------------
 
     def _l2_access(self, state, sm: _SM, line_addr: int, is_store: bool,
-                   is_inst: bool, now: int,
-                   line_words: Optional[np.ndarray] = None) -> int:
+                   is_inst: bool, now: int, line_words: np.ndarray) -> int:
         """Access the L2; returns completion latency from ``now``.
 
-        ``line_words`` lets a fault-free caller share one batched line
-        gather; with a fault model attached callers must leave it None
-        so every read goes through the model's corruption sequence.
+        ``line_words`` is the line as the caller's access sees it: the
+        load's or fetch's array read, or the store's written line.
         """
         cfg = self.config
         mem, tally, noc, l2_banks, dram, timing = state
@@ -230,12 +240,11 @@ class GPUReplay:
         # A miss first writes the filled line; then the access itself
         # reads it (loads, fetches) or writes it (stores).
         for flag in (is_store,) if hit else (True, is_store):
-            words = (self._line_words(mem, line_addr)
-                     if line_words is None else line_words)
             if is_inst:
-                self._batch.add_inst(Unit.L2, words.view(np.uint64), flag)
+                self._batch.add_inst(Unit.L2, line_words.view(np.uint64),
+                                     flag)
             else:
-                self._batch.add_line(Unit.L2, words[None], flag)
+                self._batch.add_line(Unit.L2, line_words[None], flag)
         if is_store:
             bank.mark_dirty(line_addr)
         return latency
@@ -254,11 +263,12 @@ class GPUReplay:
         batch.add_inst(Unit.L1I, (rec.word,), False)
         if sm.l1i.lookup(line_addr):
             return 0
+        line_words = self._array_read(mem, [line_addr])[0]
         bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
         noc.send_request(sm.index, bank, line_addr)
         latency = self._l2_access(state, sm, line_addr, is_store=False,
-                                  is_inst=True, now=now)
-        line_words = self._line_words(mem, line_addr)
+                                  is_inst=True, now=now,
+                                  line_words=line_words)
         noc.send_response(sm.index, bank,
                           self._line_payload_variants(line_words, True))
         sm.l1i.fill(line_addr)
@@ -275,32 +285,17 @@ class GPUReplay:
         if addrs.size == 0:
             return cfg.lat_alu
         line_list, __, touched = self._group_lines(addrs)
-        faulty = self.fault_model is not None
-        if faulty:
-            # Every read goes through the fault model, line by line in
-            # address order; the rows are stacked after the loop.
-            rows, payload_rows = [], None
-        else:
-            # One batched gather serves every use of each line's bytes
-            # (hit tally, fill tally, L2 access, NoC payload): reads
-            # have no side effects without a fault model, so sharing
-            # them is byte-identical. The NoC packets encode as one
-            # (n_lines, variants, line_bytes) stack; line j sends row j.
-            rows = mem.read_lines(
-                np.asarray(line_list, dtype=np.int64),
-                cfg.l1_line_bytes).view(np.uint32)
-            blocks = self.encoders.data_variant_blocks(Unit.NOC, rows,
-                                                       "line")
-            payload_rows = np.stack([blocks[v] for v in VARIANTS],
-                                    axis=1).view(np.uint8)
+        # One array read serves every use of each line's bytes (hit
+        # tally, fill tally, L2 access, NoC payload). The NoC packets
+        # encode as one (n_lines, variants, line_bytes) stack; line j
+        # sends row j.
+        rows = self._array_read(mem, line_list)
+        blocks = self.encoders.data_variant_blocks(Unit.NOC, rows, "line")
+        payload_rows = np.stack([blocks[v] for v in VARIANTS],
+                                axis=1).view(np.uint8)
         missed = []
         worst = 0
         for j, line_addr in enumerate(line_list):
-            if faulty:
-                line_words = self._line_words(mem, line_addr)
-                rows.append(line_words)
-            else:
-                line_words = rows[j]
             hit = l1.lookup(line_addr)
             if unit is Unit.L1D:
                 timing.l1d_accesses += 1
@@ -313,18 +308,11 @@ class GPUReplay:
             bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
             noc.send_request(sm.index, bank, line_addr)
             l2_latency = self._l2_access(state, sm, line_addr, False,
-                                         False, start,
-                                         line_words=None if faulty
-                                         else line_words)
-            noc.send_response(
-                sm.index, bank,
-                self._line_payload_variants(line_words, False) if faulty
-                else payload_rows[j])
+                                         False, start, rows[j])
+            noc.send_response(sm.index, bank, payload_rows[j])
             l1.fill(line_addr)
             missed.append(j)
             worst = max(worst, (start - now) + l2_latency + cfg.lat_l1_hit)
-        if faulty:
-            rows = np.stack(rows)
         # A fill writes the whole line into L1, then the warp reads the
         # words its lanes touch.
         if missed:
@@ -344,12 +332,12 @@ class GPUReplay:
         # Keep the replay image coherent for subsequent line reads.
         mem.write_u32(acc.addrs, acc.data, mask=acc.active)
         line_list, index, touched = self._group_lines(addrs)
-        rows = []
+        # A store writes the arrays and reads none, so no fault model
+        # draws here: its tallies see the lines as written.
+        rows = mem.read_lines(line_list, cfg.l1_line_bytes).view(np.uint32)
         for j, line_addr in enumerate(line_list):
             sm.l1d.invalidate(line_addr)
             timing.l1d_accesses += 1
-            line_words = self._line_words(mem, line_addr)
-            rows.append(line_words)
             bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
             # The write packet carries every lane, duplicates included,
             # in lane order.
@@ -357,13 +345,11 @@ class GPUReplay:
                            self._line_payload_variants(data[index == j],
                                                        False))
             self._l2_access(state, sm, line_addr, is_store=True,
-                            is_inst=False, now=now,
-                            line_words=None if self.fault_model is not None
-                            else line_words)
+                            is_inst=False, now=now, line_words=rows[j])
         # L2 books the whole written line inside _l2_access; L1 books
         # the store's words at the interface where the invalidation
         # check happened.
-        self._batch.add_line(Unit.L1D, np.stack(rows), True, touched)
+        self._batch.add_line(Unit.L1D, rows, True, touched)
         return cfg.lat_alu + 4
 
     # ------------------------------------------------------------------
@@ -386,7 +372,6 @@ class GPUReplay:
         cfg = self.config
         mem = GlobalMemory(size_bytes=app.initial_image.size)
         mem.restore(app.initial_image)
-        mem.fault_model = self.fault_model
         tally = Tally()
         self._batch = TallyBatch(self.encoders, tally)
         noc = Crossbar(cfg.n_sms, cfg.l2_banks, cfg.noc_flit_bytes,

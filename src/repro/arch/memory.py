@@ -46,9 +46,6 @@ class GlobalMemory:
         self.image = np.zeros(size_bytes, dtype=np.uint8)
         self._next = align  # keep address 0 unmapped to catch bugs
         self.buffers = {}
-        #: optional :class:`repro.faults.FaultModel` applied to line
-        #: reads (cache fills); None means a fault-free array.
-        self.fault_model = None
 
     # ------------------------------------------------------------------
     # Allocation
@@ -117,32 +114,13 @@ class GlobalMemory:
 
     def read_line(self, line_address: int,
                   line_bytes: int = LINE_BYTES) -> np.ndarray:
-        """Read one cache line, through the fault model when attached.
-
-        Destructive fault modes (6T-BVF read disturbance, Section 7.1)
-        write the corrupted line back into the image: the flipped cells
-        have genuinely lost their contents, so every later reader of the
-        line observes the accumulated damage.
-        """
-        if line_address % line_bytes:
-            raise ValueError("line address must be line-aligned")
-        self._check(np.asarray([line_address]), line_bytes)
-        line = self.image[line_address:line_address + line_bytes].copy()
-        fm = self.fault_model
-        if fm is not None:
-            line = fm.corrupt_line(line, address=line_address)
-            if fm.persistent:
-                self.image[line_address:line_address + line_bytes] = line
-        return line
+        """Copy of one cache line's bytes."""
+        return self.read_lines(np.asarray([line_address]), line_bytes)[0]
 
     def read_lines(self, line_addrs: np.ndarray,
                    line_bytes: int = LINE_BYTES) -> np.ndarray:
-        """Batched fault-free line gather: ``(n_lines, line_bytes)``.
-
-        Bypasses the fault model by design — callers that may carry an
-        attached model must stay on :meth:`read_line`, whose per-read
-        corruption sequence is part of the simulated semantics.
-        """
+        """Copy of the given lines' bytes as one ``(n_lines, line_bytes)``
+        block."""
         addrs = np.asarray(line_addrs, dtype=np.int64)
         if (addrs % line_bytes).any():
             raise ValueError("line address must be line-aligned")

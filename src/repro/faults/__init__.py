@@ -1,5 +1,10 @@
-"""Deterministic fault injection (Section 7.1's destructive reads)."""
+"""Deterministic fault injection (Section 7.1's destructive reads).
 
-from .model import FaultModel, MODES, READ_DISTURB, STUCK_AT, UNIFORM
+A :class:`FaultModel` corrupts the replay's array reads (read
+disturbance: a stored 0 flips to 1 when read, and stays flipped) and
+its NoC data flits (transient wire upsets).
+"""
 
-__all__ = ["FaultModel", "MODES", "READ_DISTURB", "STUCK_AT", "UNIFORM"]
+from .model import FaultModel
+
+__all__ = ["FaultModel"]

@@ -10,16 +10,11 @@ gains and chip energy behave past the cliff.
 
 A :class:`FaultModel` is seeded and fully deterministic: given the same
 seed and the same (deterministic) sequence of array reads, it injects
-the same flips. Three modes are supported:
-
-* ``read-disturb`` — the Section-7.1 mechanism: each stored 0 bit
-  flips to 1 with the configured probability *when the line is read*,
-  and the flip is persistent (the cell content is destroyed, so the
-  corrupted value is written back into the memory image);
-* ``uniform`` — transient symmetric soft errors: any bit of a read
-  flips with the configured probability, storage is unharmed;
-* ``stuck-at`` — manufacturing faults: a per-line, address-determined
-  subset of bit positions always reads as ``stuck_value``.
+the same flips. It models the Section-7.1 mechanism, read disturbance:
+each stored 0 bit of a read flips to 1 with the configured probability,
+and the flip is persistent (the cell content is destroyed, so the
+replay writes the corrupted value back into its memory image). Writes
+and fills read no array and draw nothing.
 
 On the NoC flit path faults are transient and symmetric (wires do not
 store state), and the same physical flip mask is applied to every coder
@@ -34,31 +29,18 @@ import numpy as np
 
 from ..circuits.technology import TechnologyNode, TECH_28NM
 
-__all__ = ["FaultModel", "READ_DISTURB", "UNIFORM", "STUCK_AT", "MODES"]
-
-READ_DISTURB = "read-disturb"
-UNIFORM = "uniform"
-STUCK_AT = "stuck-at"
-MODES = (READ_DISTURB, UNIFORM, STUCK_AT)
+__all__ = ["FaultModel"]
 
 
 class FaultModel:
     """Seeded injector of bit faults into array reads and NoC flits."""
 
-    def __init__(self, mode: str = READ_DISTURB, p_flip: float = 0.0,
-                 seed: int = 0, stuck_value: int = 1):
-        if mode not in MODES:
-            raise ValueError(f"unknown fault mode {mode!r}; known: {MODES}")
+    def __init__(self, p_flip: float = 0.0, seed: int = 0):
         if not 0.0 <= p_flip <= 1.0:
             raise ValueError(f"p_flip must be in [0, 1], got {p_flip}")
-        if stuck_value not in (0, 1):
-            raise ValueError("stuck_value must be 0 or 1")
-        self.mode = mode
         self.p_flip = float(p_flip)
         self.seed = int(seed)
-        self.stuck_value = int(stuck_value)
         self._rng = np.random.default_rng(seed)
-        self._stuck_masks: Dict[tuple, np.ndarray] = {}
         # Exposure and flip counters, arrays and NoC kept apart so the
         # Section-7.1 read-flip rate is not diluted by channel traffic.
         self.array_bits = 0
@@ -75,16 +57,11 @@ class FaultModel:
         """Read-disturb model at the rate §7.1's physics implies."""
         from ..circuits.reliability import flip_probability
         p = flip_probability(cells_per_bitline, tech, vdd)
-        return cls(mode=READ_DISTURB, p_flip=p, seed=seed)
+        return cls(p_flip=p, seed=seed)
 
     # ------------------------------------------------------------------
     # Injection
     # ------------------------------------------------------------------
-
-    @property
-    def persistent(self) -> bool:
-        """Destructive faults corrupt the stored value, not just the read."""
-        return self.mode == READ_DISTURB
 
     def _chosen(self, n_candidates: int) -> Optional[np.ndarray]:
         """Indices (into the candidate set) of the bits that flip."""
@@ -95,48 +72,27 @@ class FaultModel:
             return None
         return self._rng.choice(n_candidates, size=k, replace=False)
 
-    def _stuck_mask(self, address: int, n_bits: int) -> np.ndarray:
-        key = (address, n_bits)
-        mask = self._stuck_masks.get(key)
-        if mask is None:
-            # Location-bound: the stuck positions depend only on the
-            # address, never on read order, so repeated reads agree.
-            rng = np.random.default_rng((self.seed, address))
-            mask = rng.random(n_bits) < self.p_flip
-            self._stuck_masks[key] = mask
-        return mask
+    def corrupt_line(self, line: np.ndarray) -> np.ndarray:
+        """Read-disturb one array read, a uint8 block of any shape.
 
-    def corrupt_line(self, line: np.ndarray, address: int = 0) -> np.ndarray:
-        """Corrupt one array-read payload (uint8 bytes); returns a copy."""
+        The whole block is one draw: each of its stored 0 bits flips to
+        1 independently with probability ``p_flip``. Returns a copy.
+        """
         data = np.ascontiguousarray(line, dtype=np.uint8)
         bits = np.unpackbits(data)
         self.array_bits += bits.size
-        flipped = 0
-        if self.mode == READ_DISTURB:
-            zeros = np.flatnonzero(bits == 0)
-            chosen = self._chosen(zeros.size)
-            if chosen is not None:
-                bits[zeros[chosen]] = 1
-                flipped = chosen.size
-        elif self.mode == UNIFORM:
-            chosen = self._chosen(bits.size)
-            if chosen is not None:
-                bits[chosen] ^= 1
-                flipped = chosen.size
-        else:  # STUCK_AT
-            mask = self._stuck_mask(address, bits.size)
-            flipped = int(np.count_nonzero(bits[mask] != self.stuck_value))
-            bits[mask] = self.stuck_value
-        self.array_flips += flipped
-        if flipped == 0:
+        zeros = np.flatnonzero(bits == 0)
+        chosen = self._chosen(zeros.size)
+        if chosen is None:
             return data.copy()
-        return np.packbits(bits)
+        bits[zeros[chosen]] = 1
+        self.array_flips += chosen.size
+        return np.packbits(bits).reshape(data.shape)
 
-    def corrupt_words(self, words: np.ndarray, address: int = 0) -> np.ndarray:
+    def corrupt_words(self, words: np.ndarray) -> np.ndarray:
         """Corrupt a typed word array (dtype- and shape-preserving)."""
-        arr = np.ascontiguousarray(np.atleast_1d(words)).copy()
-        raw = self.corrupt_line(arr.view(np.uint8).ravel(), address)
-        return raw.view(arr.dtype).reshape(arr.shape)
+        arr = np.ascontiguousarray(np.atleast_1d(words))
+        return self.corrupt_line(arr.view(np.uint8)).view(arr.dtype)
 
     def corrupt_payloads(self, payload: np.ndarray) -> np.ndarray:
         """Transient channel faults on a NoC packet.

@@ -4,87 +4,65 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.memory import GlobalMemory
+from repro.arch import BASELINE_CONFIG, Encoders, GPUReplay
+from repro.arch.isa import OpClass
+from repro.arch.trace import (AppTrace, BlockTrace, InstRecord,
+                              LaunchTrace, MemAccess, MemSpace, WarpTrace)
 from repro.circuits import TECH_28NM
 from repro.core.coders import ISACoder, NVCoder, VSCoder
-from repro.faults import (FaultModel, MODES, READ_DISTURB, STUCK_AT,
-                          UNIFORM)
+from repro.faults import FaultModel
 
 
 class TestConstruction:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            FaultModel(mode="gamma-ray")
-
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             FaultModel(p_flip=1.5)
         with pytest.raises(ValueError):
             FaultModel(p_flip=-0.1)
 
-    def test_rejects_bad_stuck_value(self):
-        with pytest.raises(ValueError):
-            FaultModel(mode=STUCK_AT, p_flip=0.1, stuck_value=2)
-
-    def test_all_modes_constructible(self):
-        for mode in MODES:
-            FaultModel(mode=mode, p_flip=0.1)
-
     def test_from_reliability_tracks_the_cliff(self):
         safe = FaultModel.from_reliability(16, TECH_28NM)
         past = FaultModel.from_reliability(24, TECH_28NM)
         assert safe.p_flip == 0.0
         assert past.p_flip > 0.0
-        assert past.mode == READ_DISTURB and past.persistent
 
 
 class TestCorruptLine:
     def test_deterministic_across_instances(self):
         line = np.arange(128, dtype=np.uint8)
-        a = FaultModel(UNIFORM, p_flip=0.3, seed=7)
-        b = FaultModel(UNIFORM, p_flip=0.3, seed=7)
+        a = FaultModel(p_flip=0.3, seed=7)
+        b = FaultModel(p_flip=0.3, seed=7)
         for _ in range(5):
             assert np.array_equal(a.corrupt_line(line), b.corrupt_line(line))
 
     def test_zero_probability_is_identity(self):
         line = np.arange(128, dtype=np.uint8)
-        fm = FaultModel(READ_DISTURB, p_flip=0.0)
+        fm = FaultModel(p_flip=0.0)
         out = fm.corrupt_line(line)
         assert np.array_equal(out, line)
         assert fm.array_flips == 0 and fm.array_bits == 128 * 8
 
     def test_read_disturb_only_flips_zero_bits(self):
         rng = np.random.default_rng(1)
-        line = rng.integers(0, 256, size=128, dtype=np.uint8)
-        fm = FaultModel(READ_DISTURB, p_flip=0.5, seed=3)
-        out = fm.corrupt_line(line)
-        # Every set bit of the input survives: flips are strictly 0 -> 1.
-        assert np.array_equal(out & line, line)
-        assert fm.array_flips > 0
+        # One line, and a 2-D block of four lines read as one access.
+        for shape in ((128,), (4, 128)):
+            line = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            fm = FaultModel(p_flip=0.5, seed=3)
+            out = fm.corrupt_line(line)
+            assert out.shape == line.shape
+            # Every set bit survives: flips are strictly 0 -> 1.
+            assert np.array_equal(out & line, line)
+            assert fm.array_flips > 0
+            assert fm.array_bits == line.size * 8
 
     def test_read_disturb_leaves_all_ones_alone(self):
         line = np.full(128, 0xFF, dtype=np.uint8)
-        fm = FaultModel(READ_DISTURB, p_flip=1.0)
+        fm = FaultModel(p_flip=1.0)
         assert np.array_equal(fm.corrupt_line(line), line)
         assert fm.array_flips == 0
 
-    def test_uniform_rate_roughly_matches_p(self):
-        line = np.zeros(4096, dtype=np.uint8)
-        fm = FaultModel(UNIFORM, p_flip=0.5, seed=0)
-        fm.corrupt_line(line)
-        assert 0.45 < fm.array_flip_rate < 0.55
-
-    def test_stuck_at_is_address_deterministic(self):
-        line = np.zeros(128, dtype=np.uint8)
-        fm = FaultModel(STUCK_AT, p_flip=0.2, seed=5)
-        first = fm.corrupt_line(line, address=0x400)
-        second = fm.corrupt_line(line, address=0x400)
-        other = fm.corrupt_line(line, address=0x800)
-        assert np.array_equal(first, second)
-        assert not np.array_equal(first, other)
-
     def test_counters_feed_report(self):
-        fm = FaultModel(UNIFORM, p_flip=0.5, seed=0)
+        fm = FaultModel(p_flip=0.5, seed=0)
         fm.corrupt_line(np.zeros(64, dtype=np.uint8))
         fm.note_fill("L1D", 0)
         report = fm.report()
@@ -96,13 +74,13 @@ class TestCorruptLine:
 class TestCorruptWords:
     def test_preserves_dtype_and_shape(self):
         words = np.arange(32, dtype=np.uint32).reshape(4, 8)
-        fm = FaultModel(UNIFORM, p_flip=0.1, seed=2)
+        fm = FaultModel(p_flip=0.1, seed=2)
         out = fm.corrupt_words(words)
         assert out.dtype == words.dtype and out.shape == words.shape
 
     def test_input_not_mutated(self):
         words = np.zeros(32, dtype=np.uint32)
-        fm = FaultModel(READ_DISTURB, p_flip=1.0)
+        fm = FaultModel(p_flip=1.0)
         fm.corrupt_words(words)
         assert not words.any()
 
@@ -111,7 +89,7 @@ class TestCorruptPayloads:
     def test_same_physical_flips_on_every_variant(self):
         rng = np.random.default_rng(4)
         payload = rng.integers(0, 256, size=(5, 128), dtype=np.uint8)
-        fm = FaultModel(UNIFORM, p_flip=0.2, seed=9)
+        fm = FaultModel(p_flip=0.2, seed=9)
         out = fm.corrupt_payloads(payload)
         assert out.shape == payload.shape
         deltas = out ^ payload
@@ -125,7 +103,7 @@ class TestCorruptPayloads:
         # Flip positions and counters pinned from the per-variant
         # (dict-of-payloads) form this array form replaced: the seeded
         # RNG draws are unchanged, packet for packet.
-        fm = FaultModel(UNIFORM, p_flip=0.01, seed=5)
+        fm = FaultModel(p_flip=0.01, seed=5)
         rng = np.random.default_rng(8)
         expected = {
             128: [22, 54, 134, 283, 290, 391, 417, 475, 523, 583, 640,
@@ -145,28 +123,65 @@ class TestCorruptPayloads:
 
     def test_zero_probability_returns_input(self):
         payload = np.arange(16, dtype=np.uint8).reshape(1, 16)
-        fm = FaultModel(UNIFORM, p_flip=0.0)
+        fm = FaultModel(p_flip=0.0)
         assert fm.corrupt_payloads(payload) is payload
 
 
-class TestPersistentWriteback:
-    def test_destructive_read_accumulates_in_memory(self):
-        mem = GlobalMemory(size_bytes=1024)
-        # Leave the image all-zero: every bit is a flip candidate.
-        mem.fault_model = FaultModel(READ_DISTURB, p_flip=1.0)
-        first = mem.read_line(128)
-        assert first.all()  # every stored 0 destroyed on first read
-        flips_after_first = mem.fault_model.array_flips
-        second = mem.read_line(128)
-        assert np.array_equal(second, first)
-        # The damage is in the array now; nothing left to flip.
-        assert mem.fault_model.array_flips == flips_after_first
+def _replay(accesses, p_flip):
+    """Replay one warp: an ALU op, then one global access per
+    ``(is_store, byte addresses)`` pair. All records share one code
+    line, so instruction fetch reads the arrays exactly once."""
+    records = [InstRecord(0, 0x1234, OpClass.ALU, 32)]
+    for pc, (is_store, addrs) in enumerate(accesses, start=1):
+        addrs = np.asarray(addrs, dtype=np.int64)
+        access = MemAccess(MemSpace.GLOBAL, is_store, addrs,
+                           np.ones(addrs.size, dtype=bool),
+                           np.arange(addrs.size, dtype=np.uint32))
+        records.append(InstRecord(
+            pc, 0x1234, OpClass.STORE if is_store else OpClass.LOAD,
+            addrs.size, access))
+    launch = LaunchTrace("k", code_base=0,
+                         static_words=[r.word for r in records],
+                         blocks=[BlockTrace(0, [WarpTrace(0, 0, records)])])
+    trace = AppTrace("t", [launch],
+                     initial_image=np.zeros(1 << 14, dtype=np.uint8))
+    fm = FaultModel(p_flip=p_flip, seed=1)
+    GPUReplay(BASELINE_CONFIG, Encoders(isa_mask=0),
+              fault_model=fm).run(trace)
+    return fm
 
-    def test_transient_mode_leaves_memory_intact(self):
-        mem = GlobalMemory(size_bytes=1024)
-        mem.fault_model = FaultModel(UNIFORM, p_flip=0.5, seed=0)
-        mem.read_line(128)
-        assert not mem.image[128:256].any()
+
+#: 32 lanes, 16 bytes apart: four distinct 128-byte lines.
+_FOUR_LINES = 4096 + 16 * np.arange(32)
+_LINE_BITS = 8 * BASELINE_CONFIG.l1_line_bytes
+
+
+class TestArrayReads:
+    """A fault model draws once per access that reads the arrays: a
+    load (hit or miss) or an instruction-fetch miss, over the access's
+    distinct lines. Stores and fills read no array."""
+
+    def test_store_reads_no_array(self):
+        fetch_only = _replay([], p_flip=0.5).array_bits
+        assert fetch_only == _LINE_BITS
+        stored = _replay([(True, _FOUR_LINES)], p_flip=0.5)
+        assert stored.array_bits == fetch_only
+
+    def test_load_reads_each_distinct_line_once(self):
+        fetch_only = _replay([], p_flip=0.5).array_bits
+        miss = _replay([(False, _FOUR_LINES)], p_flip=0.5)
+        assert miss.array_bits - fetch_only == 4 * _LINE_BITS
+        miss_then_hit = _replay([(False, _FOUR_LINES)] * 2, p_flip=0.5)
+        assert miss_then_hit.array_bits - fetch_only == 8 * _LINE_BITS
+
+    def test_destructive_read_leaves_nothing_to_flip(self):
+        # The image is all zeros: at p=1 a read destroys every stored 0
+        # and writes the damage back, so a second read flips nothing.
+        once = _replay([(False, _FOUR_LINES)], p_flip=1.0)
+        assert once.array_flips == once.array_bits
+        twice = _replay([(False, _FOUR_LINES)] * 2, p_flip=1.0)
+        assert twice.array_bits == once.array_bits + 4 * _LINE_BITS
+        assert twice.array_flips == once.array_flips
 
 
 class TestCodersRemainInvolutionsUnderFaults:
@@ -179,7 +194,7 @@ class TestCodersRemainInvolutionsUnderFaults:
            st.integers(0, 2**32))
     def test_nv_involution_on_corrupted_words(self, values, seed):
         words = np.array(values, dtype=np.uint32)
-        fm = FaultModel(UNIFORM, p_flip=0.3, seed=seed)
+        fm = FaultModel(p_flip=0.3, seed=seed)
         corrupted = fm.corrupt_words(words)
         assert NVCoder().is_involution_on(corrupted)
 
@@ -188,7 +203,7 @@ class TestCodersRemainInvolutionsUnderFaults:
            st.integers(0, 2**32))
     def test_vs_involution_on_corrupted_blocks(self, values, seed):
         block = np.array(values, dtype=np.uint32)
-        fm = FaultModel(READ_DISTURB, p_flip=0.5, seed=seed)
+        fm = FaultModel(p_flip=0.5, seed=seed)
         corrupted = fm.corrupt_words(block)
         assert VSCoder().is_involution_on(corrupted)
 
@@ -199,7 +214,7 @@ class TestCodersRemainInvolutionsUnderFaults:
     def test_isa_involution_on_corrupted_instructions(self, values, mask,
                                                       seed):
         words = np.array(values, dtype=np.uint64)
-        fm = FaultModel(UNIFORM, p_flip=0.3, seed=seed)
+        fm = FaultModel(p_flip=0.3, seed=seed)
         corrupted = fm.corrupt_words(words)
         assert ISACoder(mask).is_involution_on(corrupted)
 
@@ -218,7 +233,7 @@ class TestSeedDeterminism:
         app = get_app("VEC")
         stats, reports = [], []
         for _ in range(2):
-            fm = FaultModel(READ_DISTURB, p_flip=0.01, seed=11)
+            fm = FaultModel(p_flip=0.01, seed=11)
             stats.append(simulate_app(app, fault_model=fm))
             reports.append(fm.report())
         assert reports[0] == reports[1]
@@ -229,8 +244,8 @@ class TestSeedDeterminism:
 
     def test_different_seed_different_flip_sites(self):
         line = np.zeros(256, dtype=np.uint8)
-        a = FaultModel(UNIFORM, p_flip=0.1, seed=1)
-        b = FaultModel(UNIFORM, p_flip=0.1, seed=2)
+        a = FaultModel(p_flip=0.1, seed=1)
+        b = FaultModel(p_flip=0.1, seed=2)
         assert not np.array_equal(a.corrupt_line(line), b.corrupt_line(line))
 
     def test_sec71_inject_table_is_reproducible(self):
@@ -260,3 +275,4 @@ class TestSection71EndToEnd:
         assert s["flip_rate_c64"] > 0.1
         # ...and the BVF gain collapses from its clean value.
         assert s["worst_reduction"] < s["clean_reduction"] - 0.1
+

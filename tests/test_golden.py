@@ -193,7 +193,7 @@ def _faulted_replay_json() -> str:
     from repro.sim import clear_caches, simulate_app
 
     clear_caches()
-    fault_model = FaultModel(mode="read-disturb", p_flip=1e-4, seed=2017)
+    fault_model = FaultModel(p_flip=1e-4, seed=2017)
     stats = simulate_app(get_app("VEC"), fault_model=fault_model)
     clear_caches()
     payload = {

@@ -756,7 +756,7 @@ class TestStatsCache:
         from repro.faults import FaultModel
         from repro.kernels import get_app
         sim.clear_caches()
-        fm = FaultModel(mode="uniform", p_flip=1e-6, seed=1)
+        fm = FaultModel(p_flip=1e-6, seed=1)
         sim.simulate_app(get_app("VEC"), fault_model=fm)
         assert not sim._STATS_CACHE
         sim.clear_caches()
