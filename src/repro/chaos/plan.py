@@ -1,12 +1,12 @@
 """Deterministic harness-fault planning.
 
 :mod:`repro.faults` injects faults into the *simulated silicon* (read
-disturb, stuck-at cells); this module injects faults into the *runner
-itself* — the process pool, checkpoint I/O, and merge path. Mirroring
-the paper's §7.1 methodology (validate the SRAM under injected bit
-faults), the harness is validated under injected harness faults: a
-sweep that survives a :class:`ChaosPlan` must produce merged results
-byte-identical to a fault-free run.
+disturbance in the arrays, upsets on the NoC wires); this module
+injects faults into the *runner itself* — the process pool, checkpoint
+I/O, and merge path. Mirroring the paper's §7.1 methodology (validate
+the SRAM under injected bit faults), the harness is validated under
+injected harness faults: a sweep that survives a :class:`ChaosPlan`
+must produce merged results byte-identical to a fault-free run.
 
 Every decision is derived from ``sha256(seed | site | kind | token)``
 alone — the same scheme as per-unit result seeding — so a failure

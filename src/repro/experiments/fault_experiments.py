@@ -58,6 +58,8 @@ def sec7_1_fault_injection(apps=None,
         apps = list(apps)
     if not apps:
         raise ValueError("no applications given")
+    if not cells_sweep:
+        raise ValueError("no cell loadings given")
     model = ChipModel(tech_name)
 
     clean = {app.name: simulate_app(app) for app in apps}
@@ -102,8 +104,9 @@ def sec7_1_fault_injection(apps=None,
         summary[f"reduction_c{cells}"] = mean_red
     summary["measured_safe_upto"] = float(measured_safe_upto)
     summary["worst_reduction"] = worst_reduction
-    summary["reduction_at_max_load"] = float(np.mean(reductions))
-    summary["flip_rate_at_max_load"] = rate
+    max_load = max(cells_sweep)
+    summary["reduction_at_max_load"] = summary[f"reduction_c{max_load}"]
+    summary["flip_rate_at_max_load"] = summary[f"flip_rate_c{max_load}"]
 
     return ExperimentResult(
         exp_id="sec7.1-inject",

@@ -108,7 +108,9 @@ def simulate_app(app, config: GPUConfig = BASELINE_CONFIG,
     runs bypass the result cache — the model is stateful (its RNG
     stream and counters advance with every read) — and leave phase 1
     untouched: the functional execution models the computation, the
-    faults model the storage it is replayed through.
+    faults model the storage it is replayed through. A model that
+    cannot flip (``p_flip == 0``) is no model: the run takes the cached
+    clean path and only publishes its zero flip counts.
     """
     with trace_span("simulate_app", app=app.name) as span:
         functional, profiler = _functional_pass(app, pivot_lane)
@@ -117,13 +119,15 @@ def simulate_app(app, config: GPUConfig = BASELINE_CONFIG,
             isa_mask = derive_mask(functional.trace.static_binary)
 
         key = (app.name, pivot_lane, isa_mask, config)
-        stats = _STATS_CACHE.get(key) if fault_model is None else None
+        faulty = fault_model is not None and fault_model.p_flip > 0.0
+        stats = None if faulty else _STATS_CACHE.get(key)
         cache_hit = stats is not None
+        flips_before = _fault_flip_counts(fault_model)
         if stats is None:
             encoders = Encoders(isa_mask=isa_mask, pivot_lane=pivot_lane)
-            flips_before = _fault_flip_counts(fault_model)
             replay = GPUReplay(config, encoders,
-                               fault_model=fault_model).run(functional.trace)
+                               fault_model=fault_model if faulty else None
+                               ).run(functional.trace)
             stats = build_app_stats(
                 app.name,
                 functional_tally=functional.tally,
@@ -133,9 +137,9 @@ def simulate_app(app, config: GPUConfig = BASELINE_CONFIG,
                 static_binary=functional.trace.static_binary,
                 freq_mhz=config.freq_mhz,
             )
-            _publish_fault_flips(fault_model, flips_before)
-            if fault_model is None:
+            if not faulty:
                 _STATS_CACHE[key] = stats
+        _publish_fault_flips(fault_model, flips_before)
 
         if span is not None:
             span.set(cycles=stats.cycles, instructions=stats.instructions,

@@ -276,3 +276,63 @@ class TestSection71EndToEnd:
         # ...and the BVF gain collapses from its clean value.
         assert s["worst_reduction"] < s["clean_reduction"] - 0.1
 
+    def test_empty_cells_sweep_is_rejected(self):
+        from repro.experiments import run_experiment
+        from repro.kernels import get_app
+        with pytest.raises(ValueError, match="no cell loadings given"):
+            run_experiment("sec7.1-inject", apps=[get_app("VEC")],
+                           cells_sweep=())
+
+    def test_max_load_summary_reads_the_largest_loading(self):
+        from repro.experiments import run_experiment
+        from repro.kernels import get_app
+        s = run_experiment("sec7.1-inject", apps=[get_app("VEC")],
+                           cells_sweep=(64, 8)).summary
+        assert s["flip_rate_at_max_load"] == s["flip_rate_c64"] > 0.1
+        assert s["reduction_at_max_load"] == s["reduction_c64"]
+
+
+class TestZeroRateModel:
+    """A model that cannot flip is no model: same numbers, no replay."""
+
+    def test_zero_rate_replay_equals_the_clean_one(self):
+        from repro.kernels import get_app
+        from repro.sim import _functional_pass
+        trace = _functional_pass(get_app("VEC"), 21)[0].trace
+        runs = [GPUReplay(BASELINE_CONFIG, Encoders(isa_mask=0),
+                          fault_model=fm).run(trace)
+                for fm in (None, FaultModel(p_flip=0.0))]
+        clean, zero = runs
+        assert zero.tally.counts == clean.tally.counts
+        assert zero.noc.toggles == clean.noc.toggles
+        assert zero.cycles == clean.cycles
+        assert zero.cache_stats == clean.cache_stats
+
+    def test_zero_rate_points_reuse_the_clean_replay(self, monkeypatch):
+        from repro.experiments import run_experiment
+        from repro.kernels import get_app
+        from repro.sim import clear_caches
+        calls = []
+        run = GPUReplay.run
+
+        def counting_run(self, app):
+            calls.append(app.app_name)
+            return run(self, app)
+
+        monkeypatch.setattr(GPUReplay, "run", counting_run)
+        clear_caches()
+        run_experiment("sec7.1-inject", apps=[get_app("VEC")],
+                       cells_sweep=(8, 16, 24))
+        clear_caches()
+        # The clean run, then c24; c8 and c16 reuse the clean stats.
+        assert calls == ["VEC", "VEC"]
+
+    def test_zero_rate_publishes_both_flip_series(self):
+        from repro.kernels import get_app
+        from repro.obs.metrics import MetricsRegistry, use_registry
+        from repro.sim import simulate_app
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            simulate_app(get_app("VEC"), fault_model=FaultModel(p_flip=0.0))
+        for site in ("array", "noc"):
+            assert registry.value("fault_flips_total", {"site": site}) == 0
