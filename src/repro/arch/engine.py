@@ -2,8 +2,8 @@
 
 Runs every warp of every block through its kernel body, collecting
 per-warp dynamic instruction streams, the static binary, register/
-shared-memory bit tallies and the memory image snapshot the replay
-phase starts from.
+shared-memory bit tallies and the snapshot of the allocated memory
+extent the replay phase starts from.
 
 Barrier semantics: kernel bodies that synchronise are generator
 functions yielding :data:`~repro.arch.warp.BARRIER`; the engine runs
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -95,25 +95,21 @@ def _run_block(launch: Launch, block_idx: int, warps: List[WarpCtx]) -> None:
 
 def run_functional(app_name: str, mem: GlobalMemory,
                    launches: List[Launch], encoders: Encoders,
-                   profiler=None,
-                   code_region: Optional[tuple] = None) -> FunctionalResult:
+                   profiler=None) -> FunctionalResult:
     """Execute an app's launches functionally and collect its traces.
 
-    The memory image is snapshotted *before* execution; after execution
-    each launch's static binary is patched into the snapshot's code
-    region (kernels never touch it), so the replay phase can fetch real
-    instruction bytes.
+    The code region is allocated and the memory's allocated extent
+    snapshotted *before* execution; after execution each launch's
+    static binary is patched into the snapshot's code region (kernels
+    never touch it), so the replay phase can fetch real instruction
+    bytes.
     """
+    code_buf = mem.alloc(256 << 10, f"{app_name}.code")
     initial_image = mem.snapshot()
     tally = Tally()
     batch = TallyBatch(encoders, tally)
     trace = AppTrace(app_name=app_name)
-
-    if code_region is None:
-        code_buf = mem.alloc(256 << 10, f"{app_name}.code")
-        code_region = (code_buf.base, code_buf.nbytes)
-    code_base, code_size = code_region
-    next_code = code_base
+    next_code = code_buf.base
 
     for launch in launches:
         static_map: dict = {}
@@ -139,7 +135,7 @@ def run_functional(app_name: str, mem: GlobalMemory,
             )
 
         binary_bytes = len(static_words) * 8
-        if next_code + binary_bytes > code_base + code_size:
+        if next_code + binary_bytes > code_buf.end:
             raise MemoryError(
                 f"code region exhausted for {app_name!r} "
                 f"(need {binary_bytes} more bytes)"

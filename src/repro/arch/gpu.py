@@ -370,8 +370,7 @@ class GPUReplay:
 
     def _run(self, app: AppTrace) -> ReplayResult:
         cfg = self.config
-        mem = GlobalMemory(size_bytes=app.initial_image.size)
-        mem.restore(app.initial_image)
+        mem = GlobalMemory.from_image(app.initial_image)
         tally = Tally()
         self._batch = TallyBatch(self.encoders, tally)
         noc = Crossbar(cfg.n_sms, cfg.l2_banks, cfg.noc_flit_bytes,

@@ -1,8 +1,11 @@
 """Device memory: a flat global address space with a bump allocator.
 
-The simulator keeps the whole device memory as one NumPy byte image so
-cache-line fills, NoC payloads and instruction fetches can read real
-bit contents. Buffers are aligned, contiguous slices of the image.
+The simulator keeps the allocated device memory as one NumPy byte
+image so cache-line fills, NoC payloads and instruction fetches can read
+real bit contents. Buffers are aligned, contiguous slices of the image,
+and the image is exactly as long as the allocator's extent: it grows
+with each allocation, up to the device capacity, so an access past the
+last allocation is out of range.
 """
 
 from __future__ import annotations
@@ -38,14 +41,27 @@ class DeviceBuffer:
 
 
 class GlobalMemory:
-    """The device's flat memory image plus its allocator."""
+    """The device's flat memory image plus its allocator.
+
+    ``size`` is the device capacity, the bound on allocation; ``image``
+    holds only the allocated extent, so the next buffer starts at
+    ``image.size``.
+    """
 
     def __init__(self, size_bytes: int = 8 << 20, align: int = LINE_BYTES):
         self.size = size_bytes
         self.align = align
-        self.image = np.zeros(size_bytes, dtype=np.uint8)
-        self._next = align  # keep address 0 unmapped to catch bugs
+        # One unused block keeps address 0 unmapped to catch bugs.
+        self.image = np.zeros(align, dtype=np.uint8)
         self.buffers = {}
+
+    @classmethod
+    def from_image(cls, image: np.ndarray) -> "GlobalMemory":
+        """A memory whose allocated extent is a copy of ``image``
+        (a :meth:`snapshot`); its capacity is that extent."""
+        mem = cls(size_bytes=image.size)
+        mem.image = np.array(image, dtype=np.uint8)
+        return mem
 
     # ------------------------------------------------------------------
     # Allocation
@@ -56,14 +72,15 @@ class GlobalMemory:
             raise ValueError("allocation size must be positive")
         if name in self.buffers:
             raise ValueError(f"duplicate buffer name {name!r}")
-        base = self._next
+        base = self.image.size
         padded = -(-nbytes // self.align) * self.align
         if base + padded > self.size:
             raise MemoryError(
                 f"device memory exhausted allocating {name!r} "
                 f"({nbytes} bytes; {self.size - base} free)"
             )
-        self._next = base + padded
+        self.image = np.concatenate(
+            [self.image, np.zeros(padded, dtype=np.uint8)])
         buf = DeviceBuffer(name, base, nbytes)
         self.buffers[name] = buf
         return buf
@@ -129,13 +146,9 @@ class GlobalMemory:
                           + np.arange(line_bytes, dtype=np.int64)]
 
     def snapshot(self) -> np.ndarray:
-        """Copy of the image, used to reset state for the replay phase."""
+        """Copy of the allocated extent; :meth:`from_image` turns it
+        back into a memory for the replay phase."""
         return self.image.copy()
-
-    def restore(self, image: np.ndarray) -> None:
-        if image.shape != self.image.shape:
-            raise ValueError("snapshot shape mismatch")
-        self.image[:] = image
 
     def to_numpy(self, buf: DeviceBuffer, dtype=np.uint32) -> np.ndarray:
         """View a buffer's current contents as a typed array."""
@@ -147,7 +160,8 @@ class GlobalMemory:
             return
         lo = int(addrs.min())
         hi = int(addrs.max()) + width
-        if lo < 0 or hi > self.size:
+        if lo < 0 or hi > self.image.size:
             raise IndexError(
-                f"device access out of range: [{lo}, {hi}) of {self.size}"
+                f"device access out of range: [{lo}, {hi}) of "
+                f"{self.image.size} allocated bytes"
             )

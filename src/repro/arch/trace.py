@@ -99,6 +99,8 @@ class AppTrace:
 
     app_name: str
     launches: List[LaunchTrace] = field(default_factory=list)
+    # Device memory before the first launch, code binaries patched in.
+    # It covers the allocated extent only, not the device capacity.
     initial_image: Optional[np.ndarray] = None
 
     @property

@@ -87,7 +87,8 @@ def _functional_pass(app, pivot_lane: int) -> tuple:
         result = run_functional(app.name, mem, launches, encoders,
                                 profiler=profiler)
         if span is not None:
-            span.set(launches=len(launches))
+            span.set(launches=len(launches),
+                     image_bytes=result.trace.initial_image.nbytes)
     cached = (result, profiler)
     _FUNCTIONAL_CACHE[key] = cached
     return cached

@@ -61,12 +61,39 @@ class TestGlobalMemory:
         with pytest.raises(ValueError):
             self.mem.read_line(4)
 
-    def test_snapshot_restore(self):
+    def test_snapshot_from_image_roundtrip(self):
         buf = self.mem.alloc(64, "a")
+        self.mem.write_u32(np.array([buf.base]), np.array([7], np.uint32))
         snap = self.mem.snapshot()
         self.mem.write_u32(np.array([buf.base]), np.array([42], np.uint32))
-        self.mem.restore(snap)
-        assert int(self.mem.read_u32(np.array([buf.base]))[0]) == 0
+        replay = GlobalMemory.from_image(snap)
+        assert int(replay.read_u32(np.array([buf.base]))[0]) == 7
+        # The new memory owns a copy: writes reach neither side.
+        replay.write_u32(np.array([buf.base]), np.array([9], np.uint32))
+        assert int(snap[buf.base:buf.base + 4].view(np.uint32)[0]) == 7
+        assert int(self.mem.read_u32(np.array([buf.base]))[0]) == 42
+
+    def test_image_is_the_allocated_extent(self):
+        assert self.mem.image.size == 128
+        a = self.mem.alloc(100, "a")
+        b = self.mem.alloc(300, "b")
+        assert self.mem.image.size == b.base + 384 == a.base + 128 + 384
+        assert self.mem.snapshot().size == self.mem.image.size
+        assert GlobalMemory.from_image(self.mem.snapshot()).image.size \
+            == self.mem.image.size
+
+    def test_access_past_last_allocation_raises(self):
+        buf = self.mem.alloc(128, "a")
+        end = np.array([buf.base + 128])
+        with pytest.raises(IndexError):
+            self.mem.read_u32(end)
+        with pytest.raises(IndexError):
+            self.mem.write_u32(end, np.array([1], np.uint32))
+        with pytest.raises(IndexError):
+            self.mem.read_line(buf.base + 128)
+        # The last word of the allocation is still in range.
+        self.mem.write_u32(end - 4, np.array([1], np.uint32))
+        assert int(self.mem.read_u32(end - 4)[0]) == 1
 
     def test_alloc_array_contents(self):
         vals = np.arange(16, dtype=np.uint32)

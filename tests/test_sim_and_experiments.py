@@ -51,6 +51,65 @@ class TestSimulateApp:
         assert stats.static_binary.size > 0
 
 
+def _arrays(obj):
+    """Every NumPy array reachable from ``obj`` through attributes and
+    containers."""
+    seen, stack = set(), [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+
+
+class TestMemoryExtent:
+    """Phase 1 keeps only the allocated extent of device memory."""
+
+    @pytest.mark.parametrize("name", ["ATA", "VEC"])
+    def test_initial_image_is_the_allocated_extent(self, name):
+        from repro.arch import Encoders, GlobalMemory, run_functional
+        app = get_app(name)
+        mem = GlobalMemory(size_bytes=app.memory_bytes)
+        launches = app.build(mem, np.random.default_rng(app.seed))
+        result = run_functional(app.name, mem, launches,
+                                Encoders(isa_mask=0, pivot_lane=21))
+        image = result.trace.initial_image
+        assert image.nbytes == mem.image.size < app.memory_bytes
+        code = mem.buffers[f"{name}.code"]
+        assert 0 < code.base and code.end <= image.nbytes
+        for launch in result.trace.launches:
+            end = launch.code_base + len(launch.static_words) * 8
+            assert code.base <= launch.code_base and end <= code.end
+            assert np.array_equal(
+                image[launch.code_base:end].view(np.uint64),
+                np.asarray(launch.static_words, dtype=np.uint64))
+
+    def test_functional_cache_holds_no_device_sized_array(self):
+        from repro import sim
+        from repro.obs.tracer import Tracer, use_tracer
+        apps = [get_app("ATA"), get_app("VEC")]
+        sim.clear_caches()
+        tracer = Tracer("root")
+        with use_tracer(tracer):
+            for app in apps:
+                sim._functional_pass(app, 21)
+        spans = [s for _, s in tracer.root.walk() if s.name == "functional"]
+        for app, span in zip(apps, spans):
+            entry = sim._FUNCTIONAL_CACHE[(app.name, 21)]
+            nbytes = entry[0].trace.initial_image.nbytes
+            assert span.attrs["image_bytes"] == nbytes
+            biggest = max(a.nbytes for a in _arrays(entry))
+            assert biggest == nbytes < app.memory_bytes
+
+
 class TestSimulateSuite:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

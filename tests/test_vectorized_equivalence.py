@@ -678,6 +678,9 @@ class TestMemoryVectorization:
     def test_write_read_roundtrip_with_duplicates(self, seed):
         rng = np.random.default_rng(seed)
         mem = GlobalMemory(size_bytes=4096)
+        # Allocate the whole 4096 bytes (block 0 is already the
+        # unmapped one): only the allocated extent is addressable.
+        mem.alloc(4096 - mem.align, "words")
         addrs = rng.integers(0, 1024, LANES, dtype=np.int64) * 4
         vals = rng.integers(0, 2**32, LANES, dtype=np.uint32)
         mask = rng.random(LANES) < 0.7
