@@ -13,7 +13,9 @@ to move the numbers) with::
 and commit the diff; an unintentional diff here is a regression.
 """
 
+import hashlib
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ SMOKE_FIXTURE = GOLDEN_DIR / "smoke_sweep.json"
 METRICS_FIXTURE = GOLDEN_DIR / "smoke_metrics.json"
 FAULT_FIXTURE = GOLDEN_DIR / "fault_replay.json"
 LEDGER_FIXTURE = GOLDEN_DIR / "smoke_ledger.json"
+FUNCTIONAL_FIXTURE = GOLDEN_DIR / "functional_digests.json"
 
 #: A representative but cheap sweep: two per-app experiments (one
 #: replay-heavy, one mask-profiling) and one whole-experiment driver.
@@ -236,6 +239,74 @@ class TestGoldenFaultedReplay:
 
     def test_faulted_replay_is_rerun_deterministic(self):
         assert _faulted_replay_json() == _faulted_replay_json()
+
+
+def _functional_digest(app) -> str:
+    """SHA-256 over everything one app's functional pass produces.
+
+    Covers every warp's dynamic records (PC, word, active lanes,
+    barrier flag; for memory records the space, the store flag, the
+    active mask, the active addresses and the store data), the static
+    binary, the initial image, the phase-1 tally and both profiler
+    aggregates.
+    """
+    from repro.analysis.profiling import Profiler
+    from repro.arch import Encoders, GlobalMemory, run_functional
+
+    mem = GlobalMemory(size_bytes=app.memory_bytes)
+    launches = app.build(mem, np.random.default_rng(app.seed))
+    profiler = Profiler()
+    result = run_functional(app.name, mem, launches,
+                            Encoders(isa_mask=0, pivot_lane=21),
+                            profiler=profiler)
+    trace = result.trace
+    digest = hashlib.sha256()
+    for launch in trace.launches:
+        for block in launch.blocks:
+            for warp in block.warps:
+                digest.update(struct.pack("<qqq", block.block, warp.warp,
+                                          len(warp.records)))
+                for rec in warp.records:
+                    digest.update(struct.pack("<qQq?", rec.pc, rec.word,
+                                              rec.active_lanes,
+                                              rec.is_barrier))
+                    acc = rec.mem
+                    if acc is None:
+                        continue
+                    digest.update(f"{acc.space.value}/{acc.is_store}".encode())
+                    digest.update(acc.active.tobytes())
+                    digest.update(acc.addrs[acc.active].tobytes())
+                    if acc.data is not None:
+                        digest.update(acc.data.tobytes())
+    digest.update(trace.static_binary.tobytes())
+    digest.update(trace.initial_image.tobytes())
+    tally = sorted((unit.name, variant, counts.read0, counts.read1,
+                    counts.write0, counts.write1)
+                   for (unit, variant), counts in result.tally.counts.items())
+    narrow = profiler.narrow
+    digest.update(repr((tally, narrow.values, narrow.leading_zero_bits,
+                        narrow.one_bits, profiler.lanes.blocks)).encode())
+    digest.update(profiler.lanes.distance_sums.tobytes())
+    return digest.hexdigest()
+
+
+class TestGoldenFunctionalDigests:
+    """One digest per app of its whole functional pass, for all 58
+    apps: any change to what phase 1 hands the replay, the tallies or
+    the profiles shows up as a changed entry naming the app."""
+
+    def test_functional_digests_match_fixture(self, update_golden):
+        from repro.kernels import all_apps
+        text = canonical_json({app.name: _functional_digest(app)
+                               for app in all_apps()})
+        if update_golden:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            FUNCTIONAL_FIXTURE.write_text(text, encoding="utf-8")
+            pytest.skip("functional fixture regenerated; commit the diff")
+        assert FUNCTIONAL_FIXTURE.exists(), (
+            "missing functional fixture — generate it with "
+            "`python -m pytest tests/test_golden.py --update-golden`")
+        assert text == FUNCTIONAL_FIXTURE.read_text(encoding="utf-8")
 
 
 class TestHotspotReconciliation:
