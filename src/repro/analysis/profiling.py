@@ -31,6 +31,9 @@ __all__ = ["Profiler", "NarrowValueProfile", "LaneHammingProfile"]
 
 LANES = 32
 
+#: Sampled blocks whose 32x32 distance matrices are computed at once.
+_DISTANCE_CHUNK = 64
+
 
 @dataclass
 class NarrowValueProfile:
@@ -115,19 +118,24 @@ class Profiler:
         self.narrow.one_bits += int(popcount32(vals).sum())
 
     def on_reg_block(self, values: np.ndarray,
-                     active: Optional[np.ndarray]) -> None:
-        self._reg_counter += 1
-        if self._reg_counter % self._sample_every:
-            return
-        if active is not None and not bool(active.all()):
-            # Divergent blocks are where lane-0's disadvantage shows up:
-            # distances to inactive (zeroed) lanes are measured exactly
-            # as the hardware profiling in the paper would see them.
-            pass
-        block = np.asarray(values, dtype=np.uint32)
-        if block.size != LANES:
-            return
-        xor = block[:, None] ^ block[None, :]
-        dist = popcount32(xor)
-        self.lanes.blocks += 1
-        self.lanes.distance_sums += dist.sum(axis=1) / (LANES - 1)
+                     active: Optional[np.ndarray] = None) -> None:
+        """Record register write-backs: one ``(32,)`` block, or
+        ``(rows, 32)`` blocks in issue order.
+
+        Every ``reg_sample_every``-th write-back is sampled. Inactive
+        lanes hold 0 and are measured as such: divergent blocks are
+        where lane 0's disadvantage shows up, exactly as the hardware
+        profiling in the paper would see them.
+        """
+        rows = np.asarray(values, dtype=np.uint32).reshape(-1, LANES)
+        first = -(self._reg_counter + 1) % self._sample_every
+        self._reg_counter += rows.shape[0]
+        sampled = rows[first::self._sample_every]
+        # Distance matrices in bounded chunks; sums added in issue
+        # order, so the float totals do not depend on the chunking.
+        for start in range(0, sampled.shape[0], _DISTANCE_CHUNK):
+            chunk = sampled[start:start + _DISTANCE_CHUNK]
+            dist = popcount32(chunk[:, :, None] ^ chunk[:, None, :])
+            for lane_sums in dist.sum(axis=2) / (LANES - 1):
+                self.lanes.distance_sums += lane_sums
+        self.lanes.blocks += sampled.shape[0]

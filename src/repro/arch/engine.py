@@ -1,15 +1,23 @@
 """Phase-1 functional execution of kernel launches.
 
-Runs every warp of every block through its kernel body, collecting
+Runs every block of every launch through its kernel body once, all of
+the block's warps in lockstep (see :mod:`repro.arch.warp`), collecting
 per-warp dynamic instruction streams, the static binary, register/
 shared-memory bit tallies and the snapshot of the allocated memory
 extent the replay phase starts from.
 
+Execution model: a block's warps execute each instruction together,
+in warp order within the instruction, and blocks run one after
+another. So a warp sees every store an earlier instruction of any warp
+in its block made, and none that a later instruction makes: a load
+that races with another warp's later store reads the old value, and
+on a duplicate-address store the highest warp's value wins.
+
 Barrier semantics: kernel bodies that synchronise are generator
-functions yielding :data:`~repro.arch.warp.BARRIER`; the engine runs
-every warp of a block up to the same barrier before releasing any of
-them, exactly like ``__syncthreads``. Warps within a barrier round run
-sequentially, so race-free kernels observe deterministic values.
+functions yielding :data:`~repro.arch.warp.BARRIER`. In lockstep every
+warp reaches each barrier together, exactly like ``__syncthreads``;
+the engine only drains the block's generator and closes each barrier
+round for the lane profiler.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ __all__ = ["Launch", "run_functional", "FunctionalResult"]
 class Launch:
     """One kernel launch: a body plus its grid geometry.
 
-    ``body(w)`` receives a :class:`~repro.arch.warp.WarpCtx`; bodies that
-    use barriers are generators yielding ``w.barrier()``.
+    ``body(w)`` runs once per block and receives the block's
+    :class:`~repro.arch.warp.WarpCtx`; bodies that use barriers are
+    generators yielding ``w.barrier()``.
     """
 
     name: str
@@ -59,38 +68,18 @@ class FunctionalResult:
     tally: Tally = field(default_factory=Tally)
 
 
-def _run_block(launch: Launch, block_idx: int, warps: List[WarpCtx]) -> None:
-    """Execute one block's warps in barrier-delimited rounds."""
-    if inspect.isgeneratorfunction(launch.body):
-        gens = [launch.body(w) for w in warps]
-        alive = [True] * len(gens)
-        while any(alive):
-            statuses = []
-            for i, gen in enumerate(gens):
-                if not alive[i]:
-                    statuses.append("done")
-                    continue
-                try:
-                    token = next(gen)
-                except StopIteration:
-                    alive[i] = False
-                    statuses.append("done")
-                    continue
-                if token is not BARRIER:
-                    raise RuntimeError(
-                        f"kernel {launch.name!r} yielded a non-barrier value; "
-                        "bodies must only `yield w.barrier()`"
-                    )
-                statuses.append("barrier")
-            at_barrier = statuses.count("barrier")
-            if at_barrier and at_barrier != sum(alive[i] for i in range(len(gens))):
+def _run_block(launch: Launch, ctx: WarpCtx) -> None:
+    """Execute one block's body, all its warps in lockstep."""
+    steps = launch.body(ctx)
+    if inspect.isgenerator(steps):
+        for token in steps:
+            if token is not BARRIER:
                 raise RuntimeError(
-                    f"kernel {launch.name!r} has divergent barriers in "
-                    f"block {block_idx}: {statuses}"
+                    f"kernel {launch.name!r} yielded a non-barrier value; "
+                    "bodies must only `yield w.barrier()`"
                 )
-    else:
-        for w in warps:
-            launch.body(w)
+            ctx.end_round()
+    ctx.end_round()
 
 
 def run_functional(app_name: str, mem: GlobalMemory,
@@ -118,20 +107,16 @@ def run_functional(app_name: str, mem: GlobalMemory,
                                    static_words=static_words)
         for block_idx in range(launch.n_blocks):
             shared = np.zeros(max(launch.shared_bytes, 4), dtype=np.uint8)
-            warps = [
-                WarpCtx(
-                    mem=mem, shared=shared, batch=batch,
-                    static_map=static_map, static_words=static_words,
-                    block_idx=block_idx, warp_in_block=w,
-                    warps_per_block=launch.warps_per_block,
-                    n_blocks=launch.n_blocks,
-                    params={}, profiler=profiler,
-                )
-                for w in range(launch.warps_per_block)
-            ]
-            _run_block(launch, block_idx, warps)
+            ctx = WarpCtx(
+                mem=mem, shared=shared, batch=batch,
+                static_map=static_map, static_words=static_words,
+                block_idx=block_idx,
+                warps_per_block=launch.warps_per_block,
+                profiler=profiler,
+            )
+            _run_block(launch, ctx)
             launch_trace.blocks.append(
-                BlockTrace(block=block_idx, warps=[w.trace for w in warps])
+                BlockTrace(block=block_idx, warps=ctx.traces)
             )
 
         binary_bytes = len(static_words) * 8

@@ -223,10 +223,12 @@ class TallyBatch:
 
     def add_warp(self, unit: Unit, values: np.ndarray, active: np.ndarray,
                  is_store: bool) -> None:
-        """Record one warp-blocked register/shared-memory access: one
-        row of lane values, counted where ``active``."""
-        self._add_data((unit, "warp", values.shape[0], is_store),
-                       values, active, 1)
+        """Record warp-blocked register/shared-memory accesses: a
+        ``(warps, 32)`` block (or one ``(32,)`` warp) of lane values,
+        one row per warp, counted where ``active``."""
+        width = values.shape[-1]
+        self._add_data((unit, "warp", width, is_store),
+                       values, active, values.size // width)
 
     def add_line(self, unit: Unit, lines: np.ndarray, is_store: bool,
                  counted: Optional[np.ndarray] = None) -> None:

@@ -1,17 +1,26 @@
-"""The SIMT warp context: a 32-lane functional execution API.
+"""The SIMT block context: one thread block's warps in lockstep.
 
-Kernels are written against :class:`WarpCtx` — a CUDA-like, warp-
-granularity interface whose every operation:
+Kernels are written against :class:`WarpCtx` — a CUDA-like interface
+whose registers, predicates, masks and addresses are ``(warps, 32)``
+arrays, one row per warp of the block. The engine runs a kernel body
+once per block, and every operation:
 
-1. computes its 32-lane result with NumPy (functional semantics),
+1. computes the whole block's result with NumPy (functional
+   semantics),
 2. maps its *call site* to a static program counter and a 64-bit
    instruction encoding (loops in kernel Python re-visit the same PC,
    so the static binary looks like compiled code),
 3. tallies register-file (and shared-memory) bit statistics under all
-   coder variants — these are scheduling-order-independent, so phase 1
-   is the right place to count them,
-4. appends a dynamic :class:`~repro.arch.trace.InstRecord` for the
-   scheduler-driven replay phase.
+   coder variants, one row per warp — these are scheduling-order-
+   independent, so phase 1 is the right place to count them,
+4. appends one dynamic :class:`~repro.arch.trace.InstRecord` to each
+   warp's stream for the scheduler-driven replay phase.
+
+Kernel bodies never branch in Python on lane values, so every warp of
+a block runs the same instruction sequence and lockstep execution
+yields each warp's own stream. Within one instruction, stores apply
+in warp order: on a duplicate address the highest warp (then the
+highest lane) wins.
 
 Branch divergence uses an explicit active-mask stack
 (``with w.diverge(pred): ...``). Values produced inside a divergent
@@ -48,7 +57,7 @@ _U32 = np.uint32
 
 
 class Reg:
-    """A warp-wide virtual register: 32 lanes of 32-bit values."""
+    """A block-wide virtual register: ``(warps, 32)`` 32-bit values."""
 
     __slots__ = ("values", "regno", "is_sreg")
 
@@ -58,17 +67,16 @@ class Reg:
         self.is_sreg = is_sreg
 
     def __repr__(self):
-        return f"Reg(r{self.regno}, {self.values[:4]}...)"
+        return f"Reg(r{self.regno}, {self.values.ravel()[:4]}...)"
 
 
 class WarpCtx:
-    """Execution context of one warp inside one thread block."""
+    """Execution context of one thread block, its warps in lockstep."""
 
     def __init__(self, *, mem: GlobalMemory, shared: np.ndarray,
                  batch: TallyBatch, static_map: dict,
-                 static_words: list, block_idx: int, warp_in_block: int,
-                 warps_per_block: int, n_blocks: int,
-                 params: dict, profiler=None):
+                 static_words: list, block_idx: int,
+                 warps_per_block: int, profiler=None):
         self.mem = mem
         self.shared = shared
         #: records every register/shared-memory access for tallying.
@@ -76,13 +84,15 @@ class WarpCtx:
         self.static_map = static_map        # shared per launch
         self.static_words = static_words    # shared per launch
         self.block_idx = block_idx
-        self.warp_in_block = warp_in_block
         self.warps_per_block = warps_per_block
-        self.n_blocks = n_blocks
-        self.params = params
         self.profiler = profiler
-        self.trace = WarpTrace(block=block_idx, warp=warp_in_block)
-        self._mask_stack = [np.ones(LANES, dtype=bool)]
+        #: one dynamic stream per warp of the block.
+        self.traces = [WarpTrace(block=block_idx, warp=w)
+                       for w in range(warps_per_block)]
+        self._shape = (warps_per_block, LANES)
+        self._mask_stack = [np.ones(self._shape, dtype=bool)]
+        #: this barrier round's register write-backs, for the profiler.
+        self._writebacks = []
 
     # ------------------------------------------------------------------
     # Thread geometry
@@ -92,20 +102,22 @@ class WarpCtx:
     def active(self) -> np.ndarray:
         return self._mask_stack[-1]
 
+    def _thread_ids(self, base: int) -> np.ndarray:
+        return (base + np.arange(self.block_dim(), dtype=_U32)
+                ).reshape(self._shape)
+
     def lane_id(self) -> Reg:
-        return Reg(np.arange(LANES, dtype=_U32), regno=0, is_sreg=True)
+        return Reg(self._thread_ids(0) % _U32(LANES), regno=0, is_sreg=True)
 
     def thread_idx(self) -> Reg:
-        base = self.warp_in_block * LANES
-        return Reg(base + np.arange(LANES, dtype=_U32), regno=1, is_sreg=True)
+        return Reg(self._thread_ids(0), regno=1, is_sreg=True)
 
     def block_dim(self) -> int:
         return self.warps_per_block * LANES
 
     def global_thread_idx(self) -> Reg:
-        base = (self.block_idx * self.warps_per_block
-                + self.warp_in_block) * LANES
-        return Reg(base + np.arange(LANES, dtype=_U32), regno=2, is_sreg=True)
+        base = self.block_idx * self.block_dim()
+        return Reg(self._thread_ids(base), regno=2, is_sreg=True)
 
     # ------------------------------------------------------------------
     # Static-program bookkeeping
@@ -115,8 +127,8 @@ class WarpCtx:
                  imm: int) -> tuple:
         """Map the kernel call site to a (pc, encoded word) pair.
 
-        The first executing warp defines the encoding at a site; later
-        visits (loop iterations, other warps) reuse it, exactly as a
+        The first executing block defines the encoding at a site; later
+        visits (loop iterations, other blocks) reuse it, exactly as a
         compiled binary would.
         """
         frame = sys._getframe(2)
@@ -151,8 +163,17 @@ class WarpCtx:
     def _reg_write(self, values: np.ndarray, regno: int) -> Reg:
         self._tally_warp(Unit.REG, values, is_store=True)
         if self.profiler is not None:
-            self.profiler.on_reg_block(values, self.active)
+            self._writebacks.append(values)
         return Reg(values, regno)
+
+    def end_round(self) -> None:
+        """Close a barrier round: hand its register write-backs to the
+        profiler in warp-serial order (warp by warp, each in issue
+        order), the order its sampling and float sums depend on."""
+        if self._writebacks:
+            rows = np.stack(self._writebacks, axis=1).reshape(-1, LANES)
+            self._writebacks = []
+            self.profiler.on_reg_block(rows)
 
     def _emit(self, opcode: Opcode, srcs, result: Optional[np.ndarray],
               imm: int = 0, mem: Optional[MemAccess] = None,
@@ -166,28 +187,34 @@ class WarpCtx:
         for reg in regs:
             self._reg_read(reg)
         out = None
+        active = self.active
         if result is not None:
-            masked = np.where(self.active, result.astype(_U32), _U32(0))
+            masked = np.where(active, result.astype(_U32), _U32(0))
             out = self._reg_write(masked, dst)
-        self.trace.records.append(InstRecord(
-            pc=pc, word=word, op_class=OPCODE_CLASS[opcode],
-            active_lanes=int(np.count_nonzero(self.active)),
-            mem=mem, is_barrier=is_barrier,
-        ))
+        op_class = OPCODE_CLASS[opcode]
+        lanes = np.count_nonzero(active, axis=1).tolist()
+        for w, trace in enumerate(self.traces):
+            access = None
+            if mem is not None:
+                # One warp's access is its row of the block's access.
+                access = MemAccess(mem.space, mem.is_store, mem.addrs[w],
+                                   mem.active[w],
+                                   None if mem.data is None else mem.data[w])
+            trace.records.append(InstRecord(pc, word, op_class, lanes[w],
+                                            access, is_barrier))
         return out
 
-    @staticmethod
-    def _vals(operand) -> np.ndarray:
+    def _vals(self, operand) -> np.ndarray:
         if isinstance(operand, Reg):
             return operand.values
         # Scalars wrap two's-complement, as the hardware datapath would.
-        return np.full(LANES, np.int64(operand) & 0xFFFFFFFF, dtype=_U32)
+        return np.full(self._shape, np.int64(operand) & 0xFFFFFFFF,
+                       dtype=_U32)
 
-    @staticmethod
-    def _fvals(operand) -> np.ndarray:
+    def _fvals(self, operand) -> np.ndarray:
         if isinstance(operand, Reg):
             return bits_to_float(operand.values)
-        return np.full(LANES, operand, dtype=np.float32)
+        return np.full(self._shape, operand, dtype=np.float32)
 
     def _imm_of(self, *operands) -> int:
         for op in operands:
@@ -200,7 +227,7 @@ class WarpCtx:
     # ------------------------------------------------------------------
 
     def const(self, value) -> Reg:
-        vals = np.full(LANES, np.int64(value) & 0xFFFFFFFF, dtype=_U32)
+        vals = self._vals(value)
         return self._emit(Opcode.MOV, (), vals, imm=int(value) & 0x3FFFFFF)
 
     def mov(self, a) -> Reg:
@@ -272,7 +299,7 @@ class WarpCtx:
     # ------------------------------------------------------------------
 
     def fconst(self, value: float) -> Reg:
-        vals = float_to_bits(np.full(LANES, value, dtype=np.float32))
+        vals = float_to_bits(self._fvals(value))
         return self._emit(Opcode.MOV, (), vals)
 
     def _fop(self, opcode: Opcode, fn, *operands) -> Reg:
@@ -369,9 +396,6 @@ class WarpCtx:
         """Execute a region with only the lanes where ``pred`` holds."""
         return self._Divergence(self, pred)
 
-    def any_active(self, pred: np.ndarray) -> bool:
-        return bool(np.any(self.active & np.asarray(pred, dtype=bool)))
-
     # ------------------------------------------------------------------
     # Memory
     # ------------------------------------------------------------------
@@ -379,7 +403,7 @@ class WarpCtx:
     def _addr_vals(self, addr) -> np.ndarray:
         if isinstance(addr, Reg):
             return addr.values.astype(np.int64)
-        return np.asarray(addr, dtype=np.int64)
+        return np.full(self._shape, addr, dtype=np.int64)
 
     def ld_global(self, addr) -> Reg:
         addrs = self._addr_vals(addr)

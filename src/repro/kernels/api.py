@@ -2,7 +2,7 @@
 
 Each application mirrors one of the paper's benchmarks: it allocates
 device buffers with realistic data, then returns one or more kernel
-launches whose bodies are written against the warp-level SIMT API
+launches whose bodies are written against the block-level SIMT API
 (:class:`~repro.arch.warp.WarpCtx`). Applications register themselves
 under their paper abbreviation and suite.
 """

@@ -204,7 +204,9 @@ def build_2mm(mem, rng):
 @register("SYK", "polybench", "syrk: C = alpha A A^T + beta C")
 def build_syrk(mem, rng):
     cols = 32
-    A = _alloc_matrix(mem, rng, "A", rows=_N // cols, cols=_K)
+    # Rows are read both as `row` (gid >> 5, _N // cols of them) and as
+    # `col` (gid & 31, cols of them), so A holds the larger count.
+    A = _alloc_matrix(mem, rng, "A", rows=max(_N // cols, cols), cols=_K)
     C = mem.alloc_array(smooth_f32(_N, rng, base=0.3).view(np.uint32), "C")
 
     def body(w):
@@ -228,8 +230,11 @@ def build_syrk(mem, rng):
 
 @register("SYR", "polybench", "syr2k: C = alpha(A B^T + B A^T) + beta C")
 def build_syr2k(mem, rng):
-    A = _alloc_matrix(mem, rng, "A", rows=_N // 32, cols=_K)
-    B = _alloc_matrix(mem, rng, "B", rows=_N // 32, cols=_K, base=0.6)
+    # Rows are read both as `row` (gid >> 5) and as `col` (gid & 31),
+    # so A and B hold the larger of the two row counts.
+    rows = max(_N // 32, 32)
+    A = _alloc_matrix(mem, rng, "A", rows=rows, cols=_K)
+    B = _alloc_matrix(mem, rng, "B", rows=rows, cols=_K, base=0.6)
     C = mem.alloc_array(smooth_f32(_N, rng, base=0.4).view(np.uint32), "C")
 
     def body(w):

@@ -88,6 +88,9 @@ def _functional_pass(app, pivot_lane: int) -> tuple:
                                 profiler=profiler)
         if span is not None:
             span.set(launches=len(launches),
+                     blocks=sum(l.n_blocks for l in launches),
+                     warps=sum(l.n_blocks * l.warps_per_block
+                               for l in launches),
                      image_bytes=result.trace.initial_image.nbytes)
     cached = (result, profiler)
     _FUNCTIONAL_CACHE[key] = cached

@@ -56,6 +56,20 @@ class TestProfiler:
             prof.on_reg_block(np.zeros(32, dtype=np.uint32), None)
         assert prof.lanes.blocks == 2
 
+    def test_row_blocks_match_single_blocks(self):
+        """(rows, 32) write-backs sample and sum exactly as the same
+        rows fed one at a time, across calls of any length."""
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, 2**32, (150, 32), dtype=np.uint32)
+        single, batched = Profiler(), Profiler()
+        for row in rows:
+            single.on_reg_block(row)
+        for part in np.split(rows, [3, 4, 90]):
+            batched.on_reg_block(part)
+        assert batched.lanes.blocks == single.lanes.blocks == 37
+        assert np.array_equal(batched.lanes.distance_sums,
+                              single.lanes.distance_sums)
+
     def test_sampling_validation(self):
         with pytest.raises(ValueError):
             Profiler(reg_sample_every=0)

@@ -791,8 +791,10 @@ class _ScalarBatch:
         self.tally = tally
 
     def add_warp(self, unit, values, active, is_store):
-        oracle_tally_warp(self.encoders, self.tally, unit, values, is_store,
-                          blocked="warp", active=active)
+        # A (warps, 32) block is one oracle access per warp.
+        for row, row_active in zip(values, active):
+            oracle_tally_warp(self.encoders, self.tally, unit, row,
+                              is_store, blocked="warp", active=row_active)
 
     def add_line(self, unit, lines, is_store, counted=None):
         _oracle_line_block(self.encoders, self.tally, unit, lines, is_store,

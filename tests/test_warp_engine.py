@@ -6,17 +6,18 @@ import pytest
 from repro.arch import (BARRIER, Encoders, GlobalMemory, Launch, Tally,
                         run_functional)
 from repro.core.spaces import Unit
+from repro.analysis.profiling import Profiler
 from repro.arch.trace import MemSpace
 from repro.core.bitutils import bits_to_float
 
 
 def run_one(body, n_blocks=1, warps_per_block=1, shared_bytes=0,
-            mem=None, name="k"):
+            mem=None, name="k", profiler=None):
     mem = mem or GlobalMemory(size_bytes=1 << 20)
     enc = Encoders(isa_mask=0)
     result = run_functional("test", mem,
                             [Launch(name, body, n_blocks, warps_per_block,
-                                    shared_bytes)], enc)
+                                    shared_bytes)], enc, profiler=profiler)
     return mem, result
 
 
@@ -84,7 +85,7 @@ class TestArithmetic:
             out["min"] = w.imin(w.const(-5 & 0xFFFFFFFF), w.const(3))
             out["max"] = w.imax(w.const(-5 & 0xFFFFFFFF), w.const(3))
         run_one(body)
-        assert out["min"].values.view(np.int32)[0] == -5
+        assert (out["min"].values.view(np.int32) == -5).all()
         assert (out["max"].values == 3).all()
 
     def test_lane_id_values(self):
@@ -92,14 +93,14 @@ class TestArithmetic:
 
         def body(w):
             out["lane"] = w.lane_id()
-        run_one(body)
-        assert out["lane"].values.tolist() == list(range(32))
+        run_one(body, warps_per_block=2)
+        assert out["lane"].values.tolist() == [list(range(32))] * 2
 
     def test_global_thread_idx(self):
         seen = []
 
         def body(w):
-            seen.append(int(w.global_thread_idx().values[0]))
+            seen.extend(w.global_thread_idx().values[:, 0].tolist())
         run_one(body, n_blocks=2, warps_per_block=2)
         assert seen == [0, 32, 64, 96]
 
@@ -130,7 +131,7 @@ class TestDivergence:
                 doubled = w.imul(lane, 2)
             out["r"] = w.select(pred, doubled, lane)
         run_one(body)
-        vals = out["r"].values
+        vals = out["r"].values[0]
         assert vals[:8].tolist() == [x * 2 for x in range(8)]
         assert vals[8:].tolist() == list(range(8, 32))
 
@@ -148,17 +149,6 @@ class TestDivergence:
         run_one(body)
         assert out["inner_mask"].sum() == 8
         assert out["outer_mask"].sum() == 16
-
-    def test_any_active(self):
-        flags = {}
-
-        def body(w):
-            lane = w.lane_id()
-            with w.diverge(w.setp_lt(lane, w.const(4))):
-                flags["inner"] = w.any_active(
-                    np.arange(32) < 2)
-        run_one(body)
-        assert flags["inner"]
 
 
 class TestMemoryOps:
@@ -184,7 +174,7 @@ class TestMemoryOps:
             swapped = w.imul(w.ixor(w.lane_id(), w.const(1)), 4)
             out["r"] = w.ld_shared(swapped)
         run_one(body, shared_bytes=32 * 4)
-        vals = out["r"].values
+        vals = out["r"].values[0]
         assert vals[0] == 1 and vals[1] == 0
 
     def test_store_records_data_in_trace(self):
@@ -251,15 +241,45 @@ class TestStaticProgram:
 
 class TestBarriers:
     def test_barrier_synchronises_rounds(self):
-        order = []
+        """After the barrier every warp reads the shared-memory words
+        every warp stored before it."""
+        seen = []
 
         def body(w):
-            order.append(("pre", w.warp_in_block))
+            tid = w.thread_idx()
+            w.st_shared(w.imul(tid, 4), w.iadd(tid, 1))
             yield w.barrier()
-            order.append(("post", w.warp_in_block))
-        run_one(body, warps_per_block=3)
-        phases = [p for p, _ in order]
-        assert phases == ["pre"] * 3 + ["post"] * 3
+            lane = w.lane_id()
+            for src in range(3):
+                word = w.ld_shared(w.imul(w.iadd(lane, 32 * src), 4))
+                seen.append(word.values)
+        run_one(body, warps_per_block=3, shared_bytes=96 * 4)
+        for src, values in enumerate(seen):
+            assert values.shape == (3, 32)
+            assert (values == np.arange(32) + 32 * src + 1).all()
+
+    def test_profiler_sees_write_backs_in_warp_serial_order(self):
+        """Each barrier round's register write-backs reach the lane
+        profiler warp by warp, each warp's in issue order."""
+        regs = []
+
+        def body(w):
+            tid = w.thread_idx()
+            regs.append(w.iadd(tid, 1))
+            regs.append(w.imul(tid, 3))
+            regs.append(w.shl(tid, 7))
+            yield w.barrier()
+            regs.append(w.ixor(tid, 0x55))
+        profiler = Profiler(reg_sample_every=2)
+        run_one(body, warps_per_block=2, profiler=profiler)
+        expected = Profiler(reg_sample_every=2)
+        for round_regs in (regs[:3], regs[3:]):
+            for warp in range(2):
+                for reg in round_regs:
+                    expected.on_reg_block(reg.values[warp])
+        assert profiler.lanes.blocks == expected.lanes.blocks == 4
+        assert np.array_equal(profiler.lanes.distance_sums,
+                              expected.lanes.distance_sums)
 
     def test_barrier_records_in_trace(self):
         def body(w):
@@ -273,6 +293,37 @@ class TestBarriers:
             yield "not-a-barrier"
         with pytest.raises(RuntimeError, match="non-barrier"):
             run_one(body)
+
+
+class TestLockstepRaces:
+    """A block's warps run each instruction together, in warp order
+    within the instruction."""
+
+    def test_load_misses_a_later_store_by_another_warp(self):
+        mem = GlobalMemory(size_bytes=1 << 20)
+        word = mem.alloc_array(np.array([5], dtype=np.uint32), "word")
+        seen = mem.alloc(64 * 4, "seen")
+
+        def body(w):
+            tid = w.thread_idx()
+            with w.diverge(w.setp_ge(tid, w.const(32))):      # warp 1
+                old = w.ld_global(w.const(word.base))
+                w.st_global(w.iadd(w.imul(tid, 4), seen.base), old)
+            with w.diverge(w.setp_lt(tid, w.const(32))):      # warp 0
+                w.st_global(w.const(word.base), w.const(7))
+        run_one(body, warps_per_block=2, mem=mem)
+        assert mem.to_numpy(seen)[32:].tolist() == [5] * 32
+        assert mem.to_numpy(word)[0] == 7
+
+    def test_duplicate_store_keeps_highest_warp(self):
+        mem = GlobalMemory(size_bytes=1 << 20)
+        out = mem.alloc(4, "out")
+
+        def body(w):
+            warp = w.shr(w.thread_idx(), 5)
+            w.st_global(w.const(out.base), warp)
+        run_one(body, warps_per_block=3, mem=mem)
+        assert mem.to_numpy(out)[0] == 2
 
 
 class TestRegTally:
