@@ -122,10 +122,11 @@ class Profiler:
         """Record register write-backs: one ``(32,)`` block, or
         ``(rows, 32)`` blocks in issue order.
 
-        Every ``reg_sample_every``-th write-back is sampled. Inactive
-        lanes hold 0 and are measured as such: divergent blocks are
-        where lane 0's disadvantage shows up, exactly as the hardware
-        profiling in the paper would see them.
+        Every ``reg_sample_every``-th write-back is sampled. ``active``
+        is not consulted: inactive lanes hold 0 and are measured as
+        such, since divergent blocks are where lane 0's disadvantage
+        shows up, exactly as the hardware profiling in the paper would
+        see them.
         """
         rows = np.asarray(values, dtype=np.uint32).reshape(-1, LANES)
         first = -(self._reg_counter + 1) % self._sample_every

@@ -403,7 +403,7 @@ class WarpCtx:
     def _addr_vals(self, addr) -> np.ndarray:
         if isinstance(addr, Reg):
             return addr.values.astype(np.int64)
-        return np.full(self._shape, addr, dtype=np.int64)
+        return np.asarray(addr, dtype=np.int64)
 
     def ld_global(self, addr) -> Reg:
         addrs = self._addr_vals(addr)

@@ -106,6 +106,9 @@ class TestMemoryExtent:
             entry = sim._FUNCTIONAL_CACHE[(app.name, 21)]
             nbytes = entry[0].trace.initial_image.nbytes
             assert span.attrs["image_bytes"] == nbytes
+            blocks = [b for l in entry[0].trace.launches for b in l.blocks]
+            assert span.attrs["blocks"] == len(blocks)
+            assert span.attrs["warps"] == sum(len(b.warps) for b in blocks)
             biggest = max(a.nbytes for a in _arrays(entry))
             assert biggest == nbytes < app.memory_bytes
 
