@@ -13,6 +13,7 @@ to move the numbers) with::
 and commit the diff; an unintentional diff here is a regression.
 """
 
+import dataclasses
 import hashlib
 import random
 import struct
@@ -32,6 +33,7 @@ METRICS_FIXTURE = GOLDEN_DIR / "smoke_metrics.json"
 FAULT_FIXTURE = GOLDEN_DIR / "fault_replay.json"
 LEDGER_FIXTURE = GOLDEN_DIR / "smoke_ledger.json"
 FUNCTIONAL_FIXTURE = GOLDEN_DIR / "functional_digests.json"
+REPLAY_FIXTURE = GOLDEN_DIR / "replay_digests.json"
 
 #: A representative but cheap sweep: two per-app experiments (one
 #: replay-heavy, one mask-profiling) and one whole-experiment driver.
@@ -307,6 +309,52 @@ class TestGoldenFunctionalDigests:
             "missing functional fixture — generate it with "
             "`python -m pytest tests/test_golden.py --update-golden`")
         assert text == FUNCTIONAL_FIXTURE.read_text(encoding="utf-8")
+
+
+def _replay_digest(result) -> str:
+    """SHA-256 over everything one app's replay measured.
+
+    Covers every (unit, variant) replay tally count, the NoC toggles
+    per variant and the flit count, every :class:`TimingStats` field
+    (``class_lane_ops`` in insertion order, which the power model's
+    float sums follow), each cache level's counters, the DRAM access
+    count and the footprints.
+    """
+    from repro.arch.stats import VARIANTS
+
+    tally = sorted((unit.name, variant, counts.read0, counts.read1,
+                    counts.write0, counts.write1)
+                   for (unit, variant), counts in result.tally.counts.items())
+    noc = result.noc.stats
+    caches = sorted((level, stats.to_dict())
+                    for level, stats in result.cache_stats.items())
+    footprints = sorted((unit.name, fraction)
+                        for unit, fraction in result.footprints.items())
+    payload = (tally, [noc.toggles[v] for v in VARIANTS], noc.flits,
+               dataclasses.asdict(result.timing), caches,
+               result.dram_accesses, footprints)
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+class TestGoldenReplayDigests:
+    """One digest per app of its clean replay in the 58-app baseline
+    suite (corpus ISA mask): any change to what phase 2 measures shows
+    up as a changed entry naming the app."""
+
+    def test_replay_digests_match_fixture(self, baseline_suite,
+                                          update_golden):
+        suite, replays = baseline_suite
+        assert sorted(replays) == suite.app_names and len(replays) == 58
+        text = canonical_json({name: _replay_digest(result)
+                               for name, result in replays.items()})
+        if update_golden:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            REPLAY_FIXTURE.write_text(text, encoding="utf-8")
+            pytest.skip("replay fixture regenerated; commit the diff")
+        assert REPLAY_FIXTURE.exists(), (
+            "missing replay fixture — generate it with "
+            "`python -m pytest tests/test_golden.py --update-golden`")
+        assert text == REPLAY_FIXTURE.read_text(encoding="utf-8")
 
 
 class TestHotspotReconciliation:
