@@ -29,7 +29,8 @@ from .isa import OpClass
 from .memory import GlobalMemory
 from .noc import Crossbar
 from .scheduler import WarpSlot, make_scheduler
-from .stats import VARIANTS, Encoders, Tally, TallyBatch, TimingStats
+from .stats import (VARIANTS, Encoders, Tally, TallyBatch, TimingStats,
+                    flush_chunks)
 from .trace import AppTrace, InstRecord, MemSpace
 from ..core.spaces import Unit
 from ..obs.tracer import trace_span
@@ -156,6 +157,12 @@ class GPUReplay:
     Every access that reads the arrays (a load, or an instruction-fetch
     miss) reads its distinct lines once, through :meth:`_array_read`;
     that one block serves all of the access's tallies and NoC payloads.
+
+    The schedule loop does only what the schedule decides. Each access
+    books its tallies once, after its lines are resolved, and a load
+    encodes only the lines it sends. Every record is fetched exactly
+    once, so the instruction stream's IFB and L1I reads are booked per
+    launch, from the launch's words, after its schedule drains.
     """
 
     def __init__(self, config: GPUConfig, encoders: Encoders,
@@ -214,12 +221,14 @@ class GPUReplay:
     # Memory-system transactions
     # ------------------------------------------------------------------
 
-    def _l2_access(self, state, sm: _SM, line_addr: int, is_store: bool,
-                   is_inst: bool, now: int, line_words: np.ndarray) -> int:
-        """Access the L2; returns completion latency from ``now``.
+    def _l2_access(self, state, line_addr: int, is_store: bool,
+                   now: int) -> tuple:
+        """Access the L2 (timing only); returns ``(latency, hit)``, the
+        completion latency from ``now`` and whether the line hit.
 
-        ``line_words`` is the line as the caller's access sees it: the
-        load's or fetch's array read, or the store's written line.
+        The caller books the L2 tallies: on a miss the filled line is
+        written, then the access reads it (loads, fetches) or writes it
+        (stores).
         """
         cfg = self.config
         mem, tally, noc, l2_banks, dram, timing = state
@@ -237,43 +246,47 @@ class GPUReplay:
             if victim is not None:
                 # Dirty writeback to DRAM: off-chip, transparent to BVF.
                 dram.service(now + latency, victim)
-        # A miss first writes the filled line; then the access itself
-        # reads it (loads, fetches) or writes it (stores).
-        for flag in (is_store,) if hit else (True, is_store):
-            if is_inst:
-                self._batch.add_inst(Unit.L2, line_words.view(np.uint64),
-                                     flag)
-            else:
-                self._batch.add_line(Unit.L2, line_words[None], flag)
         if is_store:
             bank.mark_dirty(line_addr)
-        return latency
+        return latency, hit
 
     def _fetch(self, state, sm: _SM, code_base: int, rec: InstRecord,
                now: int) -> int:
-        """Instruction fetch through IFB and L1I; returns added latency."""
+        """Instruction fetch through L1I; returns added latency. The
+        fetched word's IFB and L1I reads are booked per launch
+        (:meth:`_book_inst_stream`); a miss books its fill here."""
         cfg = self.config
         mem, tally, noc, l2_banks, dram, timing = state
-        batch = self._batch
-        # IFB: the fetched word is written into and read out of the buffer.
-        batch.add_inst(Unit.IFB, (rec.word,), True)
-        batch.add_inst(Unit.IFB, (rec.word,), False)
-        addr = code_base + rec.pc * 8
-        line_addr = sm.l1i.line_of(addr)
-        batch.add_inst(Unit.L1I, (rec.word,), False)
+        line_addr = sm.l1i.line_of(code_base + rec.pc * 8)
         if sm.l1i.lookup(line_addr):
             return 0
         line_words = self._array_read(mem, [line_addr])[0]
         bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
         noc.send_request(sm.index, bank, line_addr)
-        latency = self._l2_access(state, sm, line_addr, is_store=False,
-                                  is_inst=True, now=now,
-                                  line_words=line_words)
+        latency, hit = self._l2_access(state, line_addr, False, now)
         noc.send_response(sm.index, bank,
                           self._line_payload_variants(line_words, True))
         sm.l1i.fill(line_addr)
-        batch.add_inst(Unit.L1I, line_words.view(np.uint64), True)
+        words64 = line_words.view(np.uint64)
+        batch = self._batch
+        if not hit:
+            batch.add_inst(Unit.L2, words64, True)
+        batch.add_inst(Unit.L2, words64, False)
+        batch.add_inst(Unit.L1I, words64, True)
         return latency
+
+    def _book_inst_stream(self, launch) -> None:
+        """Book a launch's instruction stream: each fetched word is
+        written into and read out of the IFB, and read out of L1I.
+        Every record is fetched exactly once, so these tallies are a
+        sum over the launch's words."""
+        words = [rec.word for block in launch.blocks
+                 for warp in block.warps for rec in warp.records]
+        batch = self._batch
+        for chunk in flush_chunks(words):
+            batch.add_inst(Unit.IFB, chunk, True)
+            batch.add_inst(Unit.IFB, chunk, False)
+            batch.add_inst(Unit.L1I, chunk, False)
 
     def _load(self, state, sm: _SM, rec: InstRecord, now: int) -> int:
         cfg = self.config
@@ -286,14 +299,11 @@ class GPUReplay:
             return cfg.lat_alu
         line_list, __, touched = self._group_lines(addrs)
         # One array read serves every use of each line's bytes (hit
-        # tally, fill tally, L2 access, NoC payload). The NoC packets
-        # encode as one (n_lines, variants, line_bytes) stack; line j
-        # sends row j.
+        # tally, fill tally, L2 tally, NoC payload).
         rows = self._array_read(mem, line_list)
-        blocks = self.encoders.data_variant_blocks(Unit.NOC, rows, "line")
-        payload_rows = np.stack([blocks[v] for v in VARIANTS],
-                                axis=1).view(np.uint8)
         missed = []
+        banks = []
+        l2_missed = []
         worst = 0
         for j, line_addr in enumerate(line_list):
             hit = l1.lookup(line_addr)
@@ -307,17 +317,33 @@ class GPUReplay:
             start = sm.mshrs.acquire(now, cfg.lat_l2_hit)
             bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
             noc.send_request(sm.index, bank, line_addr)
-            l2_latency = self._l2_access(state, sm, line_addr, False,
-                                         False, start, rows[j])
-            noc.send_response(sm.index, bank, payload_rows[j])
+            l2_latency, l2_hit = self._l2_access(state, line_addr, False,
+                                                 start)
+            if not l2_hit:
+                l2_missed.append(j)
             l1.fill(line_addr)
             missed.append(j)
+            banks.append(bank)
             worst = max(worst, (start - now) + l2_latency + cfg.lat_l1_hit)
-        # A fill writes the whole line into L1, then the warp reads the
-        # words its lanes touch.
+        batch = self._batch
         if missed:
-            self._batch.add_line(unit, rows[missed], True)
-        self._batch.add_line(unit, rows, False, touched)
+            # The missed lines' responses encode as one (lines,
+            # variants, line_bytes) stack and go out in line order.
+            sent = rows[missed]
+            blocks = self.encoders.data_variant_blocks(Unit.NOC, sent,
+                                                       "line")
+            payloads = np.stack([blocks[v] for v in VARIANTS],
+                                axis=1).view(np.uint8)
+            for bank, payload in zip(banks, payloads):
+                noc.send_response(sm.index, bank, payload)
+            # L2 writes the lines it filled and reads every missed line;
+            # L1 writes each fill.
+            if l2_missed:
+                batch.add_line(Unit.L2, rows[l2_missed], True)
+            batch.add_line(Unit.L2, sent, False)
+            batch.add_line(unit, sent, True)
+        # The warp reads the words its lanes touch.
+        batch.add_line(unit, rows, False, touched)
         return max(worst, cfg.lat_l1_hit)
 
     def _store(self, state, sm: _SM, rec: InstRecord, now: int) -> int:
@@ -335,6 +361,7 @@ class GPUReplay:
         # A store writes the arrays and reads none, so no fault model
         # draws here: its tallies see the lines as written.
         rows = mem.read_lines(line_list, cfg.l1_line_bytes).view(np.uint32)
+        l2_missed = []
         for j, line_addr in enumerate(line_list):
             sm.l1d.invalidate(line_addr)
             timing.l1d_accesses += 1
@@ -344,12 +371,16 @@ class GPUReplay:
             noc.send_write(sm.index, bank, line_addr,
                            self._line_payload_variants(data[index == j],
                                                        False))
-            self._l2_access(state, sm, line_addr, is_store=True,
-                            is_inst=False, now=now, line_words=rows[j])
-        # L2 books the whole written line inside _l2_access; L1 books
-        # the store's words at the interface where the invalidation
-        # check happened.
-        self._batch.add_line(Unit.L1D, rows, True, touched)
+            if not self._l2_access(state, line_addr, True, now)[1]:
+                l2_missed.append(j)
+        # L2 writes the lines it filled, then every written line; L1
+        # books the store's words at the interface where the
+        # invalidation check happened.
+        batch = self._batch
+        if l2_missed:
+            batch.add_line(Unit.L2, rows[l2_missed], True)
+        batch.add_line(Unit.L2, rows, True)
+        batch.add_line(Unit.L1D, rows, True, touched)
         return cfg.lat_alu + 4
 
     # ------------------------------------------------------------------
@@ -415,6 +446,7 @@ class GPUReplay:
                 self._step_sm(state, sm, launch.code_base)
                 if not sm.finished:
                     heapq.heappush(heap, (sm.cycle, sm.index))
+            self._book_inst_stream(launch)
             total_cycles += max((sm.cycle for sm in sms), default=0)
             used_sms.update(sm.index for sm in sms if sm.cycle > 0)
 

@@ -184,6 +184,12 @@ class Encoders:
 FLUSH_ROWS = 4096
 
 
+def flush_chunks(items):
+    """``items`` in consecutive slices of at most :data:`FLUSH_ROWS`,
+    so a bulk record holds no more than one flush's worth at once."""
+    return [items[i:i + FLUSH_ROWS] for i in range(0, len(items), FLUSH_ROWS)]
+
+
 @lru_cache(maxsize=None)
 def _all_counted(shape: Tuple[int, ...]) -> np.ndarray:
     """A shared read-only mask counting every word of a block."""

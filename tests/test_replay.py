@@ -171,3 +171,62 @@ class TestCapacitySensitivity:
         small_res = simulate(body, config=small, setup=streaming_setup)[1]
         big_res = simulate(body, config=big, setup=streaming_setup)[1]
         assert big_res.timing.l1d_hit_rate >= small_res.timing.l1d_hit_rate
+
+
+class TestReplayLoopWork:
+    """The schedule loop encodes and tallies only what it uses."""
+
+    @pytest.mark.parametrize("name", ["ATA", "VEC"])
+    def test_encodes_sent_lines_and_books_stream_in_bulk(self, name,
+                                                         monkeypatch):
+        from repro.arch.stats import TallyBatch
+        from repro.kernels import get_app
+        from repro.sim import _functional_pass
+
+        functional, __ = _functional_pass(get_app(name), 21)
+        counts = {"noc_encodes": 0, "missed_loads": 0, "add_inst": 0}
+        real_blocks = Encoders.data_variant_blocks
+        real_load = GPUReplay._load
+        real_add_inst = TallyBatch.add_inst
+
+        def blocks(self, unit, *args, **kwargs):
+            # TallyBatch flushes encode tallied units; only a NoC
+            # payload encodes under Unit.NOC.
+            counts["noc_encodes"] += unit is Unit.NOC
+            return real_blocks(self, unit, *args, **kwargs)
+
+        def load(self, state, sm, rec, now):
+            l1 = sm.l1_for(rec.mem.space)
+            misses = l1.stats.misses
+            latency = real_load(self, state, sm, rec, now)
+            counts["missed_loads"] += l1.stats.misses > misses
+            return latency
+
+        def add_inst(self, *args, **kwargs):
+            counts["add_inst"] += 1
+            return real_add_inst(self, *args, **kwargs)
+
+        monkeypatch.setattr(Encoders, "data_variant_blocks", blocks)
+        monkeypatch.setattr(GPUReplay, "_load", load)
+        monkeypatch.setattr(TallyBatch, "add_inst", add_inst)
+        replay = GPUReplay(BASELINE_CONFIG,
+                           Encoders(isa_mask=0)).run(functional.trace)
+
+        assert counts["missed_loads"] > 0
+        assert counts["noc_encodes"] == counts["missed_loads"]
+        assert counts["add_inst"] < replay.timing.instructions / 10
+
+    def test_stream_tallies_do_not_depend_on_chunk_size(self, monkeypatch):
+        """The per-launch instruction-stream booking and every other
+        deferred tally give the same counts at any flush bound."""
+        import repro.arch.stats as stats_mod
+        from repro.kernels import get_app
+        from repro.sim import _functional_pass
+
+        trace = _functional_pass(get_app("VEC"), 21)[0].trace
+        encoders = Encoders(isa_mask=0x0F0F0F0F0F0F0F0F)
+        default = GPUReplay(BASELINE_CONFIG, encoders).run(trace)
+        monkeypatch.setattr(stats_mod, "FLUSH_ROWS", 7)
+        small = GPUReplay(BASELINE_CONFIG, encoders).run(trace)
+        assert default.tally.get(Unit.IFB, "ISA").total_bits > 0
+        assert small.tally.counts == default.tally.counts
