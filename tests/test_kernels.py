@@ -7,7 +7,6 @@ from repro.arch import GlobalMemory
 from repro.kernels import (all_apps, apps_by_suite, get_app, SUITES,
                            csr_graph, image_ints, narrow_ints, prices_f32,
                            smooth_f32, sparse_f32, coordinates_f32)
-from repro.sim import simulate_app
 
 
 class TestRegistry:
@@ -39,20 +38,22 @@ class TestRegistry:
 
 @pytest.mark.parametrize("app", all_apps(), ids=lambda a: a.name)
 class TestEveryApp:
-    def test_builds_and_simulates(self, app):
-        stats = simulate_app(app)   # memoised across the test session
+    """Each app's stats come from the session's one baseline suite."""
+
+    def test_builds_and_simulates(self, app, baseline_suite):
+        stats = baseline_suite[0].apps[app.name]
         assert stats.instructions > 50
         assert stats.cycles > 0
         assert stats.narrow.values > 0
 
-    def test_produces_memory_traffic(self, app):
-        stats = simulate_app(app)
+    def test_produces_memory_traffic(self, app, baseline_suite):
+        stats = baseline_suite[0].apps[app.name]
         from repro.core.spaces import Unit
         reg = stats.unit_counts(Unit.REG, "base")
         assert reg.total_bits > 0
 
-    def test_coders_increase_ones_on_registers(self, app):
-        stats = simulate_app(app)
+    def test_coders_increase_ones_on_registers(self, app, baseline_suite):
+        stats = baseline_suite[0].apps[app.name]
         from repro.core.spaces import Unit
         base = stats.one_fraction(Unit.REG, "base")
         enc = stats.one_fraction(Unit.REG, "ALL")
@@ -118,19 +119,19 @@ class TestDataGenerators:
 class TestWorkloadStatistics:
     """The aggregate properties Figures 8/9 rely on."""
 
-    def test_mean_clz_near_paper(self):
-        values = [simulate_app(a).narrow.mean_leading_zeros
-                  for a in all_apps()]
+    def test_mean_clz_near_paper(self, baseline_suite):
+        values = [stats.narrow.mean_leading_zeros
+                  for stats in baseline_suite[0].apps.values()]
         mean = float(np.mean(values))
         assert 6.0 < mean < 14.0      # paper: ~9
 
-    def test_mean_zero_bits_near_paper(self):
-        values = [simulate_app(a).narrow.mean_zero_bits_per_word
-                  for a in all_apps()]
+    def test_mean_zero_bits_near_paper(self, baseline_suite):
+        values = [stats.narrow.mean_zero_bits_per_word
+                  for stats in baseline_suite[0].apps.values()]
         mean = float(np.mean(values))
         assert 19.0 < mean < 28.0     # paper: ~22
 
-    def test_mix_of_memory_and_compute_bound(self):
-        intensities = [simulate_app(a).memory_intensity()
-                       for a in all_apps()]
+    def test_mix_of_memory_and_compute_bound(self, baseline_suite):
+        intensities = [stats.memory_intensity()
+                       for stats in baseline_suite[0].apps.values()]
         assert max(intensities) > 4 * (min(intensities) + 0.1)
