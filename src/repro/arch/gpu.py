@@ -371,7 +371,8 @@ class GPUReplay:
             noc.send_write(sm.index, bank, line_addr,
                            self._line_payload_variants(data[index == j],
                                                        False))
-            if not self._l2_access(state, line_addr, True, now)[1]:
+            __, l2_hit = self._l2_access(state, line_addr, True, now)
+            if not l2_hit:
                 l2_missed.append(j)
         # L2 writes the lines it filled, then every written line; L1
         # books the store's words at the interface where the
