@@ -29,8 +29,7 @@ from .isa import OpClass
 from .memory import GlobalMemory
 from .noc import Crossbar
 from .scheduler import WarpSlot, make_scheduler
-from .stats import (VARIANTS, Encoders, Tally, TallyBatch, TimingStats,
-                    flush_chunks)
+from .stats import Encoders, Tally, TallyBatch, TimingStats, flush_chunks
 from .trace import AppTrace, InstRecord, MemSpace
 from ..core.spaces import Unit
 from ..obs.tracer import trace_span
@@ -98,7 +97,12 @@ class _SM:
         self.l1t = Cache(f"sm{index}.l1t", config.l1t_kb, line,
                          config.l1t_assoc)
         self.mshrs = MSHRFile(config.mshrs_per_sm)
+        #: Resident warps in age order (a scheduler picks the first
+        #: ready one); finished warps are pruned in batches.
         self.warps: List[_WarpStream] = []
+        #: Unfinished warps, and unfinished warps per block.
+        self.live_warps = 0
+        self.live_blocks: Dict[str, int] = {}
         self.block_queue: deque = deque()
         self._next_uid = 0
         self._next_age = 0
@@ -119,14 +123,11 @@ class _SM:
     def admit_blocks(self) -> None:
         cfg = self.config
         while self.block_queue:
-            resident_blocks = len({w.block_key for w in self.warps
-                                   if not w.done})
-            resident_warps = sum(1 for w in self.warps if not w.done)
             block_key, warp_records = self.block_queue[0]
-            if resident_blocks >= cfg.max_blocks_per_sm:
+            if len(self.live_blocks) >= cfg.max_blocks_per_sm:
                 break
-            if resident_warps + len(warp_records) > cfg.warps_per_sm:
-                if resident_warps > 0:
+            if self.live_warps + len(warp_records) > cfg.warps_per_sm:
+                if self.live_warps > 0:
                     break
             self.block_queue.popleft()
             for records in warp_records:
@@ -136,11 +137,23 @@ class _SM:
                 self._next_uid += 1
                 self._next_age += 1
                 self.warps.append(slot)
-            live = [w for w in self.warps if not w.done]
-            self.max_resident_warps = max(self.max_resident_warps, len(live))
-            self.max_resident_blocks = max(
-                self.max_resident_blocks, len({w.block_key for w in live})
-            )
+            if warp_records:
+                self.live_warps += len(warp_records)
+                self.live_blocks[block_key] = len(warp_records)
+            self.max_resident_warps = max(self.max_resident_warps,
+                                          self.live_warps)
+            self.max_resident_blocks = max(self.max_resident_blocks,
+                                           len(self.live_blocks))
+
+    def retire(self, warp: _WarpStream) -> None:
+        """Mark a warp finished and drop it from the live counts."""
+        warp.done = True
+        self.live_warps -= 1
+        left = self.live_blocks[warp.block_key] - 1
+        if left:
+            self.live_blocks[warp.block_key] = left
+        else:
+            del self.live_blocks[warp.block_key]
 
     def prune_done(self) -> None:
         if len(self.warps) > 2 * self.config.warps_per_sm:
@@ -148,21 +161,101 @@ class _SM:
 
     @property
     def finished(self) -> bool:
-        return not self.block_queue and all(w.done for w in self.warps)
+        return not self.block_queue and not self.live_warps
+
+
+class _LinePlan:
+    """One launch's line grouping of its global/const/tex accesses.
+
+    Grouping depends only on the trace's addresses, not on the
+    schedule, so a launch's accesses are grouped in one vectorised pass
+    before its schedule runs, and the launch's extent is checked once:
+    a line past the image's ``n_lines`` raises ``IndexError``. The
+    arrays hold every (access, line) group, accesses in trace order and
+    each access's lines sorted; :meth:`get` slices out one access.
+    """
+
+    def __init__(self, launch, line_bytes: int, n_lines: int):
+        recs, lanes = [], []
+        for block in launch.blocks:
+            for warp in block.warps:
+                for rec in warp.records:
+                    acc = rec.mem
+                    if acc is None or acc.space is MemSpace.SHARED:
+                        continue
+                    addrs = acc.addrs[acc.active]
+                    if addrs.size:
+                        recs.append(rec)
+                        lanes.append(addrs)
+        self._ordinal = {id(rec): k for k, rec in enumerate(recs)}
+        self._words = line_bytes // 4
+        counts = np.array([a.size for a in lanes], dtype=np.int64)
+        addrs = (np.concatenate(lanes).astype(np.int64, copy=False)
+                 if lanes else np.zeros(0, dtype=np.int64))
+        line = addrs // line_bytes
+        if line.size and (line.min() < 0 or line.max() >= n_lines):
+            lo = int(line.min()) * line_bytes
+            hi = (int(line.max()) + 1) * line_bytes
+            raise IndexError(f"device access out of range: [{lo}, {hi}) "
+                             f"of {n_lines * line_bytes} bytes of whole "
+                             f"lines")
+        # One sort key per (access, line); a stable sort keeps each
+        # line's lanes in lane order.
+        owner = np.repeat(np.arange(len(recs), dtype=np.int64), counts)
+        key = owner * n_lines + line
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        group = np.empty(key.size, dtype=np.int64)
+        group[order] = np.cumsum(first) - 1
+        self._rows = key[first] % n_lines
+        self._line_list = (self._rows * line_bytes).tolist()
+        groups = np.zeros(len(recs) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key[first] // n_lines, minlength=len(recs)),
+                  out=groups[1:])
+        self._groups = groups.tolist()
+        self._lanes = np.r_[0, np.cumsum(counts)].tolist()
+        self._index = group - groups[owner]
+        touched = np.zeros((self._rows.size, self._words), dtype=bool)
+        touched[group, (addrs % line_bytes) >> 2] = True
+        self._touched = np.packbits(touched, axis=1, bitorder="little")
+
+    def __len__(self) -> int:
+        return len(self._ordinal)
+
+    def get(self, rec: InstRecord) -> Optional[tuple]:
+        """``(line_list, index, touched, rows)`` of one access: its
+        sorted distinct line addresses, each active lane's index into
+        them, the ``(lines, words)`` mask of the words the lanes touch,
+        and the lines' rows in the image's line view. None for an
+        access with no active lane."""
+        k = self._ordinal.get(id(rec))
+        if k is None:
+            return None
+        a, b = self._groups[k], self._groups[k + 1]
+        touched = np.unpackbits(self._touched[a:b], axis=1,
+                                count=self._words, bitorder="little")
+        return (self._line_list[a:b],
+                self._index[self._lanes[k]:self._lanes[k + 1]],
+                touched.view(bool), self._rows[a:b])
 
 
 class GPUReplay:
     """Replays an :class:`~repro.arch.trace.AppTrace` on a GPU config.
 
     Every access that reads the arrays (a load, or an instruction-fetch
-    miss) reads its distinct lines once, through :meth:`_array_read`;
-    that one block serves all of the access's tallies and NoC payloads.
+    miss) reads its distinct lines once, in one gather through
+    :meth:`_array_read`; that one block serves all of the access's
+    tallies and NoC packets.
 
-    The schedule loop does only what the schedule decides. Each access
-    books its tallies once, after its lines are resolved, and a load
-    encodes only the lines it sends. Every record is fetched exactly
-    once, so the instruction stream's IFB and L1I reads are booked per
-    launch, from the launch's words, after its schedule drains.
+    The schedule loop does only what the schedule decides. Line
+    grouping is planned per launch, before its schedule runs
+    (:class:`_LinePlan`). Each access books its tallies once and sends
+    its packets raw: the crossbar encodes them in bulk. Every record is
+    fetched exactly once, so the instruction stream's IFB and L1I reads
+    are booked per launch, from the launch's words, after its schedule
+    drains.
     """
 
     def __init__(self, config: GPUConfig, encoders: Encoders,
@@ -173,49 +266,26 @@ class GPUReplay:
         #: access's array read and the NoC's data flits.
         self.fault_model = fault_model
         self._batch: Optional[TallyBatch] = None
+        #: The replay image's ``(lines, line_bytes)`` view, and the
+        #: current launch's line plan.
+        self._lines: Optional[np.ndarray] = None
+        self._plan: Optional[_LinePlan] = None
 
     # ------------------------------------------------------------------
     # Line helpers
     # ------------------------------------------------------------------
 
-    def _array_read(self, mem: GlobalMemory, line_list) -> np.ndarray:
-        """One access's array read: its distinct lines as one ``(lines,
-        words)`` uint32 block, which serves every tally and NoC payload
-        of the access. A fault model corrupts the block in one draw, and
-        the damage is written back: read disturbance is destructive."""
-        line_bytes = self.config.l1_line_bytes
-        addrs = np.asarray(line_list, dtype=np.int64)
-        rows = mem.read_lines(addrs, line_bytes)
+    def _array_read(self, rows) -> np.ndarray:
+        """One access's array read: its distinct lines (``rows`` of the
+        image's line view) as one ``(lines, words)`` uint32 block, which
+        serves every tally and NoC payload of the access. A fault model
+        corrupts the block in one draw, and the damage is written back:
+        read disturbance is destructive."""
+        lines = self._lines[rows]
         if self.fault_model is not None:
-            rows = self.fault_model.corrupt_line(rows)
-            mem.image[addrs[:, None]
-                      + np.arange(line_bytes, dtype=np.int64)] = rows
-        return rows.view(np.uint32)
-
-    def _group_lines(self, addrs: np.ndarray) -> tuple:
-        """Group a warp's addresses by cache line: the sorted distinct
-        line addresses, each lane's index into them, and the ``(lines,
-        words)`` mask of the words the lanes touch."""
-        line_bytes = self.config.l1_line_bytes
-        offsets = addrs % line_bytes
-        line_of = addrs - offsets
-        line_list = sorted(set(line_of.tolist()))
-        index = np.searchsorted(line_list, line_of)
-        touched = np.zeros((len(line_list), line_bytes // 4), dtype=bool)
-        touched[index, offsets >> 2] = True
-        return line_list, index, touched
-
-    def _line_payload_variants(self, line_words: np.ndarray,
-                               is_inst: bool) -> np.ndarray:
-        """The NoC packet carrying a line (or a store's words): its
-        ``(variants, bytes)`` encodings."""
-        if is_inst:
-            words64 = np.ascontiguousarray(line_words).view(np.uint64)
-            variants = self.encoders.inst_variants(words64)
-        else:
-            variants = self.encoders.data_variants(Unit.NOC, line_words,
-                                                   "line")
-        return np.stack([variants[v] for v in VARIANTS]).view(np.uint8)
+            lines = self.fault_model.corrupt_line(lines)
+            self._lines[rows] = lines
+        return lines.view(np.uint32)
 
     # ------------------------------------------------------------------
     # Memory-system transactions
@@ -260,14 +330,13 @@ class GPUReplay:
         line_addr = sm.l1i.line_of(code_base + rec.pc * 8)
         if sm.l1i.lookup(line_addr):
             return 0
-        line_words = self._array_read(mem, [line_addr])[0]
+        words64 = self._array_read(
+            [line_addr // cfg.l1_line_bytes])[0].view(np.uint64)
         bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
         noc.send_request(sm.index, bank, line_addr)
         latency, hit = self._l2_access(state, line_addr, False, now)
-        noc.send_response(sm.index, bank,
-                          self._line_payload_variants(line_words, True))
+        noc.send_response(sm.index, bank, words64)
         sm.l1i.fill(line_addr)
-        words64 = line_words.view(np.uint64)
         batch = self._batch
         if not hit:
             batch.add_inst(Unit.L2, words64, True)
@@ -291,16 +360,16 @@ class GPUReplay:
     def _load(self, state, sm: _SM, rec: InstRecord, now: int) -> int:
         cfg = self.config
         mem, tally, noc, l2_banks, dram, timing = state
+        plan = self._plan.get(rec)
+        if plan is None:
+            return cfg.lat_alu
+        line_list, __, touched, line_rows = plan
         acc = rec.mem
         unit = _SPACE_UNIT[acc.space]
         l1 = sm.l1_for(acc.space)
-        addrs = acc.addrs[acc.active]
-        if addrs.size == 0:
-            return cfg.lat_alu
-        line_list, __, touched = self._group_lines(addrs)
         # One array read serves every use of each line's bytes (hit
         # tally, fill tally, L2 tally, NoC payload).
-        rows = self._array_read(mem, line_list)
+        rows = self._array_read(line_rows)
         missed = []
         banks = []
         l2_missed = []
@@ -327,15 +396,10 @@ class GPUReplay:
             worst = max(worst, (start - now) + l2_latency + cfg.lat_l1_hit)
         batch = self._batch
         if missed:
-            # The missed lines' responses encode as one (lines,
-            # variants, line_bytes) stack and go out in line order.
+            # The missed lines' responses go out in line order.
             sent = rows[missed]
-            blocks = self.encoders.data_variant_blocks(Unit.NOC, sent,
-                                                       "line")
-            payloads = np.stack([blocks[v] for v in VARIANTS],
-                                axis=1).view(np.uint8)
-            for bank, payload in zip(banks, payloads):
-                noc.send_response(sm.index, bank, payload)
+            for bank, line in zip(banks, sent):
+                noc.send_response(sm.index, bank, line)
             # L2 writes the lines it filled and reads every missed line;
             # L1 writes each fill.
             if l2_missed:
@@ -350,17 +414,17 @@ class GPUReplay:
         """Global store: L1 write-evict / write-no-allocate, write to L2."""
         cfg = self.config
         mem, tally, noc, l2_banks, dram, timing = state
-        acc = rec.mem
-        addrs = acc.addrs[acc.active]
-        data = acc.data[acc.active]
-        if addrs.size == 0:
+        plan = self._plan.get(rec)
+        if plan is None:
             return cfg.lat_alu
+        line_list, index, touched, line_rows = plan
+        acc = rec.mem
+        data = acc.data[acc.active]
         # Keep the replay image coherent for subsequent line reads.
         mem.write_u32(acc.addrs, acc.data, mask=acc.active)
-        line_list, index, touched = self._group_lines(addrs)
         # A store writes the arrays and reads none, so no fault model
         # draws here: its tallies see the lines as written.
-        rows = mem.read_lines(line_list, cfg.l1_line_bytes).view(np.uint32)
+        rows = self._lines[line_rows].view(np.uint32)
         l2_missed = []
         for j, line_addr in enumerate(line_list):
             sm.l1d.invalidate(line_addr)
@@ -368,9 +432,7 @@ class GPUReplay:
             bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
             # The write packet carries every lane, duplicates included,
             # in lane order.
-            noc.send_write(sm.index, bank, line_addr,
-                           self._line_payload_variants(data[index == j],
-                                                       False))
+            noc.send_write(sm.index, bank, line_addr, data[index == j])
             __, l2_hit = self._l2_access(state, line_addr, True, now)
             if not l2_hit:
                 l2_missed.append(j)
@@ -405,8 +467,9 @@ class GPUReplay:
         mem = GlobalMemory.from_image(app.initial_image)
         tally = Tally()
         self._batch = TallyBatch(self.encoders, tally)
+        self._lines = mem.line_view(cfg.l1_line_bytes)
         noc = Crossbar(cfg.n_sms, cfg.l2_banks, cfg.noc_flit_bytes,
-                       fault_model=self.fault_model)
+                       self.encoders, fault_model=self.fault_model)
         on_fill = (self.fault_model.note_fill
                    if self.fault_model is not None else None)
         l2_banks = [
@@ -430,6 +493,8 @@ class GPUReplay:
                                    min(1.0, fraction))
 
         for launch in app.launches:
+            self._plan = _LinePlan(launch, cfg.l1_line_bytes,
+                                   len(self._lines))
             sms = [_SM(i, cfg) for i in range(cfg.n_sms)]
             for block in launch.blocks:
                 sm = sms[block.block % cfg.n_sms]
@@ -447,6 +512,7 @@ class GPUReplay:
                 self._step_sm(state, sm, launch.code_base)
                 if not sm.finished:
                     heapq.heappush(heap, (sm.cycle, sm.index))
+            self._plan = None
             self._book_inst_stream(launch)
             total_cycles += max((sm.cycle for sm in sms), default=0)
             used_sms.update(sm.index for sm in sms if sm.cycle > 0)
@@ -477,7 +543,8 @@ class GPUReplay:
         for bank in l2_banks:
             cache_totals["l2"] = cache_totals["l2"].merged(bank.stats)
         self._batch.flush()
-        noc.stats.flush()
+        noc.flush()
+        self._lines = None
         timing.cycles = total_cycles
         timing.used_sms = max(1, len(used_sms))
         return ReplayResult(tally=tally, noc=noc, timing=timing,
@@ -505,7 +572,7 @@ class GPUReplay:
                 # new blocks or is finished.
                 sm.prune_done()
                 sm.admit_blocks()
-                if all(w.done for w in sm.warps) and not sm.block_queue:
+                if sm.finished:
                     return
                 sm.cycle += 1
             else:
@@ -514,7 +581,7 @@ class GPUReplay:
 
         rec = warp.peek()
         if rec is None:
-            warp.done = True
+            sm.retire(warp)
             self._release_barrier(sm, warp.block_key)
             sm.admit_blocks()
             return
@@ -540,7 +607,7 @@ class GPUReplay:
             warp.ready_at = sm.cycle + latency + fetch_latency
 
         if warp.ptr >= len(warp.records):
-            warp.done = True
+            sm.retire(warp)
             self._release_barrier(sm, warp.block_key)
             sm.prune_done()
             sm.admit_blocks()

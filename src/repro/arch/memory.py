@@ -145,6 +145,12 @@ class GlobalMemory:
         return self.image[addrs[:, None]
                           + np.arange(line_bytes, dtype=np.int64)]
 
+    def line_view(self, line_bytes: int = LINE_BYTES) -> np.ndarray:
+        """The image's whole lines as a writable ``(lines, line_bytes)``
+        view: row ``r`` is the line at address ``r * line_bytes``."""
+        n_lines = self.image.size // line_bytes
+        return self.image[:n_lines * line_bytes].reshape(n_lines, line_bytes)
+
     def snapshot(self) -> np.ndarray:
         """Copy of the allocated extent; :meth:`from_image` turns it
         back into a memory for the replay phase."""

@@ -62,14 +62,18 @@ class GTOScheduler(Scheduler):
         self._last: Optional[WarpSlot] = None
 
     def pick(self, warps, cycle):
-        if (self._last is not None and not self._last.done
-                and self._last.ready(cycle)):
-            return self._last
-        ready = [w for w in warps if w.ready(cycle)]
-        if not ready:
-            return None
-        self._last = min(ready, key=lambda w: w.age)
-        return self._last
+        """The last-issued warp while it is ready, else the oldest ready
+        one: ``warps`` is in age order (oldest first), so that is the
+        first ready warp in the list."""
+        last = self._last
+        if last is not None and last.ready(cycle):
+            return last
+        for w in warps:
+            # WarpSlot.ready, inlined: this scan is the issue loop.
+            if not w.done and not w.at_barrier and w.ready_at <= cycle:
+                self._last = w
+                return w
+        return None
 
 
 class LRRScheduler(Scheduler):

@@ -115,12 +115,16 @@ class Encoders:
 
     def data_variants(self, unit: Unit, words: np.ndarray,
                       blocked: str = "line",
-                      active: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
+                      active: Optional[np.ndarray] = None,
+                      sizes: Optional[np.ndarray] = None
+                      ) -> Dict[str, np.ndarray]:
         """Per-variant encodings of a data word batch for ``unit``.
 
         ``blocked`` selects the VS blocking: "warp" (axis-0 lanes, pivot
         lane 21, honouring the active mask) or "line" (axis-0 words of a
-        cache line, pivot element 0).
+        cache line, pivot element 0). With ``sizes``, ``words`` is a
+        concatenation of blocks of those lengths (NoC packets), each
+        VS-coded against its own pivot: one call encodes them all.
         """
         w = np.asarray(words, dtype=np.uint32)
         in_nv = unit in CODER_SPACES["NV"].units
@@ -131,6 +135,9 @@ class Encoders:
             if blocked == "warp" and active is not None:
                 vs_words = vs.encode_masked(w, active)
                 all_words = vs.encode_masked(nv_words, active)
+            elif sizes is not None:
+                vs_words = vs.encode_segments(w, sizes)
+                all_words = vs.encode_segments(nv_words, sizes)
             else:
                 vs_words = vs.encode_words(w)
                 all_words = vs.encode_words(nv_words)
@@ -346,9 +353,11 @@ class NoCStats:
         self._last: Dict[Tuple[str, int], np.ndarray] = {}
 
     def send(self, channel: Tuple[str, int], payload: np.ndarray) -> None:
-        """Record a ``(variants, bytes)`` packet on one channel."""
+        """Record a copy of a ``(variants, bytes)`` packet on one
+        channel (a payload may be a view of a larger encoded block,
+        which the copy lets go)."""
         packets = self._packets.setdefault(channel, [])
-        packets.append(np.asarray(payload, dtype=np.uint8))
+        packets.append(np.array(payload, dtype=np.uint8))
         if len(packets) >= DRAIN_PACKETS:
             self._drain(channel)
 

@@ -247,6 +247,27 @@ class VSCoder(Coder):
         """Inverse of :meth:`encode_masked_blocks` (same operation)."""
         return self.encode_masked_blocks(blocks, active)
 
+    def encode_segments(self, words: np.ndarray,
+                        sizes: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`encode_words` over blocks of any length.
+
+        ``words`` is the concatenation of consecutive blocks whose
+        lengths are ``sizes`` (summing to ``words.size``); each block is
+        encoded against its own pivot, and an empty block encodes to
+        nothing.
+        """
+        w = np.asarray(words, dtype=np.uint32)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if w.ndim != 1 or sizes.sum() != w.size:
+            raise ValueError("segment sizes must cover the word array")
+        live = sizes > 0
+        sizes = sizes[live]
+        starts = np.cumsum(sizes) - sizes
+        pivots = starts + np.minimum(self.pivot_index, sizes - 1)
+        out = xnor(w, np.repeat(w[pivots], sizes))
+        out[pivots] = w[pivots]
+        return out
+
 
 class ISACoder(Coder):
     """ISA Preference coder (Section 4.3).

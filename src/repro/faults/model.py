@@ -102,15 +102,24 @@ class FaultModel:
         across the variant axis: the variants are alternative encodings
         travelling the same wires, so they must see the same upsets.
         """
-        n_bits = payload.shape[-1] * 8
+        mask = self.payload_mask(payload.shape[-1])
+        return payload if mask is None else payload ^ mask
+
+    def payload_mask(self, n_bytes: int) -> Optional[np.ndarray]:
+        """Draw one NoC packet's physical flip mask: ``n_bytes`` uint8
+        to XOR onto every variant of its payload, or None if no bit
+        flips. It counts the packet's exposure and flips and consumes
+        the RNG exactly as :meth:`corrupt_payloads` does, so a packet
+        can draw its mask when it is sent and be encoded later."""
+        n_bits = n_bytes * 8
         self.noc_bits += n_bits
         chosen = self._chosen(n_bits)
         if chosen is None:
-            return payload
+            return None
         mask_bits = np.zeros(n_bits, dtype=np.uint8)
         mask_bits[chosen] = 1
         self.noc_flips += chosen.size
-        return payload ^ np.packbits(mask_bits)
+        return np.packbits(mask_bits)
 
     def note_fill(self, cache_name: str, line_addr: int) -> None:
         """Record a line fill (a disturb-exposure event) per cache."""

@@ -1,5 +1,7 @@
 """Tests for the fault-injection layer (repro.faults) and its §7.1 driver."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +127,76 @@ class TestCorruptPayloads:
         payload = np.arange(16, dtype=np.uint8).reshape(1, 16)
         fm = FaultModel(p_flip=0.0)
         assert fm.corrupt_payloads(payload) is payload
+
+
+class _Recorder:
+    """Stands in for a crossbar's toggle counters: keeps each payload."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, channel, payload):
+        self.sent.append((channel, payload.copy()))
+
+    def flush(self):
+        pass
+
+
+class TestDrawAtSendApplyAtDrain:
+    """The crossbar draws each packet's flip mask when the packet is
+    sent and XORs it on when the pending packets are encoded. Between
+    sends, array reads draw from the same RNG; the split must give the
+    payloads and counters of corrupting each encoded payload at send."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["read", "line", "store",
+                                               "inst"]),
+                              st.integers(1, 32)),
+                    min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_matches_corrupt_payloads(self, steps, seed, pending_bound):
+        import repro.arch.noc as noc_mod
+        from repro.arch import Crossbar
+        from repro.arch.stats import VARIANTS
+        from repro.core.spaces import Unit
+
+        rng = np.random.default_rng(seed)
+        encoders = Encoders(isa_mask=0x0123456789ABCDEF)
+        eager = FaultModel(p_flip=0.05, seed=seed)
+        split = FaultModel(p_flip=0.05, seed=seed)
+        xbar = Crossbar(2, 2, 32, encoders, fault_model=split)
+        xbar.stats = _Recorder()
+        expected = []
+        with mock.patch.object(noc_mod, "PENDING_PACKETS", pending_bound):
+            for kind, n in steps:
+                if kind == "read":
+                    line = rng.integers(0, 256, (n, 8), dtype=np.uint8)
+                    assert np.array_equal(eager.corrupt_line(line),
+                                          split.corrupt_line(line))
+                    continue
+                if kind == "inst":
+                    words = rng.integers(0, 2**63, n % 16 + 1,
+                                         dtype=np.uint64)
+                    variants = encoders.inst_variants(words)
+                else:
+                    words = rng.integers(0, 2**32, n, dtype=np.uint32)
+                    variants = encoders.data_variants(Unit.NOC, words,
+                                                      "line")
+                payload = np.stack([variants[v] for v in VARIANTS]
+                                   ).view(np.uint8)
+                if kind == "store":
+                    channel = ("req", n % 2)
+                    xbar.send_write(n % 2, n % 2, 0, words)
+                else:
+                    channel = ("resp", n % 2)
+                    xbar.send_response(n % 2, n % 2, words)
+                expected.append((channel, eager.corrupt_payloads(payload)))
+            xbar.flush()
+        sent = xbar.stats.sent
+        assert [c for c, __ in sent] == [c for c, __ in expected]
+        for (__, got), (__, want) in zip(sent, expected):
+            assert np.array_equal(got, want)
+        assert split.report() == eager.report()
 
 
 def _replay(accesses, p_flip):

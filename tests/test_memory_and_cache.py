@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.arch import (Cache, CacheStats, Crossbar, DRAMSystem,
-                        GlobalMemory, MSHRFile)
+                        Encoders, GlobalMemory, MSHRFile)
 
 
 class TestGlobalMemory:
@@ -256,49 +256,50 @@ class TestDRAM:
 
 class TestCrossbar:
     def _payload(self, byte):
-        """A 128 B packet carrying ``byte`` under all five variants."""
-        return np.full((5, 128), byte, dtype=np.uint8)
+        """A raw 128 B line packet: 32 words, every byte ``byte``."""
+        return np.full(32, byte * 0x01010101, dtype=np.uint32)
 
     def test_bank_interleaving(self):
-        xb = Crossbar(n_sms=15, n_banks=6, flit_bytes=32)
+        xb = Crossbar(n_sms=15, n_banks=6, flit_bytes=32,
+                      encoders=Encoders(isa_mask=0))
         banks = {xb.bank_of(i * 128, 128) for i in range(12)}
         assert banks == set(range(6))
 
     def test_requests_ride_control_network(self):
-        xb = Crossbar(2, 2, 32)
+        xb = Crossbar(2, 2, 32, Encoders(isa_mask=0))
         xb.send_request(0, 0, 0)
         assert xb.control_flits == 1
         assert xb.stats.flits == 0
 
     def test_response_flit_count(self):
-        xb = Crossbar(2, 2, 32)
+        xb = Crossbar(2, 2, 32, Encoders(isa_mask=0))
         xb.send_response(0, 0, self._payload(0xAA))
         xb.send_response(0, 0, self._payload(0xAA))
-        xb.stats.flush()
+        xb.flush()
         assert xb.stats.flits == 8          # 2 x 128B / 32B
 
     def test_identical_interleaved_payloads_do_not_toggle(self):
-        xb = Crossbar(2, 2, 32)
+        xb = Crossbar(2, 2, 32, Encoders(isa_mask=0))
         xb.send_response(0, 0, self._payload(0x00))
         xb.send_response(0, 0, self._payload(0x00))
-        xb.stats.flush()
+        xb.flush()
         assert xb.toggles["base"] == 0
 
     def test_alternating_payloads_toggle(self):
-        xb = Crossbar(2, 2, 32)
+        xb = Crossbar(2, 2, 32, Encoders(isa_mask=0))
         xb.send_response(0, 0, self._payload(0x00))
         xb.send_response(0, 0, self._payload(0xFF))
-        xb.stats.flush()
+        xb.flush()
         # VC interleaving alternates the two packets' flits: seven
         # 0x00 <-> 0xFF transitions of 256 bits each.
         assert xb.toggles["base"] == 7 * 256
 
     def test_toggle_rate_normalisation(self):
-        xb = Crossbar(2, 2, 32)
+        xb = Crossbar(2, 2, 32, Encoders(isa_mask=0))
         xb.send_response(0, 0, self._payload(0x0F))
-        xb.stats.flush()
+        xb.flush()
         assert 0.0 <= xb.toggle_rate("base") <= 1.0
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            Crossbar(0, 6, 32)
+            Crossbar(0, 6, 32, Encoders(isa_mask=0))

@@ -179,21 +179,24 @@ class TestReplayLoopWork:
     @pytest.mark.parametrize("name", ["ATA", "VEC"])
     def test_encodes_sent_lines_and_books_stream_in_bulk(self, name,
                                                          monkeypatch):
+        """No access encodes: every encoder call comes from a crossbar
+        drain (at most one per packet stream, data and instructions) or
+        a tally flush (one per key and chunk)."""
         from repro.arch.stats import TallyBatch
         from repro.kernels import get_app
         from repro.sim import _functional_pass
 
         functional, __ = _functional_pass(get_app(name), 21)
-        counts = {"noc_encodes": 0, "missed_loads": 0, "add_inst": 0}
-        real_blocks = Encoders.data_variant_blocks
+        counts = {"encodes": 0, "tally_flushes": 0, "missed_loads": 0,
+                  "add_inst": 0}
         real_load = GPUReplay._load
         real_add_inst = TallyBatch.add_inst
 
-        def blocks(self, unit, *args, **kwargs):
-            # TallyBatch flushes encode tallied units; only a NoC
-            # payload encodes under Unit.NOC.
-            counts["noc_encodes"] += unit is Unit.NOC
-            return real_blocks(self, unit, *args, **kwargs)
+        def counted(real, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            return wrapper
 
         def load(self, state, sm, rec, now):
             l1 = sm.l1_for(rec.mem.space)
@@ -202,18 +205,24 @@ class TestReplayLoopWork:
             counts["missed_loads"] += l1.stats.misses > misses
             return latency
 
-        def add_inst(self, *args, **kwargs):
-            counts["add_inst"] += 1
-            return real_add_inst(self, *args, **kwargs)
-
-        monkeypatch.setattr(Encoders, "data_variant_blocks", blocks)
+        for method in ("data_variants", "data_variant_blocks",
+                       "inst_variants"):
+            monkeypatch.setattr(Encoders, method,
+                                counted(getattr(Encoders, method),
+                                        "encodes"))
+        for method in ("_tally_data", "_tally_inst"):
+            monkeypatch.setattr(TallyBatch, method,
+                                counted(getattr(TallyBatch, method),
+                                        "tally_flushes"))
         monkeypatch.setattr(GPUReplay, "_load", load)
-        monkeypatch.setattr(TallyBatch, "add_inst", add_inst)
+        monkeypatch.setattr(TallyBatch, "add_inst",
+                            counted(real_add_inst, "add_inst"))
         replay = GPUReplay(BASELINE_CONFIG,
                            Encoders(isa_mask=0)).run(functional.trace)
 
-        assert counts["missed_loads"] > 0
-        assert counts["noc_encodes"] == counts["missed_loads"]
+        assert counts["missed_loads"] > 0 and replay.noc.drains > 0
+        assert counts["encodes"] <= (2 * replay.noc.drains
+                                     + counts["tally_flushes"])
         assert counts["add_inst"] < replay.timing.instructions / 10
 
     def test_stream_tallies_do_not_depend_on_chunk_size(self, monkeypatch):

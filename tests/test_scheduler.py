@@ -1,6 +1,7 @@
 """Tests for the GTO / LRR / two-level warp schedulers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.scheduler import (GTOScheduler, LRRScheduler,
                                   TwoLevelScheduler, WarpSlot,
@@ -57,6 +58,50 @@ class TestGTO:
         warps[1].ready_at = 10
         warps[2].done = True
         assert GTOScheduler().next_event(warps) == 10
+
+
+class OracleGTO:
+    """The scan-based GTO pick the first-ready pick replaced, pinned:
+    the last warp while ready, else the minimum-age ready warp."""
+
+    def __init__(self):
+        self._last = None
+
+    def pick(self, warps, cycle):
+        if (self._last is not None and not self._last.done
+                and self._last.ready(cycle)):
+            return self._last
+        ready = [w for w in warps if w.ready(cycle)]
+        if not ready:
+            return None
+        self._last = min(ready, key=lambda w: w.age)
+        return self._last
+
+
+#: One warp's state at one step: (done, at_barrier, ready_at).
+_warp_states = st.tuples(st.booleans(), st.booleans(), st.integers(0, 8))
+
+
+class TestGTOMatchesScan:
+    @given(n_warps=st.integers(0, 12), age_gaps=st.lists(
+               st.integers(1, 3), min_size=12, max_size=12),
+           steps=st.lists(st.tuples(st.integers(0, 8),
+                                    st.lists(_warp_states, min_size=12,
+                                             max_size=12)),
+                          max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_same_pick_sequence(self, n_warps, age_gaps, steps):
+        """Over warps in age order whose states change between picks,
+        the first-ready pick and the scan pick agree at every step."""
+        ages = [sum(age_gaps[:i + 1]) for i in range(n_warps)]
+        warps = [WarpSlot(uid=i, age=a, block_key="b0")
+                 for i, a in enumerate(ages)]
+        fast, slow = GTOScheduler(), OracleGTO()
+        for cycle, states in steps:
+            for warp, (done, barrier, ready_at) in zip(warps, states):
+                warp.done, warp.at_barrier, warp.ready_at = (
+                    done, barrier, ready_at)
+            assert fast.pick(warps, cycle) is slow.pick(warps, cycle)
 
 
 class TestLRR:

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.gpu import GPUReplay
+from repro.arch.gpu import GPUReplay, _LinePlan
 from repro.arch.memory import GlobalMemory
+from repro.arch.noc import encode_packets
 from repro.arch.stats import Encoders, NoCStats, Tally, TallyBatch, VARIANTS
 from repro.core import bitutils as bu
 from repro.core.coders import VSCoder, xnor
@@ -141,6 +142,31 @@ def oracle_tally_inst_word(encoders: Encoders, tally: Tally, unit: Unit,
                           ("ALL", ones_isa)):
         tally.add(unit, variant, is_store, total - ones * count,
                   ones * count)
+
+
+def oracle_group_lines(addrs: np.ndarray, line_bytes: int) -> tuple:
+    """Verbatim copy of the per-access GPUReplay._group_lines that the
+    per-launch line plan replaced: the sorted distinct line addresses,
+    each lane's index into them and the ``(lines, words)`` mask of the
+    words the lanes touch."""
+    offsets = addrs % line_bytes
+    line_of = addrs - offsets
+    line_list = sorted(set(line_of.tolist()))
+    index = np.searchsorted(line_list, line_of)
+    touched = np.zeros((len(line_list), line_bytes // 4), dtype=bool)
+    touched[index, offsets >> 2] = True
+    return line_list, index, touched
+
+
+def oracle_packet_payload(encoders: Encoders, words: np.ndarray) -> np.ndarray:
+    """The per-packet encode that bulk NoC encoding replaced
+    (GPUReplay._line_payload_variants, dispatching on the packet's
+    dtype): one packet's ``(variants, bytes)`` payload."""
+    if words.dtype == np.uint64:
+        variants = encoders.inst_variants(words)
+    else:
+        variants = encoders.data_variants(Unit.NOC, words, "line")
+    return np.stack([variants[v] for v in VARIANTS]).view(np.uint8)
 
 
 class OracleNoC:
@@ -577,15 +603,35 @@ class TestTallyBatch:
             assert small_tally.counts == big_tally.counts
 
 
+def _plan(launch, n_lines: int = 1 << 12) -> _LinePlan:
+    from repro.arch.config import BASELINE_CONFIG
+    return _LinePlan(launch, BASELINE_CONFIG.l1_line_bytes, n_lines)
+
+
+def _one_access_launch(addrs: np.ndarray, is_store: bool = False):
+    from repro.arch.isa import OpClass
+    from repro.arch.trace import (BlockTrace, InstRecord, LaunchTrace,
+                                  MemAccess, MemSpace, WarpTrace)
+    access = MemAccess(MemSpace.GLOBAL, is_store, addrs,
+                       np.ones(addrs.size, dtype=bool),
+                       np.arange(addrs.size, dtype=np.uint32))
+    rec = InstRecord(0, 0, OpClass.STORE if is_store else OpClass.LOAD,
+                     addrs.size, access)
+    launch = LaunchTrace("k", 0, [0],
+                         [BlockTrace(0, [WarpTrace(0, 0, [rec])])])
+    return rec, launch
+
+
 class TestGroupLines:
     @given(st.lists(st.integers(0, 4 * 128 // 4 - 1), min_size=1,
                     max_size=LANES),
            st.integers(0, 64))
     @settings(max_examples=60, deadline=None)
     def test_matches_dict_grouping(self, word_offsets, base_line):
-        """``_group_lines`` equals the per-lane dict grouping it
-        replaced: sorted lines, each line's lanes in lane order, and
-        the set of words each line's lanes touch."""
+        """The line plan's entry for an access equals the per-lane dict
+        grouping: sorted lines, each line's lanes in lane order, the
+        set of words each line's lanes touch, and the lines' rows. The
+        per-access oracle agrees too."""
         from repro.arch.config import BASELINE_CONFIG
         line_bytes = BASELINE_CONFIG.l1_line_bytes
         addrs = (np.asarray(word_offsets, dtype=np.int64) * 4
@@ -596,14 +642,109 @@ class TestGroupLines:
             lanes_by_line.setdefault(line, []).append(lane)
             words_by_line.setdefault(line, set()).add(
                 (addr % line_bytes) >> 2)
-        replay = GPUReplay(BASELINE_CONFIG, Encoders(isa_mask=0))
-        line_list, index, touched = replay._group_lines(addrs)
+        rec, launch = _one_access_launch(addrs)
+        line_list, index, touched, rows = _plan(launch).get(rec)
         assert line_list == sorted(lanes_by_line)
+        assert rows.tolist() == [line // line_bytes for line in line_list]
         assert touched.shape == (len(line_list), line_bytes // 4)
         for j, line in enumerate(line_list):
             assert np.flatnonzero(index == j).tolist() == lanes_by_line[line]
             assert set(np.flatnonzero(touched[j]).tolist()) == \
                 words_by_line[line]
+        oracle = oracle_group_lines(addrs, line_bytes)
+        assert oracle[0] == line_list
+        assert np.array_equal(oracle[1], index)
+        assert np.array_equal(oracle[2], touched)
+
+    @pytest.mark.parametrize("name", ["ATA", "VEC", "LBM", "STO"])
+    def test_plan_matches_oracle_on_every_access(self, name):
+        """Every global/const/tex access of the app, loads and
+        (multi-line, for LBM and STO) stores: the plan's entry equals
+        the per-access grouping; an access with no active lane has no
+        entry."""
+        from repro.arch.config import BASELINE_CONFIG
+        from repro.arch.trace import MemSpace
+        from repro.kernels import get_app
+        from repro.sim import _functional_pass
+        line_bytes = BASELINE_CONFIG.l1_line_bytes
+        trace = _functional_pass(get_app(name), 21)[0].trace
+        n_lines = trace.initial_image.size // line_bytes
+        multi_line_stores = 0
+        for launch in trace.launches:
+            plan = _plan(launch, n_lines)
+            planned = 0
+            for block in launch.blocks:
+                for warp in block.warps:
+                    for rec in warp.records:
+                        acc = rec.mem
+                        if acc is None or acc.space is MemSpace.SHARED:
+                            continue
+                        addrs = acc.addrs[acc.active]
+                        if not addrs.size:
+                            assert plan.get(rec) is None
+                            continue
+                        planned += 1
+                        line_list, index, touched, rows = plan.get(rec)
+                        expected = oracle_group_lines(addrs, line_bytes)
+                        assert line_list == expected[0]
+                        assert np.array_equal(index, expected[1])
+                        assert np.array_equal(touched, expected[2])
+                        assert rows.tolist() == [
+                            line // line_bytes for line in line_list]
+                        multi_line_stores += (acc.is_store
+                                              and len(line_list) > 1)
+            assert planned == len(plan)
+        assert multi_line_stores > 0 or name in ("ATA", "VEC")
+
+    def test_out_of_extent_access_raises(self):
+        """The plan checks the whole launch's extent once."""
+        __, launch = _one_access_launch(
+            np.arange(32, dtype=np.int64) * 4 + 8 * 128)
+        _plan(launch, n_lines=9)
+        with pytest.raises(IndexError):
+            _plan(launch, n_lines=8)
+
+
+class TestPacketEncoding:
+    """The crossbar's bulk packet encoder against per-packet encodes."""
+
+    @given(packets=st.lists(
+        st.one_of(
+            st.lists(st.one_of(u32s, st.sampled_from(ADVERSARIAL_U32)),
+                     min_size=1, max_size=32).map(
+                lambda v: np.array(v, dtype=np.uint32)),
+            st.lists(st.one_of(u64s, st.sampled_from(ADVERSARIAL_U64)),
+                     min_size=1, max_size=16).map(
+                lambda v: np.array(v, dtype=np.uint64))),
+        max_size=12),
+           isa_mask=u64s, with_masks=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bulk_matches_per_packet(self, packets, isa_mask, with_masks,
+                                     seed):
+        encoders = Encoders(isa_mask=isa_mask)
+        rng = np.random.default_rng(seed)
+        masks = None
+        if with_masks:
+            masks = [rng.integers(0, 256, p.nbytes, dtype=np.uint8)
+                     if rng.random() < 0.5 else None for p in packets]
+        bulk = encode_packets(encoders, packets, masks)
+        assert len(bulk) == len(packets)
+        for i, (words, payload) in enumerate(zip(packets, bulk)):
+            expected = oracle_packet_payload(encoders, words)
+            if masks is not None and masks[i] is not None:
+                expected = expected ^ masks[i]
+            assert payload.dtype == np.uint8
+            assert np.array_equal(payload, expected), i
+
+    def test_segment_encoder_handles_empty_blocks(self):
+        vs = VSCoder(pivot_index=0)
+        words = np.array([5, 7, 9, 0xFFFFFFFF], dtype=np.uint32)
+        out = vs.encode_segments(words, [0, 3, 0, 1, 0])
+        assert np.array_equal(out[:3], vs.encode_words(words[:3]))
+        assert np.array_equal(out[3:], vs.encode_words(words[3:]))
+        with pytest.raises(ValueError):
+            vs.encode_segments(words, [1, 2])
 
 
 class TestNoCEquivalence:
