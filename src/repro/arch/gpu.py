@@ -199,11 +199,11 @@ class _LinePlan:
             raise IndexError(f"device access out of range: [{lo}, {hi}) "
                              f"of {n_lines * line_bytes} bytes of whole "
                              f"lines")
-        # One sort key per (access, line); a stable sort keeps each
-        # line's lanes in lane order.
+        # One key per (access, line): sorted, the keys group each
+        # access's lanes by line, lines ascending.
         owner = np.repeat(np.arange(len(recs), dtype=np.int64), counts)
         key = owner * n_lines + line
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)
         key = key[order]
         first = np.ones(key.size, dtype=bool)
         first[1:] = key[1:] != key[:-1]
