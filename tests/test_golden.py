@@ -34,6 +34,7 @@ FAULT_FIXTURE = GOLDEN_DIR / "fault_replay.json"
 LEDGER_FIXTURE = GOLDEN_DIR / "smoke_ledger.json"
 FUNCTIONAL_FIXTURE = GOLDEN_DIR / "functional_digests.json"
 REPLAY_FIXTURE = GOLDEN_DIR / "replay_digests.json"
+CONFIG_REPLAY_FIXTURE = GOLDEN_DIR / "config_replay_digests.json"
 
 #: A representative but cheap sweep: two per-app experiments (one
 #: replay-heavy, one mask-profiling) and one whole-experiment driver.
@@ -355,6 +356,55 @@ class TestGoldenReplayDigests:
             "missing replay fixture — generate it with "
             "`python -m pytest tests/test_golden.py --update-golden`")
         assert text == REPLAY_FIXTURE.read_text(encoding="utf-8")
+
+
+#: Apps and configs of the config-sweep fixture: the memory-heavy apps
+#: the scheduler and capacity studies spend their replays on, a light
+#: one, and the two apps whose line contents depend on the schedule
+#: (LUD, SSP).
+CONFIG_REPLAY_APPS = ("ATA", "GES", "VEC", "LUD", "SSP")
+
+
+def _config_replay_configs():
+    from repro.arch.config import BASELINE_CONFIG, CAPACITY_CONFIGS
+    return {"lrr": BASELINE_CONFIG.with_scheduler("lrr"),
+            "two_level": BASELINE_CONFIG.with_scheduler("two_level"),
+            "Tesla-P100": CAPACITY_CONFIGS["Tesla-P100"],
+            "Tesla-K80": CAPACITY_CONFIGS["Tesla-K80"]}
+
+
+class TestGoldenConfigReplayDigests:
+    """One digest per (config, app) of a clean replay under the
+    non-baseline schedulers and SRAM capacities the Fig 21/22 sweeps
+    use, with the 58-app corpus ISA mask: the replay digests above pin
+    only the GTO baseline."""
+
+    def test_config_replay_digests_match_fixture(self, baseline_suite,
+                                                 update_golden):
+        from repro.arch.gpu import GPUReplay
+        from repro.arch.stats import Encoders
+        from repro.kernels import get_app
+        from repro.sim import _functional_pass
+
+        suite, __ = baseline_suite
+        digests = {}
+        for label, config in _config_replay_configs().items():
+            digests[label] = {}
+            for name in CONFIG_REPLAY_APPS:
+                functional, __ = _functional_pass(get_app(name), 21)
+                encoders = Encoders(isa_mask=suite.isa_profile.mask,
+                                    pivot_lane=21)
+                result = GPUReplay(config, encoders).run(functional.trace)
+                digests[label][name] = _replay_digest(result)
+        text = canonical_json(digests)
+        if update_golden:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            CONFIG_REPLAY_FIXTURE.write_text(text, encoding="utf-8")
+            pytest.skip("config replay fixture regenerated; commit the diff")
+        assert CONFIG_REPLAY_FIXTURE.exists(), (
+            "missing config replay fixture — generate it with "
+            "`python -m pytest tests/test_golden.py --update-golden`")
+        assert text == CONFIG_REPLAY_FIXTURE.read_text(encoding="utf-8")
 
 
 class TestHotspotReconciliation:
