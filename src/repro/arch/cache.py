@@ -15,6 +15,7 @@ contents for the tallies.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -52,7 +53,14 @@ class CacheStats:
 
 
 class Cache:
-    """Tag-store-only set-associative cache with true-LRU replacement."""
+    """Tag-store-only set-associative cache with true-LRU replacement.
+
+    Each set is a dict whose insertion order is its LRU order: a hit
+    moves its line to the end, a fill appends, and a full set evicts
+    its first line. The replay's load path probes these dicts inline
+    (:meth:`repro.arch.gpu.GPUReplay._load`), so the layout is part of
+    the class's contract.
+    """
 
     def __init__(self, name: str, size_kb: int, line_bytes: int,
                  assoc: int, on_fill=None):
@@ -71,11 +79,11 @@ class Cache:
         #: exposure events.
         self.on_fill = on_fill
         self.stats = CacheStats()
-        # sets[set_index] maps line_address -> lru timestamp; dirty flags
-        # are tracked separately (L2 write-back).
-        self._sets: Dict[int, Dict[int, int]] = {}
+        # sets[set_index] holds the set's resident lines, least recently
+        # used first (values unused); dirty flags are tracked separately
+        # (L2 write-back).
+        self._sets: Dict[int, Dict[int, None]] = {}
         self._dirty: set = set()
-        self._tick = 0
 
     def _set_index(self, line_addr: int) -> int:
         return (line_addr // self.line_bytes) % self.n_sets
@@ -83,32 +91,34 @@ class Cache:
     def line_of(self, addr: int) -> int:
         return addr - (addr % self.line_bytes)
 
-    def lookup(self, line_addr: int, update_lru: bool = True) -> bool:
-        """Probe (and optionally touch) a line. Counts as an access."""
+    def lookup(self, line_addr: int) -> bool:
+        """Probe and touch a line. Counts as an access."""
         self.stats.accesses += 1
-        lines = self._sets.get(self._set_index(line_addr))
+        lines = self._sets.get((line_addr // self.line_bytes) % self.n_sets)
         if lines is not None and line_addr in lines:
             self.stats.hits += 1
-            if update_lru:
-                self._tick += 1
-                lines[line_addr] = self._tick
+            del lines[line_addr]
+            lines[line_addr] = None
             return True
         return False
 
     def fill(self, line_addr: int, dirty: bool = False) -> Optional[int]:
         """Insert a line; returns the evicted *dirty* line address, if any."""
-        idx = self._set_index(line_addr)
-        lines = self._sets.setdefault(idx, {})
-        self._tick += 1
+        idx = (line_addr // self.line_bytes) % self.n_sets
+        lines = self._sets.get(idx)
+        if lines is None:
+            lines = self._sets[idx] = {}
         victim_writeback = None
-        if line_addr not in lines and len(lines) >= self.assoc:
-            victim = min(lines, key=lines.get)
+        if line_addr in lines:
+            del lines[line_addr]
+        elif len(lines) >= self.assoc:
+            victim = next(iter(lines))
             del lines[victim]
             self.stats.evictions += 1
             if victim in self._dirty:
                 self._dirty.discard(victim)
                 victim_writeback = victim
-        lines[line_addr] = self._tick
+        lines[line_addr] = None
         if dirty:
             self._dirty.add(line_addr)
         if self.on_fill is not None:
@@ -137,7 +147,9 @@ class MSHRFile:
     """Miss-status holding registers: bounds a core's outstanding misses.
 
     The replay model charges an extra queueing delay when all entries
-    are busy, approximating the stall a full MSHR file causes.
+    are busy, approximating the stall a full MSHR file causes. The
+    entries are a min-heap of the cycles they free at: a miss takes the
+    earliest-free entry.
     """
 
     def __init__(self, n_entries: int):
@@ -149,10 +161,10 @@ class MSHRFile:
 
     def acquire(self, now: int, service_cycles: int) -> int:
         """Reserve an entry; returns the cycle the miss can start."""
-        free_at = self._free_at
-        earliest = free_at.index(min(free_at))
-        start = max(now, free_at[earliest])
+        start = self._free_at[0]
         if start > now:
             self.full_events += 1
-        free_at[earliest] = start + service_cycles
+        else:
+            start = now
+        heapq.heapreplace(self._free_at, start + service_cycles)
         return start

@@ -9,10 +9,11 @@ payload is presented under all coder variants — one ``(variants,
 bytes)`` array per packet — so the toggle counters capture each
 coder's effect in a single replay pass.
 
-Packets are sent raw and encoded in bulk: the crossbar records each
-packet's words, and a drain encodes every pending packet of a stream
-in one call before handing the payloads to the toggle counters in send
-order.
+Packets are sent raw and counted in bulk: the crossbar records each
+packet's words (an access's missed lines as one block), and a drain
+encodes every pending packet in one call per stream and hands the
+whole drain to the toggle counters, which count all channels in one
+segmented pass.
 
 Request/write headers travel on a separate narrow control (address)
 network, as in real GPU interconnects, so only *data* flits — read
@@ -32,53 +33,100 @@ from ..core.spaces import Unit
 
 __all__ = ["Crossbar", "PENDING_PACKETS", "encode_packets"]
 
-#: Raw packets a :class:`Crossbar` holds before it encodes them: bounds
-#: memory on long traces. Encoding is per packet, so the bound never
-#: changes a payload.
+#: Raw packets a :class:`Crossbar` holds before it encodes and counts
+#: them: bounds memory on long traces. Encoding is per packet and
+#: toggle sums are order-exact, so the bound never changes a count.
 PENDING_PACKETS = 1024
+
+
+def _encode_records(encoders: Encoders, records: list) -> tuple:
+    """Encode pending ``(channel, words, masks)`` records.
+
+    ``words`` is one data packet (a 1-D uint32 array: a line, or a
+    store's lane words, coded as a NoC line block with its element 0
+    as the VS pivot), a ``(packets, words)`` uint32 block of data
+    packets, one per row, or one instruction packet (a uint64 array).
+    ``masks`` is None or one uint8 flip mask (or None) per packet,
+    XORed onto every variant.
+
+    Returns ``(channels, starts, sizes, payload)``: per packet in send
+    order its channel, and the byte offset and length of its bytes in
+    ``payload``, a ``(variants, bytes)`` uint8 block with rows in
+    :data:`VARIANTS` order. All data packets encode in one segmented
+    call, all instruction packets in another.
+    """
+    channels: List[int] = []
+    sizes: List[int] = []
+    is_inst: List[bool] = []
+    packet_masks: list = []
+    data, data_sizes, inst = [], [], []
+    for channel, words, masks in records:
+        if words.dtype == np.uint64:
+            inst.append(words)
+            n = 1
+            is_inst.append(True)
+            sizes.append(words.nbytes)
+        elif words.ndim == 2:
+            n, width = words.shape
+            data.append(words.ravel())
+            data_sizes += [width] * n
+            is_inst += [False] * n
+            sizes += [4 * width] * n
+        else:
+            n = 1
+            data.append(words)
+            data_sizes.append(words.size)
+            is_inst.append(False)
+            sizes.append(words.nbytes)
+        channels += [channel] * n
+        packet_masks += masks if masks is not None else [None] * n
+    wires = []
+    if data:
+        variants = encoders.data_variants(Unit.NOC, np.concatenate(data),
+                                          "line", sizes=data_sizes)
+        wires.append(np.stack([variants[v] for v in VARIANTS]).view(np.uint8))
+    if inst:
+        variants = encoders.inst_variants(np.concatenate(inst))
+        wires.append(np.stack([variants[v] for v in VARIANTS]).view(np.uint8))
+    payload = wires[0] if len(wires) == 1 else np.concatenate(wires, axis=1)
+    sizes_a = np.array(sizes, dtype=np.int64)
+    inst_a = np.array(is_inst, dtype=bool)
+    starts = np.empty_like(sizes_a)
+    data_bytes = 0
+    for members in (~inst_a, inst_a):
+        block = sizes_a[members]
+        starts[members] = data_bytes + np.cumsum(block) - block
+        data_bytes += int(block.sum())
+    if any(mask is not None for mask in packet_masks):
+        flips = np.zeros(payload.shape[1], dtype=np.uint8)
+        for mask, start, size in zip(packet_masks, starts.tolist(), sizes):
+            if mask is not None:
+                flips[start:start + size] = mask
+        payload ^= flips
+    return (np.array(channels, dtype=np.int64), starts, sizes_a, payload)
 
 
 def encode_packets(encoders: Encoders, packets: Sequence[np.ndarray],
                    masks: Optional[Sequence] = None) -> List[np.ndarray]:
     """Each raw packet's ``(variants, bytes)`` uint8 payload, rows in
-    :data:`VARIANTS` order.
-
-    A packet is a 1-D uint32 array of data words (a line, or a store's
-    lane words), coded as a NoC line block (VS pivot: its element 0),
-    or a uint64 array of instruction words. All data packets encode in
-    one segmented call, all instruction packets in another. ``masks``
-    holds, per packet, a uint8 flip mask of its byte length (or None),
-    XORed onto every variant.
-    """
-    payloads: List[Optional[np.ndarray]] = [None] * len(packets)
-    for is_inst in (False, True):
-        members = [i for i, p in enumerate(packets)
-                   if (p.dtype == np.uint64) is is_inst]
-        if not members:
-            continue
-        group = [packets[i] for i in members]
-        words = np.concatenate(group)
-        if is_inst:
-            variants = encoders.inst_variants(words)
-        else:
-            variants = encoders.data_variants(
-                Unit.NOC, words, "line", sizes=[p.size for p in group])
-        wire = np.stack([variants[v] for v in VARIANTS]).view(np.uint8)
-        ends = np.cumsum([p.nbytes for p in group]).tolist()
-        starts = [0] + ends[:-1]
-        if masks is not None and any(masks[i] is not None for i in members):
-            flips = np.zeros(wire.shape[1], dtype=np.uint8)
-            for i, start, end in zip(members, starts, ends):
-                if masks[i] is not None:
-                    flips[start:end] = masks[i]
-            wire ^= flips
-        for i, start, end in zip(members, starts, ends):
-            payloads[i] = wire[:, start:end]
-    return payloads
+    :data:`VARIANTS` order: the crossbar's drain encoding, one packet
+    at a time. ``masks`` holds, per packet, a uint8 flip mask of its
+    byte length (or None)."""
+    if not packets:
+        return []
+    records = [(0, words, None if masks is None else [masks[i]])
+               for i, words in enumerate(packets)]
+    __, starts, sizes, payload = _encode_records(encoders, records)
+    return [payload[:, start:start + size]
+            for start, size in zip(starts.tolist(), sizes.tolist())]
 
 
 class Crossbar:
-    """Packet interface over :class:`~repro.arch.stats.NoCStats`."""
+    """Packet interface over :class:`~repro.arch.stats.NoCStats`.
+
+    Channel ids: SM ``s``'s response channel is ``s``, and L2 bank
+    ``b``'s request channel is ``n_sms + b``.
+    """
 
     def __init__(self, n_sms: int, n_banks: int, flit_bytes: int,
                  encoders: Encoders, fault_model=None):
@@ -96,9 +144,10 @@ class Crossbar:
         #: transient upsets on the wires (the same physical flip mask is
         #: applied to every variant's payload).
         self.fault_model = fault_model
-        #: ``(channel, words, flip mask)`` per packet not yet encoded,
-        #: in send order.
+        #: ``(channel, words, flip masks)`` records not yet encoded, in
+        #: send order, and the packets they hold.
         self._pending: list = []
+        self.pending_packets = 0
 
     def bank_of(self, line_addr: int, line_bytes: int) -> int:
         """Address-interleaved L2 bank selection."""
@@ -113,7 +162,14 @@ class Crossbar:
         """Data response, bank -> SM; ``words`` is the raw packet: a
         uint32 line, or a uint64 instruction line."""
         self.packets += 1
-        self._record(("resp", sm), words)
+        self._record(sm, words, 1)
+
+    def send_responses(self, sm: int, lines: np.ndarray) -> None:
+        """Data responses, banks -> SM, for a ``(lines, words)`` uint32
+        block: one packet per line, in row order, held as one record."""
+        n = lines.shape[0]
+        self.packets += n
+        self._record(sm, lines, n)
 
     def send_write(self, sm: int, bank: int, line_addr: int,
                    words: np.ndarray) -> None:
@@ -121,15 +177,19 @@ class Crossbar:
         ``words`` are the store's uint32 lane words for the line."""
         self.packets += 1
         self.control_flits += 1
-        self._record(("req", bank), words)
+        self._record(self.n_sms + bank, words, 1)
 
-    def _record(self, channel, words: np.ndarray) -> None:
-        """Hold a raw packet; its fault mask is drawn now, in send order."""
-        mask = None
+    def _record(self, channel: int, words: np.ndarray, n: int) -> None:
+        """Hold raw packets; their fault masks are drawn now, one per
+        packet, in send order."""
+        masks = None
         if self.fault_model is not None:
-            mask = self.fault_model.payload_mask(words.nbytes)
-        self._pending.append((channel, words, mask))
-        if len(self._pending) >= PENDING_PACKETS:
+            n_bytes = words.nbytes // n
+            masks = [self.fault_model.payload_mask(n_bytes)
+                     for __ in range(n)]
+        self._pending.append((channel, words, masks))
+        self.pending_packets += n
+        if self.pending_packets >= PENDING_PACKETS:
             self._drain()
 
     def flush(self) -> None:
@@ -138,19 +198,14 @@ class Crossbar:
         self.stats.flush()
 
     def _drain(self) -> None:
-        """Encode the pending packets in bulk and hand each payload to
-        the toggle counters, in send order."""
-        pending = self._pending
-        if not pending:
+        """Encode the pending packets in bulk and count them."""
+        if not self._pending:
             return
+        pending = self._pending
         self._pending = []
+        self.pending_packets = 0
         self.drains += 1
-        payloads = encode_packets(self.encoders,
-                                  [words for __, words, __ in pending],
-                                  [mask for __, __, mask in pending])
-        send = self.stats.send
-        for (channel, __, __), payload in zip(pending, payloads):
-            send(channel, payload)
+        self.stats.count(*_encode_records(self.encoders, pending))
 
     @property
     def toggles(self) -> Dict[str, int]:

@@ -318,13 +318,6 @@ class TallyBatch:
             self.tally.add(unit, variant, is_store, total - count, count)
 
 
-#: Packets one :class:`NoCStats` channel records before it counts them:
-#: bounds memory on long traces. Even, so a drain never splits a VC
-#: pair; toggle sums are order-exact, so the bound never changes a
-#: count.
-DRAIN_PACKETS = 1024
-
-
 class NoCStats:
     """Per-channel consecutive-flit toggle counting, per variant.
 
@@ -335,91 +328,130 @@ class NoCStats:
     flight on the same channel; we model two VCs per channel, so each
     pair of consecutive packets alternates its flits on the wire.
 
-    A packet is one ``(variants, bytes)`` uint8 array, rows in
-    :data:`VARIANTS` order. :meth:`send` only records it; every
-    :data:`DRAIN_PACKETS` packets, and at :meth:`flush` after the last
-    packet, a channel's recorded packets become one ``(variants,
-    flits, flit_bytes)`` wire whose toggles are counted in one pass.
+    :meth:`count` takes a drain's packets on every channel at once and
+    counts them in one segmented pass. A channel's odd last packet is
+    held until its VC partner arrives in a later drain, or until
+    :meth:`flush` sends it alone; each channel's wire state carries
+    over from one drain to the next. Toggle sums are order-exact, so
+    where the drains fall never changes a count.
     """
 
     def __init__(self, flit_bytes: int):
         self.flit_bytes = flit_bytes
         self.toggles: Dict[str, int] = {v: 0 for v in VARIANTS}
         self.flits: int = 0
-        #: Per-channel packets not yet counted, in send order.
-        self._packets: Dict[Tuple[str, int], list] = {}
         #: Per-channel ``(variants, flit_bytes)`` wire state after the
-        #: last drain.
-        self._last: Dict[Tuple[str, int], np.ndarray] = {}
+        #: last count.
+        self._last: Dict[int, np.ndarray] = {}
+        #: Per-channel odd last packet, ``(variants, bytes)``, waiting
+        #: for its VC partner.
+        self.held: Dict[int, np.ndarray] = {}
 
-    def send(self, channel: Tuple[str, int], payload: np.ndarray) -> None:
-        """Record a copy of a ``(variants, bytes)`` packet on one
-        channel (a payload may be a view of a larger encoded block,
-        which the copy lets go)."""
-        packets = self._packets.setdefault(channel, [])
-        packets.append(np.array(payload, dtype=np.uint8))
-        if len(packets) >= DRAIN_PACKETS:
-            self._drain(channel)
+    def count(self, channels: np.ndarray, starts: np.ndarray,
+              sizes: np.ndarray, payload: np.ndarray) -> None:
+        """Count packets sent in order: packet ``i`` travels on channel
+        ``channels[i]`` (an int) and is ``payload[:, starts[i]:starts[i]
+        + sizes[i]]`` of a ``(variants, bytes)`` uint8 block, rows in
+        :data:`VARIANTS` order."""
+        self._count(channels, starts, sizes, payload, hold=True)
 
     def flush(self) -> None:
-        """Count every channel's packets not yet counted."""
-        for channel in self._packets:
-            self._drain(channel)
+        """Count every held packet, each alone on its channel."""
+        n_variants = len(VARIANTS)
+        self._count(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                    np.zeros(0, dtype=np.int64),
+                    np.zeros((n_variants, 0), dtype=np.uint8), hold=False)
 
-    def _drain(self, channel: Tuple[str, int]) -> None:
-        """Count a channel's recorded packets in one pass and forget
-        them; the wire state carries over to the next drain.
+    def _count(self, channels, starts, sizes, payload, hold: bool) -> None:
+        """The segmented pass.
 
-        A partial flit leaves its unused wires holding their previous
-        values (idle bus lines do not switch), so each byte lane is
-        forward-filled from the latest state that drove it.
+        Every packet pads to whole flits, its last flit driving only the
+        bytes left (an empty packet still takes one undriven flit). One
+        lexsort by (channel, VC pair, 2 * flit slot + parity) lays out
+        each channel's wire behind a row holding its carried state: each
+        pair of consecutive packets alternates its flits, the first
+        packet first, and the longer one's surplus flits follow back to
+        back. A partial flit leaves its unused wires holding their
+        previous values (idle bus lines do not switch), so each byte
+        lane is forward-filled from the latest row that drove it; a
+        channel's first row is fully driven, so nothing fills across
+        channels. One XOR/popcount then counts every transition except
+        those into a channel's first row.
         """
-        packets = self._packets[channel]
-        if not packets:
+        if self.held:
+            held = self.held
+            self.held = {}
+            blocks = list(held.values())
+            held_sizes = np.array([b.shape[1] for b in blocks], dtype=np.int64)
+            payload = np.concatenate(blocks + [payload], axis=1)
+            channels = np.r_[np.fromiter(held, dtype=np.int64,
+                                         count=len(held)), channels]
+            starts = np.r_[np.cumsum(held_sizes) - held_sizes,
+                           starts + held_sizes.sum()]
+            sizes = np.r_[held_sizes, sizes]
+        if not channels.size:
             return
-        states, sizes = self._wire(self._last.get(channel), packets)
-        packets.clear()
+        # Each packet's sequence number on its channel (held packets
+        # come first on theirs).
+        order = np.argsort(channels, kind="stable")
+        chan = channels[order]
+        first = np.flatnonzero(np.r_[True, chan[1:] != chan[:-1]])
+        per_channel = np.diff(np.r_[first, chan.size])
+        seq = np.arange(chan.size) - np.repeat(first, per_channel)
+        if hold:
+            odd = first[per_channel % 2 == 1] + per_channel[
+                per_channel % 2 == 1] - 1
+            for k in odd.tolist():
+                p = order[k]
+                self.held[int(chan[k])] = payload[
+                    :, starts[p]:starts[p] + sizes[p]].copy()
+            keep = np.ones(chan.size, dtype=bool)
+            keep[odd] = False
+            order, chan, seq = order[keep], chan[keep], seq[keep]
+            if not chan.size:
+                return
         fb = self.flit_bytes
-        if sizes.min() < fb:
-            driven = np.arange(fb) < sizes[:, None]
-            rows = np.arange(sizes.size)[:, None]
-            source = np.maximum.accumulate(np.where(driven, rows, 0), axis=0)
-            states = np.take_along_axis(states, source[None], axis=1)
-        self.flits += sizes.size - 1
-        counts = sequence_toggles(states).sum(axis=1)
+        n_bytes = sizes[order]
+        n_flits = np.maximum(1, -(-n_bytes // fb))
+        total = int(n_flits.sum())
+        ends = np.cumsum(n_flits)
+        slot = np.arange(total) - np.repeat(ends - n_flits, n_flits)
+        # Flit rows, then one carried-state row per channel (pair -1).
+        present = chan[np.r_[True, chan[1:] != chan[:-1]]]
+        last = np.stack([self._last.get(c) if c in self._last else
+                         np.zeros((payload.shape[0], fb), dtype=np.uint8)
+                         for c in present.tolist()], axis=1)
+        buffer = np.concatenate(
+            [payload, last.reshape(payload.shape[0], -1)], axis=1)
+        row_chan = np.r_[np.repeat(chan, n_flits), present]
+        row_pair = np.r_[np.repeat(seq // 2, n_flits),
+                         np.full(present.size, -1)]
+        row_key = np.r_[2 * slot + np.repeat(seq % 2, n_flits),
+                        np.zeros(present.size, dtype=np.int64)]
+        row_base = np.r_[np.repeat(starts[order], n_flits) + slot * fb,
+                         payload.shape[1] + fb * np.arange(present.size)]
+        row_driven = np.r_[
+            np.minimum(fb, np.repeat(n_bytes, n_flits) - slot * fb),
+            np.full(present.size, fb)]
+        rows = np.lexsort((row_key, row_pair, row_chan))
+        lanes = np.arange(fb)
+        index = row_base[rows][:, None] + lanes
+        driven = row_driven[rows]
+        if driven.min() < fb:
+            source = np.maximum.accumulate(
+                np.where(lanes < driven[:, None],
+                         np.arange(rows.size)[:, None], 0), axis=0)
+            index = index[source, lanes]
+        states = buffer[:, index]
+        carried = row_pair[rows] < 0
+        counts = sequence_toggles(states)[:, ~carried[1:]].sum(axis=1)
         for variant, count in zip(VARIANTS, counts.tolist()):
             self.toggles[variant] += count
-        self._last[channel] = states[:, -1].copy()
-
-    def _wire(self, last: Optional[np.ndarray], packets: list) -> tuple:
-        """The ``(variants, states, flit_bytes)`` wire states that
-        ``packets`` drive after ``last`` (all zero on a fresh channel),
-        and each state's driven byte count.
-
-        A packet pads to whole flits, its last flit driving only the
-        bytes left (an empty packet still takes one undriven flit).
-        Each pair of consecutive packets alternates its flits on the
-        two VCs, the first packet first; the longer one's surplus flits
-        follow back to back, and an odd last packet goes alone.
-        """
-        fb = self.flit_bytes
-        n_variants = packets[0].shape[0]
-        n_bytes = np.array([p.shape[1] for p in packets])
-        counts = np.maximum(1, -(-n_bytes // fb))
-        if last is None:
-            last = np.zeros((n_variants, fb), dtype=np.uint8)
-        flits = np.concatenate(
-            [last] + [p if p.shape[1] == fb * n else
-                      np.pad(p, ((0, 0), (0, fb * n - p.shape[1])))
-                      for p, n in zip(packets, counts.tolist())],
-            axis=1).reshape(n_variants, -1, fb)
-        ends = np.cumsum(counts)
-        sizes = np.full(ends[-1] + 1, fb)
-        sizes[ends] = n_bytes - (counts - 1) * fb
-        packet = np.repeat(np.arange(counts.size), counts)
-        slot = np.arange(packet.size) - np.repeat(ends - counts, counts)
-        order = np.r_[0, np.lexsort((2 * slot + packet % 2, packet // 2)) + 1]
-        return flits[:, order], sizes[order]
+        self.flits += total
+        heads = np.flatnonzero(carried)
+        tails = states[:, np.r_[heads[1:], rows.size] - 1].copy()
+        for i, c in enumerate(present.tolist()):
+            self._last[c] = tails[:, i]
 
     @property
     def bit_slots(self) -> int:

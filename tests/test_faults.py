@@ -135,8 +135,11 @@ class _Recorder:
     def __init__(self):
         self.sent = []
 
-    def send(self, channel, payload):
-        self.sent.append((channel, payload.copy()))
+    def count(self, channels, starts, sizes, payload):
+        for channel, start, size in zip(channels.tolist(), starts.tolist(),
+                                        sizes.tolist()):
+            self.sent.append((channel,
+                              payload[:, start:start + size].copy()))
 
     def flush(self):
         pass
@@ -149,8 +152,8 @@ class TestDrawAtSendApplyAtDrain:
     payloads and counters of corrupting each encoded payload at send."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["read", "line", "store",
-                                               "inst"]),
+    @given(st.lists(st.tuples(st.sampled_from(["read", "line", "lines",
+                                               "store", "inst"]),
                               st.integers(1, 32)),
                     min_size=1, max_size=40),
            st.integers(0, 2**32 - 1), st.integers(1, 5))
@@ -174,6 +177,20 @@ class TestDrawAtSendApplyAtDrain:
                     assert np.array_equal(eager.corrupt_line(line),
                                           split.corrupt_line(line))
                     continue
+                if kind == "lines":
+                    # An access's missed lines: one block record, one
+                    # mask per line, drawn in row order.
+                    block = rng.integers(0, 2**32, (n % 5 + 1, 32),
+                                         dtype=np.uint32)
+                    xbar.send_responses(n % 2, block)
+                    for words in block:
+                        variants = encoders.data_variants(Unit.NOC, words,
+                                                          "line")
+                        payload = np.stack([variants[v] for v in VARIANTS]
+                                           ).view(np.uint8)
+                        expected.append((n % 2,
+                                         eager.corrupt_payloads(payload)))
+                    continue
                 if kind == "inst":
                     words = rng.integers(0, 2**63, n % 16 + 1,
                                          dtype=np.uint64)
@@ -185,10 +202,10 @@ class TestDrawAtSendApplyAtDrain:
                 payload = np.stack([variants[v] for v in VARIANTS]
                                    ).view(np.uint8)
                 if kind == "store":
-                    channel = ("req", n % 2)
+                    channel = 2 + n % 2      # bank n % 2's request channel
                     xbar.send_write(n % 2, n % 2, 0, words)
                 else:
-                    channel = ("resp", n % 2)
+                    channel = n % 2          # SM n % 2's response channel
                     xbar.send_response(n % 2, n % 2, words)
                 expected.append((channel, eager.corrupt_payloads(payload)))
             xbar.flush()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.arch import (Cache, CacheStats, Crossbar, DRAMSystem,
                         Encoders, GlobalMemory, MSHRFile)
@@ -188,6 +188,146 @@ class TestCache:
         assert c.resident_lines <= 8   # 1 KB / 128 B
 
 
+class OracleCache:
+    """The tick-based true-LRU tag store that insertion-order LRU
+    replaced, pinned: every touch stamps a line with a global tick and
+    a full set evicts its minimum-tick line."""
+
+    def __init__(self, name, size_kb, line_bytes, assoc, on_fill=None):
+        self.name = name
+        self.line_bytes = line_bytes
+        self.assoc = assoc
+        self.n_sets = (size_kb << 10) // (line_bytes * assoc)
+        self.on_fill = on_fill
+        self.stats = CacheStats()
+        self._sets = {}
+        self._dirty = set()
+        self._tick = 0
+
+    def _set_index(self, line_addr):
+        return (line_addr // self.line_bytes) % self.n_sets
+
+    def lookup(self, line_addr):
+        self.stats.accesses += 1
+        lines = self._sets.get(self._set_index(line_addr))
+        if lines is not None and line_addr in lines:
+            self.stats.hits += 1
+            self._tick += 1
+            lines[line_addr] = self._tick
+            return True
+        return False
+
+    def fill(self, line_addr, dirty=False):
+        lines = self._sets.setdefault(self._set_index(line_addr), {})
+        self._tick += 1
+        victim_writeback = None
+        if line_addr not in lines and len(lines) >= self.assoc:
+            victim = min(lines, key=lines.get)
+            del lines[victim]
+            self.stats.evictions += 1
+            if victim in self._dirty:
+                self._dirty.discard(victim)
+                victim_writeback = victim
+        lines[line_addr] = self._tick
+        if dirty:
+            self._dirty.add(line_addr)
+        if self.on_fill is not None:
+            self.on_fill(self.name, line_addr)
+        return victim_writeback
+
+    def invalidate(self, line_addr):
+        lines = self._sets.get(self._set_index(line_addr))
+        if lines is not None and line_addr in lines:
+            del lines[line_addr]
+            self._dirty.discard(line_addr)
+            self.stats.write_evicts += 1
+            return True
+        return False
+
+    def mark_dirty(self, line_addr):
+        self._dirty.add(line_addr)
+
+    def lru_order(self):
+        """Each set's resident lines, least recently used first."""
+        return {idx: sorted(lines, key=lines.get)
+                for idx, lines in self._sets.items() if lines}
+
+
+class OracleMSHR:
+    """The list-scan MSHR file a heap of free times replaced, pinned:
+    the lowest-index entry among those that free earliest serves the
+    miss."""
+
+    def __init__(self, n_entries):
+        self._free_at = [0] * n_entries
+        self.full_events = 0
+
+    def acquire(self, now, service_cycles):
+        free_at = self._free_at
+        earliest = free_at.index(min(free_at))
+        start = max(now, free_at[earliest])
+        if start > now:
+            self.full_events += 1
+        free_at[earliest] = start + service_cycles
+        return start
+
+
+#: One cache operation: (kind, line number, dirty flag).
+_cache_ops = st.lists(
+    st.tuples(st.sampled_from(["lookup", "lookup", "fill", "invalidate",
+                               "mark_dirty"]),
+              st.integers(0, 23), st.booleans()),
+    max_size=120)
+
+
+class TestCacheMatchesOracle:
+    @given(assoc=st.sampled_from([1, 2, 4]), ops=_cache_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_same_hits_victims_and_stats(self, assoc, ops):
+        """Hits, dirty writebacks, fill callbacks, stats, each set's
+        LRU order and the dirty set agree with the tick-based oracle
+        after every operation."""
+        fills = ([], [])
+        fast = Cache("c", 1, 128, assoc,
+                     on_fill=lambda *a: fills[0].append(a))
+        slow = OracleCache("c", 1, 128, assoc,
+                           on_fill=lambda *a: fills[1].append(a))
+        for kind, line, dirty in ops:
+            addr = line * 128
+            if kind == "fill":
+                got, want = fast.fill(addr, dirty), slow.fill(addr, dirty)
+            else:
+                got = getattr(fast, kind)(addr)
+                want = getattr(slow, kind)(addr)
+            assert got == want, (kind, addr)
+            assert {idx: list(lines) for idx, lines in fast._sets.items()
+                    if lines} == slow.lru_order()
+            assert fast._dirty == slow._dirty
+            assert fast.stats == slow.stats
+        assert fills[0] == fills[1]
+        assert fast.resident_lines == sum(
+            len(lines) for lines in slow.lru_order().values())
+
+
+class TestMSHRMatchesOracle:
+    @given(n_entries=st.integers(1, 6),
+           script=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 40)),
+                           max_size=60),
+           monotone=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_same_starts_and_full_events(self, n_entries, script, monotone):
+        """Starts, full events and the multiset of free times agree
+        with the list scan, for arrival times in order (as one SM
+        issues them) or in any order."""
+        if monotone:
+            script = sorted(script)
+        fast, slow = MSHRFile(n_entries), OracleMSHR(n_entries)
+        for now, service in script:
+            assert fast.acquire(now, service) == slow.acquire(now, service)
+            assert fast.full_events == slow.full_events
+            assert sorted(fast._free_at) == sorted(slow._free_at)
+
+
 class TestMSHR:
     def test_needs_entry(self):
         with pytest.raises(ValueError):
@@ -208,12 +348,12 @@ class TestMSHR:
     def test_ties_pick_lowest_entry(self):
         m = MSHRFile(3)
         m.acquire(0, 10)
-        assert m._free_at == [10, 0, 0]
+        assert sorted(m._free_at) == [0, 0, 10]
         m.acquire(0, 10)
         m.acquire(0, 10)
-        assert m._free_at == [10, 10, 10]
+        assert sorted(m._free_at) == [10, 10, 10]
         assert m.acquire(0, 7) == 10
-        assert m._free_at == [17, 10, 10]
+        assert sorted(m._free_at) == [10, 10, 17]
 
     def test_scripted_sequence(self):
         m = MSHRFile(3)
@@ -222,7 +362,7 @@ class TestMSHR:
         starts = [m.acquire(now, service) for now, service in script]
         assert starts == [0, 0, 0, 5, 6, 10, 10, 20, 20, 21, 22, 22]
         assert m.full_events == 5
-        assert m._free_at == [30, 31, 23]
+        assert sorted(m._free_at) == [23, 30, 31]
 
 
 class TestDRAM:

@@ -104,6 +104,148 @@ class TestGTOMatchesScan:
             assert fast.pick(warps, cycle) is slow.pick(warps, cycle)
 
 
+class OracleLRR:
+    """The modulo-scan LRR pick, pinned: the rotation index is a
+    position in ``warps``, taken modulo the list's current length."""
+
+    def __init__(self):
+        self._next_index = 0
+
+    def pick(self, warps, cycle):
+        n = len(warps)
+        if n == 0:
+            return None
+        for offset in range(n):
+            w = warps[(self._next_index + offset) % n]
+            if w.ready(cycle):
+                self._next_index = (self._next_index + offset + 1) % n
+                return w
+        return None
+
+
+class OracleTwoLevel:
+    """The uid-dict two-level pick, pinned: drop done and far-stalled
+    warps from the active set, top it up with the oldest other live
+    warps (sorted by age), rotate through it, else fall back to the
+    oldest ready warp."""
+
+    def __init__(self, active_size=8):
+        self.active_size = active_size
+        self._active = []
+        self._rr = 0
+
+    def _refresh_active(self, warps, cycle):
+        live = {w.uid for w in warps if not w.done}
+        self._active = [uid for uid in self._active if uid in live]
+        by_uid = {w.uid: w for w in warps}
+        horizon = cycle + 16
+        self._active = [
+            uid for uid in self._active
+            if by_uid[uid].at_barrier or by_uid[uid].ready_at <= horizon
+        ]
+        if len(self._active) < self.active_size:
+            pending = sorted(
+                (w for w in warps if not w.done and w.uid not in self._active),
+                key=lambda w: w.age,
+            )
+            for w in pending:
+                if len(self._active) >= self.active_size:
+                    break
+                self._active.append(w.uid)
+
+    def pick(self, warps, cycle):
+        self._refresh_active(warps, cycle)
+        by_uid = {w.uid: w for w in warps}
+        n = len(self._active)
+        for offset in range(n):
+            uid = self._active[(self._rr + offset) % n]
+            w = by_uid[uid]
+            if w.ready(cycle):
+                self._rr = (self._rr + offset + 1) % n
+                return w
+        ready = [w for w in warps if w.ready(cycle)]
+        if ready:
+            return min(ready, key=lambda w: w.age)
+        return None
+
+
+#: One step of a replay-shaped pick sequence: a pick at a cycle after
+#: new warp states (a warp that finishes stays finished), new warps
+#: joining in age order, or finished warps being compacted away.
+_sched_steps = st.lists(st.one_of(
+    st.tuples(st.just("pick"), st.integers(0, 40),
+              st.lists(st.tuples(st.integers(0, 7).map(lambda x: x == 0),
+                                 st.booleans(), st.integers(0, 60)),
+                       min_size=48, max_size=48)),
+    st.tuples(st.just("grow"), st.integers(1, 6), st.just(())),
+    st.tuples(st.just("compact"), st.just(0), st.just(()))),
+    max_size=40)
+
+
+def _drive(fast, slow, n_warps, steps):
+    """Run both schedulers over one evolving, age-ordered warp list and
+    require the same warp at every pick; returns the picks made."""
+    warps = make_warps(n_warps)
+    next_age = n_warps
+    picks = 0
+    for kind, arg, states in steps:
+        if kind == "grow":
+            for __ in range(arg):
+                warps.append(WarpSlot(uid=next_age, age=next_age,
+                                      block_key="b1"))
+                next_age += 1
+        elif kind == "compact":
+            warps = [w for w in warps if not w.done]
+        else:
+            for warp, (finish, barrier, ready_at) in zip(warps, states):
+                warp.done = warp.done or finish
+                warp.at_barrier = barrier
+                warp.ready_at = ready_at
+            assert fast.pick(warps, arg) is slow.pick(warps, arg)
+            picks += 1
+    return picks
+
+
+class TestLRRMatchesScan:
+    @given(n_warps=st.integers(0, 12), steps=_sched_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_same_pick_sequence(self, n_warps, steps):
+        _drive(LRRScheduler(), OracleLRR(), n_warps, steps)
+
+    def test_rotation_is_a_position_after_compaction(self):
+        warps = make_warps(6)
+        fast, slow = LRRScheduler(), OracleLRR()
+        for __ in range(4):
+            assert fast.pick(warps, 0) is slow.pick(warps, 0)
+        warps[0].done = warps[2].done = True
+        warps = [w for w in warps if not w.done]
+        picks = [fast.pick(warps, 0) for __ in range(5)]
+        assert picks == [slow.pick(warps, 0) for __ in range(5)]
+        # Position 4 of a 4-warp list wraps to its first warp, not to
+        # the warp after the last one picked.
+        assert [w.uid for w in picks] == [1, 3, 4, 5, 1]
+
+
+class TestTwoLevelMatchesScan:
+    @given(active_size=st.integers(1, 5), n_warps=st.integers(0, 12),
+           steps=_sched_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_same_pick_sequence(self, active_size, n_warps, steps):
+        _drive(TwoLevelScheduler(active_size), OracleTwoLevel(active_size),
+               n_warps, steps)
+
+    def test_demoted_warp_rejoins_at_the_back(self):
+        """A far-stalled active warp is dropped and, being the oldest
+        live warp, re-enters the set at once: at the back of the
+        rotation."""
+        warps = make_warps(4)
+        fast, slow = TwoLevelScheduler(2), OracleTwoLevel(2)
+        assert fast.pick(warps, 0) is slow.pick(warps, 0) is warps[0]
+        warps[0].ready_at = 100
+        for cycle in range(1, 5):
+            assert fast.pick(warps, cycle) is slow.pick(warps, cycle)
+
+
 class TestLRR:
     def test_round_robins(self):
         warps = make_warps(3)

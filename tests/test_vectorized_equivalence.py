@@ -178,8 +178,9 @@ class OracleNoC:
     copy of the held wire state that a partial flit only partly
     overwrites. Toggles are counted flit by flit, bit by bit. It offers
     the slice of the ``NoCStats`` interface that ``Crossbar`` and
-    ``GPUReplay`` drive (``send``, ``flush``, ``toggles``, ``flits``),
-    so the end-to-end test can swap it in.
+    ``GPUReplay`` drive (``count``, ``flush``, ``toggles``, ``flits``),
+    so the end-to-end test can swap it in: ``count`` hands each packet
+    of a drain to the scalar ``send``, in send order.
     """
 
     def __init__(self, flit_bytes: int, virtual_channels: int = 2):
@@ -236,6 +237,11 @@ class OracleNoC:
         self._transmit(channel, {
             v: self._interleave(pending[v], chunk_lists[v]) for v in VARIANTS
         })
+
+    def count(self, channels, starts, sizes, payload):
+        for channel, start, size in zip(channels.tolist(), starts.tolist(),
+                                        sizes.tolist()):
+            self.send(channel, payload[:, start:start + size])
 
     def flush(self):
         for channel, chunk_lists in sorted(self._pending.items()):
@@ -747,14 +753,30 @@ class TestPacketEncoding:
             vs.encode_segments(words, [1, 2])
 
 
+def _count_drain(noc, packets, order=None):
+    """Hand ``(channel, payload)`` packets to ``noc.count`` as one
+    drain; ``order`` permutes where each payload sits in the block."""
+    if not packets:
+        return
+    order = list(range(len(packets))) if order is None else order
+    sizes = np.array([p.shape[1] for __, p in packets], dtype=np.int64)
+    block_starts = np.cumsum(sizes[order]) - sizes[order]
+    starts = np.empty_like(sizes)
+    starts[order] = block_starts
+    payload = np.concatenate([packets[i][1] for i in order], axis=1)
+    noc.count(np.array([c for c, __ in packets], dtype=np.int64),
+              starts, sizes, payload)
+
+
 class TestNoCEquivalence:
-    def _run_packets(self, noc: NoCStats, seed: int) -> None:
+    def _run_packets(self, noc, seed: int) -> None:
         rng = np.random.default_rng(seed)
         for __ in range(40):
-            channel = ("req", int(rng.integers(3)))
+            channel = int(rng.integers(3))
             size = int(rng.integers(1, 70))  # exercises partial flits
             payload = rng.integers(0, 256, size, dtype=np.uint8)
-            noc.send(channel, np.tile(payload, (len(VARIANTS), 1)))
+            _count_drain(noc, [(channel,
+                                np.tile(payload, (len(VARIANTS), 1)))])
         noc.flush()
 
     def test_transmit_matches_scalar_loop(self):
@@ -766,51 +788,61 @@ class TestNoCEquivalence:
         assert fast.flits == slow.flits
 
     def test_distinct_variant_payloads(self):
-        rng = np.random.default_rng(13)
         fast = NoCStats(flit_bytes=8)
         slow = OracleNoC(flit_bytes=8)
         for noc in (fast, slow):
             payload_rng = np.random.default_rng(99)
-            for __ in range(12):
-                payloads = payload_rng.integers(0, 256, (len(VARIANTS), 20),
-                                                dtype=np.uint8)
-                noc.send(("resp", 0), payloads)
+            _count_drain(noc, [
+                (0, payload_rng.integers(0, 256, (len(VARIANTS), 20),
+                                         dtype=np.uint8))
+                for __ in range(12)])
             noc.flush()
         assert fast.toggles == slow.toggles
 
     @given(flit_bytes=st.sampled_from([4, 8, 16, 32]),
-           drain_pairs=st.integers(1, 16),
            packets=st.lists(st.tuples(st.integers(0, 2),
                                       st.integers(0, 4 * 32 - 1),
                                       st.booleans()),
                             max_size=24),
+           cuts=st.lists(st.integers(0, 24), max_size=6),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle_on_random_packet_streams(
-            self, flit_bytes, drain_pairs, packets, seed):
+            self, flit_bytes, packets, cuts, seed):
         """Exact toggles and flits for 0..3 whole flits plus a partial
         flit, unequal VC partners, distinct or shared variant rows and
-        drains every ``2 * drain_pairs`` packets of a channel."""
-        import repro.arch.stats as stats_mod
+        drains cut at arbitrary points across all channels, each
+        drain's payloads laid out in a shuffled order."""
         rng = np.random.default_rng(seed)
+        stream = []
+        for channel, size, distinct in packets:
+            size %= 4 * flit_bytes
+            if distinct:
+                payload = rng.integers(0, 256, (len(VARIANTS), size),
+                                       dtype=np.uint8)
+            else:
+                payload = np.tile(rng.integers(0, 256, size, dtype=np.uint8),
+                                  (len(VARIANTS), 1))
+            stream.append((channel, payload))
         fast = NoCStats(flit_bytes)
         slow = OracleNoC(flit_bytes)
-        with mock.patch.object(stats_mod, "DRAIN_PACKETS", 2 * drain_pairs):
-            for channel, size, distinct in packets:
-                size %= 4 * flit_bytes
-                if distinct:
-                    payload = rng.integers(0, 256, (len(VARIANTS), size),
-                                           dtype=np.uint8)
-                else:
-                    payload = np.tile(
-                        rng.integers(0, 256, size, dtype=np.uint8),
-                        (len(VARIANTS), 1))
-                fast.send(("req", channel), payload)
-                slow.send(("req", channel), payload)
+        bounds = sorted({0, len(stream), *[c for c in cuts
+                                           if c < len(stream)]})
+        for a, b in zip(bounds, bounds[1:]):
+            drain = stream[a:b]
+            order = rng.permutation(len(drain)).tolist()
+            _count_drain(fast, drain, order)
+            _count_drain(slow, drain, order)
+            # Exactly the channels with an odd packet count so far
+            # hold one packet: the first of an open VC pair.
+            sent = [c for c, __ in stream[:b]]
+            assert sorted(fast.held) == sorted(
+                c for c in set(sent) if sent.count(c) % 2)
         fast.flush()
         slow.flush()
         assert fast.toggles == slow.toggles
         assert fast.flits == slow.flits
+        assert not fast.held
 
 
 class TestMemoryVectorization:
