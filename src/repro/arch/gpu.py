@@ -72,11 +72,6 @@ class _WarpStream(WarpSlot):
         self.records = records
         self.ptr = 0
 
-    def peek(self) -> Optional[InstRecord]:
-        if self.ptr < len(self.records):
-            return self.records[self.ptr]
-        return None
-
 
 class _SM:
     """Replay state of one streaming multiprocessor."""
@@ -103,6 +98,10 @@ class _SM:
         #: Unfinished warps, and unfinished warps per block.
         self.live_warps = 0
         self.live_blocks: Dict[str, int] = {}
+        #: Each resident block's warps, and how many of its unfinished
+        #: warps wait at a barrier.
+        self.block_warps: Dict[str, List[_WarpStream]] = {}
+        self.barrier_waits: Dict[str, int] = {}
         self.block_queue: deque = deque()
         self._next_uid = 0
         self._next_age = 0
@@ -130,16 +129,19 @@ class _SM:
                 if self.live_warps > 0:
                     break
             self.block_queue.popleft()
+            slots = []
             for records in warp_records:
                 slot = _WarpStream(self._next_uid, self._next_age,
                                    block_key, records)
                 slot.ready_at = self.cycle
                 self._next_uid += 1
                 self._next_age += 1
-                self.warps.append(slot)
-            if warp_records:
-                self.live_warps += len(warp_records)
-                self.live_blocks[block_key] = len(warp_records)
+                slots.append(slot)
+            if slots:
+                self.warps += slots
+                self.live_warps += len(slots)
+                self.live_blocks[block_key] = len(slots)
+                self.block_warps[block_key] = slots
             self.max_resident_warps = max(self.max_resident_warps,
                                           self.live_warps)
             self.max_resident_blocks = max(self.max_resident_blocks,
@@ -149,11 +151,27 @@ class _SM:
         """Mark a warp finished and drop it from the live counts."""
         warp.done = True
         self.live_warps -= 1
-        left = self.live_blocks[warp.block_key] - 1
+        key = warp.block_key
+        left = self.live_blocks[key] - 1
         if left:
-            self.live_blocks[warp.block_key] = left
+            self.live_blocks[key] = left
+            if warp.at_barrier:
+                self.barrier_waits[key] -= 1
         else:
-            del self.live_blocks[warp.block_key]
+            del self.live_blocks[key]
+            del self.block_warps[key]
+            self.barrier_waits.pop(key, None)
+
+    def release_barrier(self, block_key) -> None:
+        """Release a block's barrier once every unfinished warp of the
+        block waits at it."""
+        waiting = self.barrier_waits.get(block_key, 0)
+        if waiting and waiting == self.live_blocks[block_key]:
+            self.barrier_waits[block_key] = 0
+            for w in self.block_warps[block_key]:
+                if not w.done:
+                    w.at_barrier = False
+                    w.ready_at = self.cycle + 5
 
     def prune_done(self) -> None:
         if len(self.warps) > 2 * self.config.warps_per_sm:
@@ -320,16 +338,13 @@ class GPUReplay:
             bank.mark_dirty(line_addr)
         return latency, hit
 
-    def _fetch(self, state, sm: _SM, code_base: int, rec: InstRecord,
-               now: int) -> int:
-        """Instruction fetch through L1I; returns added latency. The
-        fetched word's IFB and L1I reads are booked per launch
-        (:meth:`_book_inst_stream`); a miss books its fill here."""
+    def _fetch_miss(self, state, sm: _SM, line_addr: int, now: int) -> int:
+        """An instruction-fetch miss in L1I (the step loop probes L1I
+        inline); returns the added latency. The fetched word's IFB and
+        L1I reads are booked per launch (:meth:`_book_inst_stream`);
+        the miss books its fill here."""
         cfg = self.config
         mem, tally, noc, l2_banks, dram, timing = state
-        line_addr = sm.l1i.line_of(code_base + rec.pc * 8)
-        if sm.l1i.lookup(line_addr):
-            return 0
         words64 = self._array_read(
             [line_addr // cfg.l1_line_bytes])[0].view(np.uint64)
         bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
@@ -358,48 +373,106 @@ class GPUReplay:
             batch.add_inst(Unit.L1I, chunk, False)
 
     def _load(self, state, sm: _SM, rec: InstRecord, now: int) -> int:
+        """Global/const/tex load: one pass over the access's lines.
+
+        The line loop probes the L1 set dicts and, on a miss, takes an
+        MSHR and walks L2 and DRAM inline (the same steps as
+        :meth:`Cache.lookup`, :meth:`Cache.fill`, :meth:`MSHRFile.acquire`
+        and :meth:`_l2_access`, in the same order per line); the
+        access's L1, ``l1d_*``, L2, MSHR and control-packet counts are
+        booked once after it.
+        """
         cfg = self.config
         mem, tally, noc, l2_banks, dram, timing = state
         plan = self._plan.get(rec)
         if plan is None:
             return cfg.lat_alu
         line_list, __, touched, line_rows = plan
-        acc = rec.mem
-        unit = _SPACE_UNIT[acc.space]
-        l1 = sm.l1_for(acc.space)
+        space = rec.mem.space
+        unit = _SPACE_UNIT[space]
+        l1 = sm.l1_for(space)
         # One array read serves every use of each line's bytes (hit
         # tally, fill tally, L2 tally, NoC payload).
         rows = self._array_read(line_rows)
+        l1_sets, l1_line, l1_n_sets, l1_assoc = (l1._sets, l1.line_bytes,
+                                                 l1.n_sets, l1.assoc)
+        lat_l2_hit = cfg.lat_l2_hit
+        lat_l1_hit = cfg.lat_l1_hit
+        mshr_free = sm.mshrs._free_at
+        l2_line = cfg.l2_line_bytes
+        n_banks = len(l2_banks)
+        channels = dram.channels
+        n_channels = len(channels)
         missed = []
-        banks = []
         l2_missed = []
-        worst = 0
+        worst = lat_l1_hit
+        mshr_full = l1_evictions = 0
         for j, line_addr in enumerate(line_list):
-            hit = l1.lookup(line_addr)
-            if unit is Unit.L1D:
-                timing.l1d_accesses += 1
-            if hit:
-                worst = max(worst, cfg.lat_l1_hit)
+            index = (line_addr // l1_line) % l1_n_sets
+            lines = l1_sets.get(index)
+            if lines is not None and line_addr in lines:
+                del lines[line_addr]
+                lines[line_addr] = None
                 continue
-            if unit is Unit.L1D:
-                timing.l1d_misses += 1
-            start = sm.mshrs.acquire(now, cfg.lat_l2_hit)
-            bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
-            noc.send_request(sm.index, bank, line_addr)
-            l2_latency, l2_hit = self._l2_access(state, line_addr, False,
-                                                 start)
-            if not l2_hit:
-                l2_missed.append(j)
-            l1.fill(line_addr)
             missed.append(j)
-            banks.append(bank)
-            worst = max(worst, (start - now) + l2_latency + cfg.lat_l1_hit)
+            start = mshr_free[0]
+            if start > now:
+                mshr_full += 1
+            else:
+                start = now
+            heapq.heapreplace(mshr_free, start + lat_l2_hit)
+            bank = l2_banks[(line_addr // l2_line) % n_banks]
+            bank.stats.accesses += 1
+            bank_lines = bank._sets.get((line_addr // l2_line) % bank.n_sets)
+            if bank_lines is not None and line_addr in bank_lines:
+                bank.stats.hits += 1
+                del bank_lines[line_addr]
+                bank_lines[line_addr] = None
+                l2_latency = lat_l2_hit
+            else:
+                l2_missed.append(j)
+                channel = channels[(line_addr // dram.line_bytes)
+                                   % n_channels]
+                l2_latency = (channel.service(start + lat_l2_hit, line_addr)
+                              - start) + lat_l2_hit
+                victim = bank.fill(line_addr)
+                if victim is not None:
+                    # Dirty writeback to DRAM: off-chip, transparent to
+                    # BVF.
+                    dram.service(start + l2_latency, victim)
+            # L1 fill; L1s are read-only here, so a victim is never
+            # dirty, and they have no fill callback.
+            if lines is None:
+                lines = l1_sets[index] = {}
+            elif len(lines) >= l1_assoc:
+                del lines[next(iter(lines))]
+                l1_evictions += 1
+            lines[line_addr] = None
+            latency = (start - now) + l2_latency + lat_l1_hit
+            if latency > worst:
+                worst = latency
+        n_lines = len(line_list)
+        n_missed = len(missed)
+        stats = l1.stats
+        stats.accesses += n_lines
+        stats.hits += n_lines - n_missed
+        stats.evictions += l1_evictions
+        if unit is Unit.L1D:
+            timing.l1d_accesses += n_lines
+            timing.l1d_misses += n_missed
         batch = self._batch
         if missed:
-            # The missed lines' responses go out in line order.
+            sm.mshrs.full_events += mshr_full
+            # One address-only request per missed line on the control
+            # network (Crossbar.send_request), then the responses, in
+            # line order.
+            noc.packets += n_missed
+            noc.control_flits += n_missed
+            timing.l2_accesses += n_missed
+            timing.l2_misses += len(l2_missed)
+            timing.dram_accesses += len(l2_missed)
             sent = rows[missed]
-            for bank, line in zip(banks, sent):
-                noc.send_response(sm.index, bank, line)
+            noc.send_responses(sm.index, sent)
             # L2 writes the lines it filled and reads every missed line;
             # L1 writes each fill.
             if l2_missed:
@@ -408,7 +481,7 @@ class GPUReplay:
             batch.add_line(unit, sent, True)
         # The warp reads the words its lanes touch.
         batch.add_line(unit, rows, False, touched)
-        return max(worst, cfg.lat_l1_hit)
+        return worst
 
     def _store(self, state, sm: _SM, rec: InstRecord, now: int) -> int:
         """Global store: L1 write-evict / write-no-allocate, write to L2."""
@@ -504,14 +577,24 @@ class GPUReplay:
             for sm in sms:
                 sm.admit_blocks()
 
+            # SMs step in (cycle, index) order; the popped SM steps on
+            # while it would pop again.
             heap = [(0, sm.index) for sm in sms if not sm.finished]
             heapq.heapify(heap)
+            step = self._step_sm
+            code_base = launch.code_base
             while heap:
                 __, sm_idx = heapq.heappop(heap)
                 sm = sms[sm_idx]
-                self._step_sm(state, sm, launch.code_base)
-                if not sm.finished:
-                    heapq.heappush(heap, (sm.cycle, sm.index))
+                step(state, sm, code_base)
+                while not sm.finished:
+                    if heap:
+                        cycle, other = heap[0]
+                        if sm.cycle > cycle or (sm.cycle == cycle
+                                                and sm_idx > other):
+                            heapq.heappush(heap, (sm.cycle, sm_idx))
+                            break
+                    step(state, sm, code_base)
             self._plan = None
             self._book_inst_stream(launch)
             total_cycles += max((sm.cycle for sm in sms), default=0)
@@ -552,20 +635,14 @@ class GPUReplay:
                             dram_accesses=dram.accesses,
                             footprints=footprints)
 
-    def _release_barrier(self, sm: _SM, block_key) -> None:
-        members = [w for w in sm.warps if w.block_key == block_key]
-        waiting = [w for w in members if not w.done]
-        if waiting and all(w.at_barrier for w in waiting):
-            for w in waiting:
-                w.at_barrier = False
-                w.ready_at = sm.cycle + 5
-
     def _step_sm(self, state, sm: _SM, code_base: int) -> None:
         mem, tally, noc, l2_banks, dram, timing = state
         cfg = self.config
-        warp = sm.scheduler.pick(sm.warps, sm.cycle)
+        scheduler = sm.scheduler
+        cycle = sm.cycle
+        warp = scheduler.pick(sm.warps, cycle)
         if warp is None:
-            nxt = sm.scheduler.next_event(sm.warps)
+            nxt = scheduler.soonest
             if nxt is None:
                 # All resident warps done or at barriers; barriers
                 # resolve on arrival, so this means the SM can admit
@@ -574,41 +651,57 @@ class GPUReplay:
                 sm.admit_blocks()
                 if sm.finished:
                     return
-                sm.cycle += 1
+                sm.cycle = cycle + 1
             else:
-                sm.cycle = max(sm.cycle + 1, nxt)
+                sm.cycle = max(cycle + 1, nxt)
             return
 
-        rec = warp.peek()
-        if rec is None:
+        records = warp.records
+        if warp.ptr >= len(records):
             sm.retire(warp)
-            self._release_barrier(sm, warp.block_key)
+            sm.release_barrier(warp.block_key)
             sm.admit_blocks()
             return
+        rec = records[warp.ptr]
         warp.ptr += 1
 
-        fetch_latency = self._fetch(state, sm, code_base, rec, sm.cycle)
+        # Instruction fetch: the L1I probe of Cache.lookup, inline.
+        l1i = sm.l1i
+        addr = code_base + rec.pc * 8
+        line_addr = addr - addr % l1i.line_bytes
+        l1i.stats.accesses += 1
+        lines = l1i._sets.get((line_addr // l1i.line_bytes) % l1i.n_sets)
+        if lines is not None and line_addr in lines:
+            l1i.stats.hits += 1
+            del lines[line_addr]
+            lines[line_addr] = None
+            fetch_latency = 0
+        else:
+            fetch_latency = self._fetch_miss(state, sm, line_addr, cycle)
         timing.count_op(rec.op_class.value, rec.active_lanes)
 
+        mem_access = rec.mem
         if rec.is_barrier:
             warp.at_barrier = True
-            self._release_barrier(sm, warp.block_key)
-        elif rec.mem is None:
+            key = warp.block_key
+            sm.barrier_waits[key] = sm.barrier_waits.get(key, 0) + 1
+            sm.release_barrier(key)
+        elif mem_access is None:
             base = cfg.lat_sfu if rec.op_class is OpClass.SFU else cfg.lat_alu
-            warp.ready_at = sm.cycle + base + fetch_latency
-        elif rec.mem.space is MemSpace.SHARED:
+            warp.ready_at = cycle + base + fetch_latency
+        elif mem_access.space is MemSpace.SHARED:
             # Shared-memory accesses were tallied in phase 1.
-            warp.ready_at = sm.cycle + cfg.lat_sme + fetch_latency
-        elif rec.mem.is_store:
-            latency = self._store(state, sm, rec, sm.cycle)
-            warp.ready_at = sm.cycle + latency + fetch_latency
+            warp.ready_at = cycle + cfg.lat_sme + fetch_latency
+        elif mem_access.is_store:
+            latency = self._store(state, sm, rec, cycle)
+            warp.ready_at = cycle + latency + fetch_latency
         else:
-            latency = self._load(state, sm, rec, sm.cycle)
-            warp.ready_at = sm.cycle + latency + fetch_latency
+            latency = self._load(state, sm, rec, cycle)
+            warp.ready_at = cycle + latency + fetch_latency
 
-        if warp.ptr >= len(warp.records):
+        if warp.ptr >= len(records):
             sm.retire(warp)
-            self._release_barrier(sm, warp.block_key)
+            sm.release_barrier(warp.block_key)
             sm.prune_done()
             sm.admit_blocks()
-        sm.cycle += 1
+        sm.cycle = cycle + 1

@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.bitutils import (INST_BITS, WORD_BITS, popcount32, popcount64,
                              sequence_toggles)
@@ -411,46 +412,56 @@ class NoCStats:
             if not chan.size:
                 return
         fb = self.flit_bytes
+        n_variants = payload.shape[0]
         n_bytes = sizes[order]
         n_flits = np.maximum(1, -(-n_bytes // fb))
         total = int(n_flits.sum())
         ends = np.cumsum(n_flits)
         slot = np.arange(total) - np.repeat(ends - n_flits, n_flits)
-        # Flit rows, then one carried-state row per channel (pair -1).
-        present = chan[np.r_[True, chan[1:] != chan[:-1]]]
-        last = np.stack([self._last.get(c) if c in self._last else
-                         np.zeros((payload.shape[0], fb), dtype=np.uint8)
-                         for c in present.tolist()], axis=1)
+        # Flit rows, then one carried-state row per channel (pair -1),
+        # each a window of ``fb`` bytes of one buffer: the payload, the
+        # channels' carried states and ``fb`` bytes of slack.
+        present = chan[np.r_[True, chan[1:] != chan[:-1]]].tolist()
+        fresh = np.zeros((n_variants, fb), dtype=np.uint8)
         buffer = np.concatenate(
-            [payload, last.reshape(payload.shape[0], -1)], axis=1)
-        row_chan = np.r_[np.repeat(chan, n_flits), present]
-        row_pair = np.r_[np.repeat(seq // 2, n_flits),
-                         np.full(present.size, -1)]
-        row_key = np.r_[2 * slot + np.repeat(seq % 2, n_flits),
-                        np.zeros(present.size, dtype=np.int64)]
+            [payload] + [self._last.get(c, fresh) for c in present]
+            + [fresh], axis=1)
+        # One sort key per row: (channel, VC pair, 2 * slot + parity).
+        pairs = int(seq.max()) // 2 + 2
+        slots = 2 * int(n_flits.max()) + 2
+        row_key = np.r_[
+            (np.repeat(chan * pairs + seq // 2 + 1, n_flits) * slots
+             + 2 * slot + np.repeat(seq % 2, n_flits)),
+            np.array(present, dtype=np.int64) * pairs * slots]
         row_base = np.r_[np.repeat(starts[order], n_flits) + slot * fb,
-                         payload.shape[1] + fb * np.arange(present.size)]
+                         payload.shape[1] + fb * np.arange(len(present))]
         row_driven = np.r_[
             np.minimum(fb, np.repeat(n_bytes, n_flits) - slot * fb),
-            np.full(present.size, fb)]
-        rows = np.lexsort((row_key, row_pair, row_chan))
-        lanes = np.arange(fb)
-        index = row_base[rows][:, None] + lanes
+            np.full(len(present), fb)]
+        rows = np.argsort(row_key)
+        states = sliding_window_view(buffer, fb, axis=1)[:, row_base[rows]]
         driven = row_driven[rows]
-        if driven.min() < fb:
-            source = np.maximum.accumulate(
-                np.where(lanes < driven[:, None],
-                         np.arange(rows.size)[:, None], 0), axis=0)
-            index = index[source, lanes]
-        states = buffer[:, index]
-        carried = row_pair[rows] < 0
-        counts = sequence_toggles(states)[:, ~carried[1:]].sum(axis=1)
+        partial = np.flatnonzero(driven < fb)
+        if partial.size:
+            # Forward fill: each pass settles one more row of every run
+            # of consecutive partial rows (a channel's first row is
+            # fully driven, so no run crosses channels).
+            undriven = np.arange(fb) >= driven[partial][:, None]
+            runs = np.diff(np.flatnonzero(np.diff(partial, prepend=-2,
+                                                  append=-2) != 1))
+            for __ in range(int(runs.max())):
+                states[:, partial] = np.where(undriven, states[:, partial - 1],
+                                              states[:, partial])
+        carried = rows >= total
+        toggles = sequence_toggles(states)
+        counts = (toggles.sum(axis=1)
+                  - toggles[:, np.flatnonzero(carried[1:])].sum(axis=1))
         for variant, count in zip(VARIANTS, counts.tolist()):
             self.toggles[variant] += count
         self.flits += total
         heads = np.flatnonzero(carried)
         tails = states[:, np.r_[heads[1:], rows.size] - 1].copy()
-        for i, c in enumerate(present.tolist()):
+        for i, c in enumerate(present):
             self._last[c] = tails[:, i]
 
     @property

@@ -227,9 +227,18 @@ def sequence_toggles(flits) -> np.ndarray:
     if f.shape[-2] < 2:
         return np.zeros(f.shape[:-2] + (0,), dtype=np.int64)
     x = f[..., 1:, :] ^ f[..., :-1, :]
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
-    return _POP16[x].sum(axis=-1, dtype=np.int64)
+    if x.shape[-1] % 8 == 0:
+        # Eight bytes per popcount: the same bit total per state.
+        counts = popcount64(x.view(np.uint64))
+    elif _HAS_BITWISE_COUNT:
+        counts = np.bitwise_count(x)
+    else:
+        counts = _POP16[x]
+    # Column by column: a sum over a short last axis is far slower.
+    total = np.zeros(counts.shape[:-1], dtype=np.int64)
+    for column in np.moveaxis(counts, -1, 0):
+        total += column
+    return total
 
 
 def float_to_bits(values) -> np.ndarray:

@@ -201,7 +201,10 @@ def _drive(fast, slow, n_warps, steps):
                 warp.done = warp.done or finish
                 warp.at_barrier = barrier
                 warp.ready_at = ready_at
-            assert fast.pick(warps, arg) is slow.pick(warps, arg)
+            picked = fast.pick(warps, arg)
+            assert picked is slow.pick(warps, arg)
+            if picked is None:
+                assert fast.soonest == fast.next_event(warps)
             picks += 1
     return picks
 
@@ -243,7 +246,10 @@ class TestTwoLevelMatchesScan:
         assert fast.pick(warps, 0) is slow.pick(warps, 0) is warps[0]
         warps[0].ready_at = 100
         for cycle in range(1, 5):
-            assert fast.pick(warps, cycle) is slow.pick(warps, cycle)
+            picked = fast.pick(warps, cycle)
+            assert picked is slow.pick(warps, cycle)
+            if picked is None:
+                assert fast.soonest == fast.next_event(warps)
 
 
 class TestLRR:
