@@ -162,6 +162,13 @@ class _SM:
             del self.block_warps[key]
             self.barrier_waits.pop(key, None)
 
+    def arrive(self, warp: _WarpStream) -> None:
+        """A warp reaches a barrier."""
+        warp.at_barrier = True
+        key = warp.block_key
+        self.barrier_waits[key] = self.barrier_waits.get(key, 0) + 1
+        self.release_barrier(key)
+
     def release_barrier(self, block_key) -> None:
         """Release a block's barrier once every unfinished warp of the
         block waits at it."""
@@ -682,10 +689,7 @@ class GPUReplay:
 
         mem_access = rec.mem
         if rec.is_barrier:
-            warp.at_barrier = True
-            key = warp.block_key
-            sm.barrier_waits[key] = sm.barrier_waits.get(key, 0) + 1
-            sm.release_barrier(key)
+            sm.arrive(warp)
         elif mem_access is None:
             base = cfg.lat_sfu if rec.op_class is OpClass.SFU else cfg.lat_alu
             warp.ready_at = cycle + base + fetch_latency

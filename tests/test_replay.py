@@ -6,6 +6,10 @@ import pytest
 from repro.arch import (BASELINE_CONFIG, Encoders, GPUReplay, GlobalMemory,
                         Launch, run_functional)
 from repro.arch.config import GPUConfig
+from repro.arch.gpu import _SM, _SPACE_UNIT
+from repro.arch.isa import OpClass
+from repro.arch.trace import (AppTrace, BlockTrace, InstRecord, LaunchTrace,
+                              WarpTrace)
 from repro.core.spaces import Unit
 
 
@@ -154,6 +158,132 @@ class TestBarrierReplay:
             "t", mem, [Launch("k", body, 2, 4, shared_bytes=4 * 128)], enc)
         replay = GPUReplay(BASELINE_CONFIG, enc).run(func.trace)
         assert replay.timing.instructions == func.trace.dynamic_instructions
+
+
+    @staticmethod
+    def _alu(pc, barrier=False):
+        return InstRecord(pc, 0x1000 + pc, OpClass.ALU, 32,
+                          is_barrier=barrier)
+
+    def test_counters_release_when_every_live_warp_waits(self):
+        """A warp that finishes at a barrier stops counting as waiting,
+        and the barrier opens when the block's other live warps all
+        wait."""
+        sm = _SM(0, BASELINE_CONFIG)
+        sm.block_queue.append(("b0", [[self._alu(0)]] * 3))
+        sm.admit_blocks()
+        w0, w1, w2 = sm.warps
+        sm.cycle = 40
+        sm.arrive(w0)
+        sm.retire(w0)
+        sm.release_barrier("b0")
+        assert sm.barrier_waits["b0"] == 0
+        sm.arrive(w1)
+        assert w1.at_barrier
+        sm.arrive(w2)
+        assert not w1.at_barrier and not w2.at_barrier
+        assert w1.ready_at == w2.ready_at == 45
+        assert w0.at_barrier and w0.done
+
+    def test_warp_ending_on_a_barrier(self):
+        """Pinned: one warp's stream ends on the barrier the others
+        still have to reach."""
+        alu = self._alu
+        warps = [WarpTrace(0, 0, [alu(0), alu(1, True)]),
+                 WarpTrace(0, 1, [alu(0), alu(2), alu(3), alu(1, True),
+                                  alu(4)]),
+                 WarpTrace(0, 2, [alu(0), alu(1, True), alu(4)])]
+        launch = LaunchTrace("k", code_base=0,
+                             static_words=[0x1000 + i for i in range(5)],
+                             blocks=[BlockTrace(0, warps)])
+        trace = AppTrace("t", [launch],
+                         initial_image=np.zeros(1 << 12, dtype=np.uint8))
+        for scheduler in ("gto", "lrr", "two_level"):
+            replay = GPUReplay(BASELINE_CONFIG.with_scheduler(scheduler),
+                               Encoders(isa_mask=0)).run(trace)
+            assert (replay.timing.instructions,
+                    replay.timing.cycles) == (10, 569)
+
+
+def oracle_load(self, state, sm, rec, now):
+    """The per-line method-call load that the fused line loop replaced,
+    pinned: ``Cache.lookup``/``fill``, ``MSHRFile.acquire``,
+    ``_l2_access`` and one ``send_request``/``send_response`` per
+    line."""
+    cfg = self.config
+    mem, tally, noc, l2_banks, dram, timing = state
+    plan = self._plan.get(rec)
+    if plan is None:
+        return cfg.lat_alu
+    line_list, __, touched, line_rows = plan
+    acc = rec.mem
+    unit = _SPACE_UNIT[acc.space]
+    l1 = sm.l1_for(acc.space)
+    rows = self._array_read(line_rows)
+    missed, banks, l2_missed = [], [], []
+    worst = 0
+    for j, line_addr in enumerate(line_list):
+        hit = l1.lookup(line_addr)
+        if unit is Unit.L1D:
+            timing.l1d_accesses += 1
+        if hit:
+            worst = max(worst, cfg.lat_l1_hit)
+            continue
+        if unit is Unit.L1D:
+            timing.l1d_misses += 1
+        start = sm.mshrs.acquire(now, cfg.lat_l2_hit)
+        bank = noc.bank_of(line_addr, cfg.l2_line_bytes)
+        noc.send_request(sm.index, bank, line_addr)
+        l2_latency, l2_hit = self._l2_access(state, line_addr, False, start)
+        if not l2_hit:
+            l2_missed.append(j)
+        l1.fill(line_addr)
+        missed.append(j)
+        banks.append(bank)
+        worst = max(worst, (start - now) + l2_latency + cfg.lat_l1_hit)
+    batch = self._batch
+    if missed:
+        sent = rows[missed]
+        for bank, line in zip(banks, sent):
+            noc.send_response(sm.index, bank, line)
+        if l2_missed:
+            batch.add_line(Unit.L2, rows[l2_missed], True)
+        batch.add_line(Unit.L2, sent, False)
+        batch.add_line(unit, sent, True)
+    batch.add_line(unit, rows, False, touched)
+    return max(worst, cfg.lat_l1_hit)
+
+
+class TestFusedLoadMatchesMethodPath:
+    @pytest.mark.parametrize("name", ["ATA", "GES"])
+    @pytest.mark.parametrize("scheduler", ["gto", "two_level"])
+    def test_same_replay_under_a_thrashing_hierarchy(self, name, scheduler,
+                                                     monkeypatch):
+        """A 12 KB, 4-way L2, a 4 KB L1D and four MSHRs make L2 LRU
+        order, dirty writebacks and full MSHRs matter; the fused loop
+        and the method path measure the same replay."""
+        import dataclasses
+        from repro.kernels import get_app
+        from repro.sim import _functional_pass
+
+        config = dataclasses.replace(
+            BASELINE_CONFIG.with_scheduler(scheduler), l2_kb=12,
+            l2_assoc=4, l1d_kb=4, mshrs_per_sm=4)
+        trace = _functional_pass(get_app(name), 21)[0].trace
+
+        def measure():
+            result = GPUReplay(config, Encoders(isa_mask=0)).run(trace)
+            return (result.tally.counts, result.noc.stats.toggles,
+                    result.noc.stats.flits, result.noc.packets,
+                    result.noc.control_flits,
+                    dataclasses.asdict(result.timing),
+                    {k: v.to_dict() for k, v in result.cache_stats.items()},
+                    result.dram_accesses, result.footprints)
+
+        fused = measure()
+        monkeypatch.setattr(GPUReplay, "_load", oracle_load)
+        assert measure() == fused
+        assert fused[6]["l2"]["evictions"] > 0
 
 
 class TestCapacitySensitivity:

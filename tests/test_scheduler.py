@@ -252,6 +252,20 @@ class TestTwoLevelMatchesScan:
                 assert fast.soonest == fast.next_event(warps)
 
 
+    def test_stalled_warps_rejoin_oldest_first(self):
+        """Warps dropped together rejoin in age order, not in their
+        order in the set."""
+        warps = make_warps(6)
+        fast, slow = TwoLevelScheduler(4), OracleTwoLevel(4)
+        script = [(0, {}), (1, {0: 100}), (2, {0: 100, 3: 100}),
+                  (3, {0: 3, 3: 3}), (3, {}), (3, {}), (3, {}), (3, {})]
+        for cycle, stalls in script:
+            for w in warps:
+                w.ready_at = stalls.get(w.uid, 0)
+            assert fast.pick(warps, cycle) is slow.pick(warps, cycle)
+        assert [w.uid for w in fast._active] == slow._active == [1, 2, 0, 3]
+
+
 class TestLRR:
     def test_round_robins(self):
         warps = make_warps(3)

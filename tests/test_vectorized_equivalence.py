@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.gpu import GPUReplay, _LinePlan
 from repro.arch.memory import GlobalMemory
-from repro.arch.noc import encode_packets
+from repro.arch.noc import Crossbar, encode_packets
 from repro.arch.stats import Encoders, NoCStats, Tally, TallyBatch, VARIANTS
 from repro.core import bitutils as bu
 from repro.core.coders import VSCoder, xnor
@@ -843,6 +843,81 @@ class TestNoCEquivalence:
         assert fast.toggles == slow.toggles
         assert fast.flits == slow.flits
         assert not fast.held
+
+
+#: One crossbar send: (kind, SM or bank, size).
+_xbar_sends = st.lists(st.tuples(
+    st.sampled_from(["line", "lines", "store", "inst"]),
+    st.integers(0, 2), st.integers(1, 40)), max_size=30)
+
+
+def _xbar_send(xb, rng, kind, port, n):
+    if kind == "line":
+        xb.send_response(port, port, rng.integers(0, 2**32, 32,
+                                                  dtype=np.uint32))
+    elif kind == "lines":
+        xb.send_responses(port, rng.integers(0, 2**32, (n % 4 + 1, 32),
+                                             dtype=np.uint32))
+    elif kind == "store":
+        xb.send_write(port, port, 0, rng.integers(0, 2**32, n % 33,
+                                                  dtype=np.uint32))
+    else:
+        xb.send_response(port, port, rng.integers(0, 2**63, 16,
+                                                  dtype=np.uint64))
+
+
+class TestCrossbarDrains:
+    @given(sends=_xbar_sends, bound=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_split_drains_match_one_drain(self, sends, bound, seed):
+        """Drains every 1-5 packets, which split channels' VC pairs at
+        arbitrary points, give the toggles and flits of one drain at
+        the end."""
+        import repro.arch.noc as noc_mod
+        encoders = Encoders(isa_mask=0x00FF00FF00FF00FF)
+        one = Crossbar(3, 3, 32, encoders)
+        split = Crossbar(3, 3, 32, encoders)
+        for xb, patched in ((one, noc_mod.PENDING_PACKETS), (split, bound)):
+            rng = np.random.default_rng(seed)
+            with mock.patch.object(noc_mod, "PENDING_PACKETS", patched):
+                for kind, port, n in sends:
+                    _xbar_send(xb, rng, kind, port, n)
+                xb.flush()
+        assert one.drains <= 1
+        assert split.stats.toggles == one.stats.toggles
+        assert split.stats.flits == one.stats.flits
+        assert split.packets == one.packets
+
+    @given(sends=_xbar_sends, bound=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_pending_and_held_packets_are_bounded(self, sends, bound, seed):
+        """Between sends, at most ``PENDING_PACKETS`` raw packets wait
+        to be encoded, and a channel holds a counted packet back only
+        while it is the first of an open VC pair."""
+        import repro.arch.noc as noc_mod
+        rng = np.random.default_rng(seed)
+        xb = Crossbar(3, 3, 32, Encoders(isa_mask=0))
+        sent = {}
+        with mock.patch.object(noc_mod, "PENDING_PACKETS", bound):
+            for kind, port, n in sends:
+                channel = 3 + port if kind == "store" else port
+                before = xb.packets
+                _xbar_send(xb, rng, kind, port, n)
+                sent[channel] = sent.get(channel, 0) + xb.packets - before
+                assert xb.pending_packets <= noc_mod.PENDING_PACKETS
+                pending = {}
+                for c, words, __ in xb._pending:
+                    pending[c] = pending.get(c, 0) + (
+                        words.shape[0] if words.ndim == 2 else 1)
+                counted = {c: k - pending.get(c, 0) for c, k in sent.items()}
+                assert sorted(xb.stats.held) == sorted(
+                    c for c, k in counted.items() if k % 2)
+                for payload in xb.stats.held.values():
+                    assert payload.ndim == 2
+        xb.flush()
+        assert not xb.stats.held and xb.pending_packets == 0
 
 
 class TestMemoryVectorization:
