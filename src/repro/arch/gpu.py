@@ -584,24 +584,17 @@ class GPUReplay:
             for sm in sms:
                 sm.admit_blocks()
 
-            # SMs step in (cycle, index) order; the popped SM steps on
+            # SMs step in (cycle, index) order: the popped SM runs on
             # while it would pop again.
             heap = [(0, sm.index) for sm in sms if not sm.finished]
             heapq.heapify(heap)
-            step = self._step_sm
-            code_base = launch.code_base
             while heap:
                 __, sm_idx = heapq.heappop(heap)
                 sm = sms[sm_idx]
-                step(state, sm, code_base)
-                while not sm.finished:
-                    if heap:
-                        cycle, other = heap[0]
-                        if sm.cycle > cycle or (sm.cycle == cycle
-                                                and sm_idx > other):
-                            heapq.heappush(heap, (sm.cycle, sm_idx))
-                            break
-                    step(state, sm, code_base)
+                self._run_sm(state, sm, launch.code_base,
+                             heap[0] if heap else None)
+                if not sm.finished:
+                    heapq.heappush(heap, (sm.cycle, sm_idx))
             self._plan = None
             self._book_inst_stream(launch)
             total_cycles += max((sm.cycle for sm in sms), default=0)
@@ -642,70 +635,85 @@ class GPUReplay:
                             dram_accesses=dram.accesses,
                             footprints=footprints)
 
-    def _step_sm(self, state, sm: _SM, code_base: int) -> None:
+    def _run_sm(self, state, sm: _SM, code_base: int, until) -> None:
+        """Step one SM until it finishes or its ``(cycle, index)``
+        passes ``until``, the earliest other SM's (None: no other)."""
         mem, tally, noc, l2_banks, dram, timing = state
         cfg = self.config
+        pick = sm.scheduler.pick
         scheduler = sm.scheduler
-        cycle = sm.cycle
-        warp = scheduler.pick(sm.warps, cycle)
-        if warp is None:
-            nxt = scheduler.soonest
-            if nxt is None:
-                # All resident warps done or at barriers; barriers
-                # resolve on arrival, so this means the SM can admit
-                # new blocks or is finished.
-                sm.prune_done()
-                sm.admit_blocks()
-                if sm.finished:
-                    return
-                sm.cycle = cycle + 1
-            else:
-                sm.cycle = max(cycle + 1, nxt)
-            return
-
-        records = warp.records
-        if warp.ptr >= len(records):
-            sm.retire(warp)
-            sm.release_barrier(warp.block_key)
-            sm.admit_blocks()
-            return
-        rec = records[warp.ptr]
-        warp.ptr += 1
-
-        # Instruction fetch: the L1I probe of Cache.lookup, inline.
+        count_op = timing.count_op
         l1i = sm.l1i
-        addr = code_base + rec.pc * 8
-        line_addr = addr - addr % l1i.line_bytes
-        l1i.stats.accesses += 1
-        lines = l1i._sets.get((line_addr // l1i.line_bytes) % l1i.n_sets)
-        if lines is not None and line_addr in lines:
-            l1i.stats.hits += 1
-            del lines[line_addr]
-            lines[line_addr] = None
-            fetch_latency = 0
-        else:
-            fetch_latency = self._fetch_miss(state, sm, line_addr, cycle)
-        timing.count_op(rec.op_class.value, rec.active_lanes)
+        l1i_sets, l1i_line, l1i_n_sets, l1i_stats = (l1i._sets, l1i.line_bytes,
+                                                     l1i.n_sets, l1i.stats)
+        until_cycle, until_index = until if until is not None else (None, 0)
+        index = sm.index
+        while True:
+            cycle = sm.cycle
+            warp = pick(sm.warps, cycle)
+            if warp is None:
+                nxt = scheduler.soonest
+                if nxt is None:
+                    # All resident warps done or at barriers; barriers
+                    # resolve on arrival, so this means the SM can
+                    # admit new blocks or is finished.
+                    sm.prune_done()
+                    sm.admit_blocks()
+                    if sm.finished:
+                        return
+                    sm.cycle = cycle + 1
+                else:
+                    sm.cycle = max(cycle + 1, nxt)
+            elif warp.ptr >= len(warp.records):
+                sm.retire(warp)
+                sm.release_barrier(warp.block_key)
+                sm.admit_blocks()
+            else:
+                records = warp.records
+                rec = records[warp.ptr]
+                warp.ptr += 1
+                # Instruction fetch: the L1I probe of Cache.lookup.
+                addr = code_base + rec.pc * 8
+                line_addr = addr - addr % l1i_line
+                l1i_stats.accesses += 1
+                lines = l1i_sets.get((line_addr // l1i_line) % l1i_n_sets)
+                if lines is not None and line_addr in lines:
+                    l1i_stats.hits += 1
+                    del lines[line_addr]
+                    lines[line_addr] = None
+                    fetch_latency = 0
+                else:
+                    fetch_latency = self._fetch_miss(state, sm, line_addr,
+                                                     cycle)
+                op_class = rec.op_class
+                count_op(op_class._value_, rec.active_lanes)
 
-        mem_access = rec.mem
-        if rec.is_barrier:
-            sm.arrive(warp)
-        elif mem_access is None:
-            base = cfg.lat_sfu if rec.op_class is OpClass.SFU else cfg.lat_alu
-            warp.ready_at = cycle + base + fetch_latency
-        elif mem_access.space is MemSpace.SHARED:
-            # Shared-memory accesses were tallied in phase 1.
-            warp.ready_at = cycle + cfg.lat_sme + fetch_latency
-        elif mem_access.is_store:
-            latency = self._store(state, sm, rec, cycle)
-            warp.ready_at = cycle + latency + fetch_latency
-        else:
-            latency = self._load(state, sm, rec, cycle)
-            warp.ready_at = cycle + latency + fetch_latency
+                mem_access = rec.mem
+                if rec.is_barrier:
+                    sm.arrive(warp)
+                elif mem_access is None:
+                    base = (cfg.lat_sfu if op_class is OpClass.SFU
+                            else cfg.lat_alu)
+                    warp.ready_at = cycle + base + fetch_latency
+                elif mem_access.space is MemSpace.SHARED:
+                    # Shared-memory accesses were tallied in phase 1.
+                    warp.ready_at = cycle + cfg.lat_sme + fetch_latency
+                elif mem_access.is_store:
+                    latency = self._store(state, sm, rec, cycle)
+                    warp.ready_at = cycle + latency + fetch_latency
+                else:
+                    latency = self._load(state, sm, rec, cycle)
+                    warp.ready_at = cycle + latency + fetch_latency
 
-        if warp.ptr >= len(records):
-            sm.retire(warp)
-            sm.release_barrier(warp.block_key)
-            sm.prune_done()
-            sm.admit_blocks()
-        sm.cycle = cycle + 1
+                if warp.ptr >= len(records):
+                    sm.retire(warp)
+                    sm.release_barrier(warp.block_key)
+                    sm.prune_done()
+                    sm.admit_blocks()
+                sm.cycle = cycle + 1
+            if not sm.live_warps and not sm.block_queue:
+                return
+            if until_cycle is not None and (
+                    sm.cycle > until_cycle or (sm.cycle == until_cycle
+                                               and index > until_index)):
+                return
