@@ -24,7 +24,7 @@ variants, so it cancels out of every relative comparison.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -39,8 +39,8 @@ __all__ = ["Crossbar", "PENDING_PACKETS", "encode_packets"]
 PENDING_PACKETS = 1024
 
 
-def _encode_records(encoders: Encoders, records: list) -> tuple:
-    """Encode pending ``(channel, words, masks)`` records.
+def encode_packets(encoders: Encoders, records: Sequence) -> tuple:
+    """Encode a drain's ``(channel, words, masks)`` packet records.
 
     ``words`` is one data packet (a 1-D uint32 array: a line, or a
     store's lane words, coded as a NoC line block with its element 0
@@ -104,21 +104,6 @@ def _encode_records(encoders: Encoders, records: list) -> tuple:
                 flips[start:start + size] = mask
         payload ^= flips
     return (np.array(channels, dtype=np.int64), starts, sizes_a, payload)
-
-
-def encode_packets(encoders: Encoders, packets: Sequence[np.ndarray],
-                   masks: Optional[Sequence] = None) -> List[np.ndarray]:
-    """Each raw packet's ``(variants, bytes)`` uint8 payload, rows in
-    :data:`VARIANTS` order: the crossbar's drain encoding, one packet
-    at a time. ``masks`` holds, per packet, a uint8 flip mask of its
-    byte length (or None)."""
-    if not packets:
-        return []
-    records = [(0, words, None if masks is None else [masks[i]])
-               for i, words in enumerate(packets)]
-    __, starts, sizes, payload = _encode_records(encoders, records)
-    return [payload[:, start:start + size]
-            for start, size in zip(starts.tolist(), sizes.tolist())]
 
 
 class Crossbar:
@@ -205,7 +190,7 @@ class Crossbar:
         self._pending = []
         self.pending_packets = 0
         self.drains += 1
-        self.stats.count(*_encode_records(self.encoders, pending))
+        self.stats.count(*encode_packets(self.encoders, pending))
 
     @property
     def toggles(self) -> Dict[str, int]:

@@ -368,7 +368,7 @@ class NoCStats:
 
         Every packet pads to whole flits, its last flit driving only the
         bytes left (an empty packet still takes one undriven flit). One
-        lexsort by (channel, VC pair, 2 * flit slot + parity) lays out
+        sort by (channel, VC pair, 2 * flit slot + parity) lays out
         each channel's wire behind a row holding its carried state: each
         pair of consecutive packets alternates its flits, the first
         packet first, and the longer one's surplus flits follow back to
@@ -418,15 +418,16 @@ class NoCStats:
         total = int(n_flits.sum())
         ends = np.cumsum(n_flits)
         slot = np.arange(total) - np.repeat(ends - n_flits, n_flits)
-        # Flit rows, then one carried-state row per channel (pair -1),
-        # each a window of ``fb`` bytes of one buffer: the payload, the
+        # Flit rows, then one carried-state row per channel, each a
+        # window of ``fb`` bytes of one buffer: the payload, the
         # channels' carried states and ``fb`` bytes of slack.
         present = chan[np.r_[True, chan[1:] != chan[:-1]]].tolist()
         fresh = np.zeros((n_variants, fb), dtype=np.uint8)
         buffer = np.concatenate(
             [payload] + [self._last.get(c, fresh) for c in present]
             + [fresh], axis=1)
-        # One sort key per row: (channel, VC pair, 2 * slot + parity).
+        # One sort key per row: (channel, VC pair, 2 * slot + parity),
+        # a channel's carried state sorting first as pair -1.
         pairs = int(seq.max()) // 2 + 2
         slots = 2 * int(n_flits.max()) + 2
         row_key = np.r_[

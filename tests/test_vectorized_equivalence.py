@@ -734,7 +734,14 @@ class TestPacketEncoding:
         if with_masks:
             masks = [rng.integers(0, 256, p.nbytes, dtype=np.uint8)
                      if rng.random() < 0.5 else None for p in packets]
-        bulk = encode_packets(encoders, packets, masks)
+        records = [(i % 3, words, None if masks is None else [masks[i]])
+                   for i, words in enumerate(packets)]
+        bulk = []
+        if packets:
+            channels, starts, sizes, block = encode_packets(encoders, records)
+            assert channels.tolist() == [i % 3 for i in range(len(packets))]
+            bulk = [block[:, start:start + size] for start, size
+                    in zip(starts.tolist(), sizes.tolist())]
         assert len(bulk) == len(packets)
         for i, (words, payload) in enumerate(zip(packets, bulk)):
             expected = oracle_packet_payload(encoders, words)
