@@ -360,13 +360,17 @@ class TestSequenceToggles:
         monkeypatch.setattr(bu, "_HAS_BITWISE_COUNT",
                             bitwise_count and bu._HAS_BITWISE_COUNT)
         rng = np.random.default_rng(3)
-        flits = rng.integers(0, 256, (5, 9, 16), dtype=np.uint8)
-        stacked = bu.sequence_toggles(flits)
-        assert stacked.shape == (5, 8)
-        for row, seq in zip(stacked, flits):
-            assert row.tolist() == [oracle_toggles_between(seq[i], seq[i + 1])
-                                    for i in range(8)]
-        assert bu.sequence_toggles(flits[:, :1]).shape == (5, 0)
+        # 16-byte states count eight bytes per popcount, 12-byte ones
+        # byte by byte.
+        for width in (16, 12):
+            flits = rng.integers(0, 256, (5, 9, width), dtype=np.uint8)
+            stacked = bu.sequence_toggles(flits)
+            assert stacked.shape == (5, 8)
+            for row, seq in zip(stacked, flits):
+                assert row.tolist() == [
+                    oracle_toggles_between(seq[i], seq[i + 1])
+                    for i in range(8)]
+            assert bu.sequence_toggles(flits[:, :1]).shape == (5, 0)
 
     def test_short_and_invalid_inputs(self):
         assert bu.sequence_toggles(np.zeros((1, 8), np.uint8)).size == 0
