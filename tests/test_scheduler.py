@@ -176,7 +176,7 @@ _sched_steps = st.lists(st.one_of(
     st.tuples(st.just("pick"), st.integers(0, 40),
               st.lists(st.tuples(st.integers(0, 7).map(lambda x: x == 0),
                                  st.booleans(), st.integers(0, 60)),
-                       min_size=48, max_size=48)),
+                       min_size=32, max_size=32)),
     st.tuples(st.just("grow"), st.integers(1, 6), st.just(())),
     st.tuples(st.just("compact"), st.just(0), st.just(()))),
     max_size=40)
@@ -251,6 +251,18 @@ class TestTwoLevelMatchesScan:
             if picked is None:
                 assert fast.soonest == fast.next_event(warps)
 
+
+    def test_top_up_resumes_after_compaction(self):
+        """Compacting finished warps away shifts the list under the
+        top-up cursor; the next top-up still takes the oldest warp
+        never yet active."""
+        warps = make_warps(6)
+        fast, slow = TwoLevelScheduler(2), OracleTwoLevel(2)
+        assert fast.pick(warps, 0) is slow.pick(warps, 0)
+        warps[0].done = True
+        warps = [w for w in warps if not w.done]
+        assert fast.pick(warps, 1) is slow.pick(warps, 1)
+        assert [w.uid for w in fast._active] == slow._active == [1, 2]
 
     def test_stalled_warps_rejoin_oldest_first(self):
         """Warps dropped together rejoin in age order, not in their
