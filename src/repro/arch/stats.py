@@ -206,6 +206,15 @@ def _all_counted(shape: Tuple[int, ...]) -> np.ndarray:
     return mask
 
 
+def _ones_per_variant(variants: Dict[str, np.ndarray], ones) -> list:
+    """``ones(array)`` for each of :data:`VARIANTS`, computed once per
+    distinct array: a variant whose coder leaves the unit alone shares
+    the baseline's array (or another variant's) rather than a copy."""
+    distinct = {id(words): words for words in variants.values()}
+    counted = {key: ones(words) for key, words in distinct.items()}
+    return [counted[id(variants[variant])] for variant in VARIANTS]
+
+
 class TallyBatch:
     """Deferred whole-trace tallying over an :class:`Encoders`/:class:`Tally`.
 
@@ -300,16 +309,15 @@ class TallyBatch:
         variants = self.encoders.data_variant_blocks(
             unit, np.vstack(blocks), blocked,
             counted if blocked == "warp" else None)
-        self._book(unit, is_store, n_words * WORD_BITS,
-                   [(popcount32(variants[v]) * counted).sum()
-                    for v in VARIANTS])
+        self._book(unit, is_store, n_words * WORD_BITS, _ones_per_variant(
+            variants, lambda words: (popcount32(words) * counted).sum()))
 
     def _tally_inst(self, key: tuple, words: list) -> None:
         unit, is_store = key
         variants = self.encoders.inst_variants(
             np.array(words, dtype=np.uint64))
-        self._book(unit, is_store, len(words) * INST_BITS,
-                   [popcount64(variants[v]).sum() for v in VARIANTS])
+        self._book(unit, is_store, len(words) * INST_BITS, _ones_per_variant(
+            variants, lambda words: popcount64(words).sum()))
 
     def _book(self, unit: Unit, is_store: bool, total: int,
               ones: list) -> None:
