@@ -25,8 +25,9 @@ them at any scale. App-averaged claims stay uncalibrated: their
 measured values legitimately move with the app subset, and drift is
 caught by ``fidelity compare`` against a pinned baseline instead.
 
-Expected values quote the paper (or DESIGN.md's calibration targets
-where the paper gives only a direction); tolerance bands are set so
+Expected values quote the paper, or DESIGN.md's calibration targets or
+a plain floor/ceiling where the paper gives only a direction (e.g.
+every SRAM unit saves at least 10%); tolerance bands are set so
 the committed smoke scale passes — see EXPERIMENTS.md "Known
 deviations" for the honest gaps, which appear here as ``degraded``
 bands rather than silently widened ``pass`` bands.
@@ -335,6 +336,32 @@ _FIG18_PAIRS = tuple((hi, lo)
                      for hi in ("ATA", "BIC", "GES")
                      for lo in ("BLA", "CP", "NQU"))
 
+_NODES = ("40nm", "28nm")
+
+
+def _app_spread(artifacts: ArtifactSet) -> float:
+    """Fig 18: the best app's chip-energy reduction over the worst's."""
+    values = app_values("fig18")(artifacts).values()
+    return max(values) / min(values)
+
+
+def _dvfs_spreads(artifacts: ArtifactSet) -> Dict[str, float]:
+    """Fig 20: max - min reduction over the three P-states, per node."""
+    spreads = {}
+    for tech in _NODES:
+        reductions = [artifacts.summary("fig20", f"reduction_{tech}_{pstate}")
+                      for pstate in ("P0", "P1", "P2")]
+        spreads[tech] = max(reductions) - min(reductions)
+    return spreads
+
+
+def _deep_dvfs_ratios(artifacts: ArtifactSet) -> Dict[str, float]:
+    """Fig 23: BVF-8T chip energy at 0.6 V over its 1.2 V energy."""
+    return {tech: artifacts.summary("fig23", f"BVF-8T_{tech}_0.6")
+            / artifacts.summary("fig23", f"BVF-8T_{tech}_1.2")
+            for tech in _NODES}
+
+
 CLAIMS: Tuple[Claim, ...] = (
     # -- circuit level ----------------------------------------------------
     ValueClaim(
@@ -367,6 +394,12 @@ CLAIMS: Tuple[Claim, ...] = (
         requires=("fig06",), calibrated=True,
         extract=summary_value("fig06", "read1_over_read0"),
         expected=0.19, pass_tol=0.05, degrade_tol=0.15),
+    ValueClaim(
+        claim_id="fig06-write-asymmetry", anchor="Fig 6", section=_CIRCUIT,
+        description="the write asymmetry (~0.10x) persists at 40nm",
+        requires=("fig06",), calibrated=True,
+        extract=summary_value("fig06", "write1_over_write0"),
+        expected=0.10, pass_tol=0.05, degrade_tol=0.15),
     ValueClaim(
         claim_id="sec3.1-leak-delta0", anchor="§3.1", section=_CIRCUIT,
         description="BVF-8T storing 0 leaks 0.43% less than 8T",
@@ -406,7 +439,7 @@ CLAIMS: Tuple[Claim, ...] = (
             "refresh-40nm": ("sec7.2", "refresh1_over_refresh0_40nm"),
         }),
         shape="all_at_most",
-        params={"ceiling": 0.6, "degrade_ceiling": 1.0}),
+        params={"ceiling": 0.5, "degrade_ceiling": 1.0}),
 
     # -- workload profiling ----------------------------------------------
     ValueClaim(
@@ -484,6 +517,23 @@ CLAIMS: Tuple[Claim, ...] = (
                          "NOC")}),
         shape="all_at_least",
         params={"floor": 0.02, "degrade_floor": 0.0}),
+    ShapeClaim(
+        claim_id="fig16-sram-unit-floors", anchor="Fig 16", section=_ENERGY,
+        description="REG/L1D/L1I/L1C/L1T/L2 each save at least 10% (28nm)",
+        requires=("fig16",),
+        extract=summary_values({
+            unit: ("fig16", f"{unit}_reduction")
+            for unit in ("REG", "L1D", "L1I", "L1C", "L1T", "L2")}),
+        shape="all_at_least", params={"floor": 0.10, "degrade_floor": 0.02}),
+    ShapeClaim(
+        claim_id="fig16-sme-noc-floor", anchor="Fig 16", section=_ENERGY,
+        description="SME (both nodes) and the NoC each save at least 5%",
+        requires=("fig16", "fig17"),
+        extract=summary_values({
+            "SME-28nm": ("fig16", "SME_reduction"),
+            "NOC-28nm": ("fig16", "NOC_reduction"),
+            "SME-40nm": ("fig17", "SME_reduction")}),
+        shape="all_at_least", params={"floor": 0.05, "degrade_floor": 0.02}),
     ValueClaim(
         # Our REG cut (~73-75%) exceeds the paper's ~40% — a known
         # deviation (EXPERIMENTS.md): the miniature kernels over-drive
@@ -513,6 +563,14 @@ CLAIMS: Tuple[Claim, ...] = (
         pairs=(("REG-40nm", "REG-28nm"), ("L1D-40nm", "L1D-28nm"),
                ("L2-40nm", "L2-28nm")),
         degrade_floor=0.66),
+    ShapeClaim(
+        claim_id="fig17-unit-floors", anchor="Fig 17", section=_ENERGY,
+        description="REG, L1D and L2 each save at least 15% at 40nm",
+        requires=("fig17",),
+        extract=summary_values({
+            unit: ("fig17", f"{unit}_reduction")
+            for unit in ("REG", "L1D", "L2")}),
+        shape="all_at_least", params={"floor": 0.15, "degrade_floor": 0.02}),
     ValueClaim(
         claim_id="noc-toggles-all", anchor="Fig 16", section=_ENERGY,
         description="full coding cuts NoC wire toggles by ~43%",
@@ -544,6 +602,11 @@ CLAIMS: Tuple[Claim, ...] = (
         extract=app_values("fig18"),
         pairs=_FIG18_PAIRS, degrade_floor=0.7),
     ValueClaim(
+        claim_id="fig18-app-spread", anchor="Fig 18", section=_ENERGY,
+        description="the best app's chip-energy cut is over 3x the worst's",
+        requires=("fig18",), extract=_app_spread,
+        expected=3.0, pass_tol=0.0, degrade_tol=1.0, direction="at-least"),
+    ValueClaim(
         # Same smoke-subset bias as fig18 (full suite: 0.269 at 40 nm).
         claim_id="fig19-mean-reduction", anchor="Fig 19", section=_ENERGY,
         description="~24% average chip-energy reduction at 40nm",
@@ -569,6 +632,12 @@ CLAIMS: Tuple[Claim, ...] = (
         shape="all_at_least",
         params={"floor": 0.15, "degrade_floor": 0.05}),
     ShapeClaim(
+        claim_id="fig20-dvfs-consistent", anchor="Fig 20", section=_ENERGY,
+        description="P-states move the reduction by under 15 points per node",
+        requires=("fig20",), extract=_dvfs_spreads,
+        shape="all_at_most",
+        params={"ceiling": 0.15, "degrade_ceiling": 0.25}),
+    ShapeClaim(
         claim_id="fig21-scheduler-flat", anchor="Fig 21", section=_ENERGY,
         description="the reduction is flat across GTO/LRR/two-level "
                     "schedulers",
@@ -578,6 +647,23 @@ CLAIMS: Tuple[Claim, ...] = (
             for sched in ("gto", "lrr", "two_level")}),
         shape="spread_at_most",
         params={"tol": 0.02, "degrade_tol": 0.05}),
+    ShapeClaim(
+        claim_id="fig21-scheduler-flat-28nm", anchor="Fig 21", section=_ENERGY,
+        description="the reduction is flat across schedulers at 28nm too",
+        requires=("fig21",),
+        extract=summary_values({
+            sched: ("fig21", f"reduction_28nm_{sched}")
+            for sched in ("gto", "lrr", "two_level")}),
+        shape="spread_at_most", params={"tol": 0.02, "degrade_tol": 0.05}),
+    ShapeClaim(
+        claim_id="fig21-every-scheduler-saves", anchor="Fig 21",
+        section=_ENERGY,
+        description="every scheduler saves at least 10% on both nodes",
+        requires=("fig21",),
+        extract=summary_values({
+            f"{tech}-{sched}": ("fig21", f"reduction_{tech}_{sched}")
+            for tech in _NODES for sched in ("gto", "lrr", "two_level")}),
+        shape="all_at_least", params={"floor": 0.10, "degrade_floor": 0.05}),
     ShapeClaim(
         claim_id="fig22-capacity-persistence", anchor="Fig 22",
         section=_ENERGY,
@@ -611,6 +697,20 @@ CLAIMS: Tuple[Claim, ...] = (
         requires=("fig23",),
         extract=summary_value("fig23", "BVF-8T_40nm_0.6"),
         expected=0.10, pass_tol=0.05, degrade_tol=0.15),
+    OrderingClaim(
+        claim_id="fig23-bvf-below-8t", anchor="Fig 23", section=_ENERGY,
+        description="BVF-8T chip energy is below 8T's at 1.2V on both nodes",
+        requires=("fig23",),
+        extract=summary_values({
+            f"{cell}-{tech}": ("fig23", f"{cell}_{tech}_1.2")
+            for cell in ("8T", "BVF-8T") for tech in _NODES}),
+        pairs=tuple((f"8T-{tech}", f"BVF-8T-{tech}") for tech in _NODES),
+        degrade_floor=1.0),
+    ShapeClaim(
+        claim_id="fig23-deep-dvfs-ratio", anchor="Fig 23", section=_ENERGY,
+        description="at 0.6V BVF-8T uses under 0.6x its 1.2V chip energy",
+        requires=("fig23",), extract=_deep_dvfs_ratios,
+        shape="all_at_most", params={"ceiling": 0.6, "degrade_ceiling": 0.8}),
 
     # -- robustness & overheads ------------------------------------------
     ValueClaim(
@@ -626,6 +726,12 @@ CLAIMS: Tuple[Claim, ...] = (
         requires=("sec6.3",),
         extract=summary_value("sec6.3", "dyn_mw_28nm"),
         expected=46.5, pass_tol=10.0, degrade_tol=30.0),
+    ValueClaim(
+        claim_id="sec6.3-dynamic-power-40nm", anchor="§6.3", section=_ROBUST,
+        description="40nm coder dynamic power is tens of mW (paper: 60.5 mW)",
+        requires=("sec6.3",),
+        extract=summary_value("sec6.3", "dyn_mw_40nm"),
+        expected=60.5, pass_tol=35.0, degrade_tol=50.0),
     ValueClaim(
         claim_id="sec7.1-analytic-cliff", anchor="§7.1", section=_ROBUST,
         description="the 6T retrofit is destructive past 16 cells/bitline "
@@ -668,6 +774,15 @@ CLAIMS: Tuple[Claim, ...] = (
         extract=summary_value("ablation-isa", "dynamic_extra_gain"),
         expected=0.003, pass_tol=0.01, degrade_tol=0.03,
         direction="at-most"),
+    ValueClaim(
+        claim_id="ablation-isa-static-lift", anchor="§4.3.2", section=_ABLATE,
+        description="the static ISA mask lifts the instruction bit-1 "
+                    "fraction by over 0.3",
+        requires=("ablation-isa",),
+        extract=lambda artifacts: (
+            artifacts.summary("ablation-isa", "static_one_fraction")
+            - artifacts.summary("ablation-isa", "base_one_fraction")),
+        expected=0.3, pass_tol=0.0, degrade_tol=0.1, direction="at-least"),
     OrderingClaim(
         claim_id="ablation-pivot-lane0-worst", anchor="§4.2.1",
         section=_ABLATE,
@@ -696,6 +811,19 @@ CLAIMS: Tuple[Claim, ...] = (
         pairs=(("raw-toggles", "businvert-toggles"),
                ("bvf-ones", "businvert-ones")),
         degrade_floor=1.0),
+    ValueClaim(
+        claim_id="ablation-bvf-ones", anchor="§3.2", section=_ABLATE,
+        description="NV+VS coding lifts the bit-1 fraction above 0.6",
+        requires=("ablation-businvert",),
+        extract=summary_value("ablation-businvert", "bvf_one_fraction"),
+        expected=0.6, pass_tol=0.0, degrade_tol=0.1, direction="at-least"),
+    ValueClaim(
+        claim_id="ablation-businvert-ones", anchor="§3.2", section=_ABLATE,
+        description="bus-invert leaves the bit-1 fraction below 0.6",
+        requires=("ablation-businvert",),
+        extract=summary_value("ablation-businvert",
+                              "businvert_one_fraction"),
+        expected=0.6, pass_tol=0.0, degrade_tol=0.1, direction="at-most"),
 )
 
 

@@ -252,6 +252,89 @@ class TestShapeClaim:
             _artifacts({"a": 0.30, "b": 0.40, "c": 0.30})).verdict == "fail"
 
 
+#: Summaries on which every claim below passes; each case breaks one
+#: value and names the verdict it must then read.
+_NODES = ("40nm", "28nm")
+_PASSING = {
+    "fig06": {"write1_over_write0": 0.10},
+    "fig16": {f"{unit}_reduction": 0.12 for unit in
+              ("REG", "SME", "L1D", "L1I", "L1C", "L1T", "L2", "NOC")},
+    "fig17": {f"{unit}_reduction": 0.2 for unit in ("REG", "SME", "L1D",
+                                                    "L2")},
+    "fig20": {f"reduction_{tech}_{pstate}": 0.3 for tech in _NODES
+              for pstate in ("P0", "P1", "P2")},
+    "fig21": {f"reduction_{tech}_{sched}": 0.2 for tech in _NODES
+              for sched in ("gto", "lrr", "two_level")},
+    "fig23": {"8T_40nm_1.2": 0.97, "BVF-8T_40nm_1.2": 0.71,
+              "BVF-8T_40nm_0.6": 0.11, "8T_28nm_1.2": 0.71,
+              "BVF-8T_28nm_1.2": 0.55, "BVF-8T_28nm_0.6": 0.07},
+    "sec6.3": {"dyn_mw_40nm": 89.5},
+    "sec7.2": {f"{access}1_over_{access}0_{tech}": 0.19 for tech in _NODES
+               for access in ("read", "write", "refresh")},
+    "ablation-isa": {"static_one_fraction": 0.92, "base_one_fraction": 0.08},
+    "ablation-businvert": {"bvf_one_fraction": 0.77,
+                           "businvert_one_fraction": 0.29},
+}
+
+
+def _summaries(by_exp):
+    return ArtifactSet.from_results([
+        ExperimentResult(exp_id=exp_id, title="t", headers=[], rows=[],
+                         summary=summary)
+        for exp_id, summary in by_exp.items()])
+
+
+class TestRegistryBands:
+    @pytest.mark.parametrize("claim_id,exp_id,key,value,verdict", [
+        ("fig06-write-asymmetry", "fig06", "write1_over_write0", 0.4, "fail"),
+        # above the 0.5 ceiling, inside the degraded band
+        ("sec7.2-all-accesses-favour", "sec7.2", "write1_over_write0_40nm",
+         0.55, "degraded"),
+        ("sec7.2-all-accesses-favour", "sec7.2", "read1_over_read0_28nm",
+         1.2, "fail"),
+        ("fig16-sram-unit-floors", "fig16", "L1C_reduction", 0.01, "fail"),
+        ("fig16-sme-noc-floor", "fig17", "SME_reduction", 0.01, "fail"),
+        ("fig17-unit-floors", "fig17", "L2_reduction", 0.01, "fail"),
+        ("fig20-dvfs-consistent", "fig20", "reduction_28nm_P2", 0.6, "fail"),
+        ("fig21-scheduler-flat-28nm", "fig21", "reduction_28nm_lrr", 0.3,
+         "fail"),
+        ("fig21-every-scheduler-saves", "fig21", "reduction_40nm_lrr", 0.01,
+         "fail"),
+        ("fig23-bvf-below-8t", "fig23", "BVF-8T_28nm_1.2", 0.8, "fail"),
+        ("fig23-deep-dvfs-ratio", "fig23", "BVF-8T_28nm_0.6", 0.5, "fail"),
+        ("sec6.3-dynamic-power-40nm", "sec6.3", "dyn_mw_40nm", 250.0, "fail"),
+        ("ablation-isa-static-lift", "ablation-isa", "base_one_fraction",
+         0.8, "fail"),
+        ("ablation-bvf-ones", "ablation-businvert", "bvf_one_fraction", 0.4,
+         "fail"),
+        ("ablation-businvert-ones", "ablation-businvert",
+         "businvert_one_fraction", 0.8, "fail")])
+    def test_claim_passes_then_grades_one_broken_value(
+            self, claim_id, exp_id, key, value, verdict):
+        claim = claims_by_id()[claim_id]
+        assert claim.evaluate(_summaries(_PASSING)).verdict == "pass"
+        broken = {exp: dict(summary) for exp, summary in _PASSING.items()}
+        broken[exp_id][key] = value
+        assert claim.evaluate(_summaries(broken)).verdict == verdict
+
+    @pytest.mark.parametrize("merged", [False, True])
+    @pytest.mark.parametrize("worst,verdict", [("5.8%", "pass"),
+                                               ("30.0%", "fail")])
+    def test_fig18_app_spread_reads_either_table_shape(self, merged, worst,
+                                                       verdict):
+        rows = [["GES", "1e-06", "4e-07", "56.9%"],
+                ["BFL", "1e-06", "9e-07", worst]]
+        if merged:     # the sweep prepends each unit's app, adds its AVG
+            rows = [row for app, *cells in rows
+                    for row in ([app, app, *cells],
+                                [app, "AVG", "-", "-", cells[-1]])]
+        else:
+            rows.append(["AVG", "-", "-", "31.4%"])
+        claim = claims_by_id()["fig18-app-spread"]
+        assert claim.evaluate(_artifacts(rows=rows, exp_id="fig18")
+                              ).verdict == verdict
+
+
 class TestExtractors:
     def test_parse_cell_percent_and_float(self):
         assert parse_cell("40.8%") == pytest.approx(0.408)
@@ -293,6 +376,12 @@ class TestDeterminism:
         # every tiny-scale-backed claim actually ran and none failed
         assert record["summary"]["fail"] == 0
         assert record["summary"]["pass"] >= 15
+        # the calibrated claims are exact, so each must read pass
+        calibrated = {claim_id: entry["verdict"]
+                      for claim_id, entry in record["claims"].items()
+                      if entry["calibrated"]}
+        assert len(calibrated) == sum(c.calibrated for c in CLAIMS)
+        assert set(calibrated.values()) == {"pass"}, calibrated
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_byte_identical_across_jobs(self, jobs):
