@@ -520,7 +520,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--apps", default="",
                        help="comma-separated app subset (default: all 58)")
     run_p.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="record per-unit progress to this JSON file")
+                       help="append per-unit progress to this JSON Lines "
+                            "journal")
     run_p.add_argument("--resume", default=None, metavar="PATH",
                        help="resume from an existing checkpoint, skipping "
                             "completed units")

@@ -92,9 +92,11 @@ CAMPAIGNS: Dict[str, Tuple[CampaignScenario, ...]] = {
 
 #: Record fields that legitimately differ between a chaotic and a
 #: fault-free run (timings, retry accounting, obs measurements,
-#: process identity) — everything else must match exactly.
+#: process identity, recomputation that depends on cache warmth and
+#: job count) — everything else must match exactly.
 _VOLATILE_RECORD_FIELDS = ("attempts", "wall_s", "unit_wall_s", "obs",
-                           "dispatches", "pid", "timeouts")
+                           "dispatches", "pid", "timeouts",
+                           "functional_passes", "replays")
 
 
 def checkpoint_digest(records: Dict[str, dict]) -> str:

@@ -8,8 +8,8 @@ site gets one small hook:
   after the unit via :func:`corrupt_record`, so the corrupted payload
   reaches the parent looking like a real (broken) result.
 * :func:`checkpoint_chaos_hook` wraps :meth:`Checkpoint.save`: it
-  raises ``ENOSPC``/``EACCES``, performs a torn partial write that
-  leaves a stale temp file behind, or drops an orphan ``*.tmp`` — the
+  raises ``ENOSPC``/``EACCES``, tears the journal append itself (a
+  partial line in the real file), or drops an orphan ``*.tmp`` — the
   exact debris a crashed writer leaves.
 * :func:`send_self_signal` delivers SIGTERM/SIGINT to the parent for
   the graceful-drain paths.
@@ -99,15 +99,12 @@ def checkpoint_chaos_hook(plan: ChaosPlan,
                 fh.write(payload[: len(payload) // 3])
             return  # the save itself proceeds
         if event.kind == "torn":
-            # A write that died at byte k: partial temp file on disk,
-            # then the I/O error the dying writer would have seen. The
-            # final checkpoint file is never touched — that atomicity
-            # is exactly what the durable save must guarantee.
+            # An append that died at byte k: a partial line at the end
+            # of the journal, then the I/O error the dying writer would
+            # have seen. Loading must drop the torn tail, and the next
+            # append must truncate it before writing.
             offset = plan.torn_offset(len(payload), state["saves"])
-            torn = os.path.join(
-                directory, f".{base}.chaos-torn{state['saves']}.tmp")
-            with open(torn, "w", encoding="utf-8") as fh:
-                fh.write(payload[:offset])
+            checkpoint._append(payload[:offset])
             raise OSError(
                 errno.EIO, f"chaos: torn write at byte {offset}")
 

@@ -19,7 +19,7 @@ Fault sites and kinds:
   mid-unit), ``exit`` (``os._exit`` nonzero), ``corrupt`` (return a
   mangled record).
 * ``checkpoint`` (any path through :meth:`Checkpoint.save`): ``torn``
-  (partial tmp write then an I/O error), ``enospc`` / ``eacces``
+  (partial journal line then an I/O error), ``enospc`` / ``eacces``
   (raised ``OSError``), ``stale_tmp`` (drop an orphan ``*.tmp`` file).
 * ``sweep`` / ``merge`` (parent process): ``sigterm`` / ``sigint``
   delivered right after a unit records, ``sigterm_merge`` delivered at

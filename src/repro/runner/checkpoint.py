@@ -1,17 +1,21 @@
-"""JSON checkpoint store for the resilient sweep runner.
+"""Append-only checkpoint journal for the resilient sweep runner.
 
 One checkpoint file records the outcome of every completed unit of
 work — a ``(experiment, app)`` pair, or a whole experiment for drivers
-that can't be decomposed per app. Saves are durable and atomic: the
-payload is written to a temp file in the same directory, ``fsync``-ed,
-``os.replace``-d over the target, and the directory entry is synced —
-so a kill (or power cut) at any byte leaves either the previous
-checkpoint or the new one, never a torn file. Orphaned ``*.tmp`` files
-left by a writer that died mid-save are swept up the next time the
-checkpoint is opened or flushed. Records are written in sorted key
-order, so two checkpoints of the same completed sweep are structurally
-identical no matter in which order (or on how many workers) the units
-finished.
+that can't be decomposed per app. The file is JSON Lines:
+
+* a header line ``{"schema_version": 3, "meta": {...}}``;
+* then one compact line ``{"key": ..., "record": ...}`` per recorded
+  unit, in completion order. A later line for the same key wins.
+
+A save appends only the records not yet on disk and ``fsync``-s, so
+its cost is proportional to the new records, not to the sweep so far.
+A kill at any byte leaves at most one torn line at the end: loading
+drops the text after the last newline, and a writer truncates the file
+to its last complete line before it appends (after a resume, and after
+a failed append). Orphaned ``*.tmp`` files next to the checkpoint
+(debris of older writers or of the ``stale_tmp`` chaos fault) are swept
+up the next time the checkpoint is opened or flushed.
 
 Transient I/O failures (a full disk, a permissions hiccup, an injected
 chaos fault) do not abort the sweep: :meth:`Checkpoint.record` falls
@@ -20,9 +24,8 @@ store dirty, and retries on the next record; :meth:`Checkpoint.flush`
 makes a final durable attempt — the runner calls it in a ``finally``
 block so completed units survive interrupts.
 
-The on-disk format carries a ``schema_version`` field. Loading is
-defensive: files from older schemas are migrated when possible, and
-corrupt, truncated, or unrecognisable files raise
+Loading is defensive: a torn header, a bad middle line, an older
+schema-version snapshot or an unknown version raise
 :class:`CheckpointError` with a message that says what is wrong —
 never a bare ``KeyError`` or a raw ``json.JSONDecodeError``.
 """
@@ -32,7 +35,6 @@ from __future__ import annotations
 import glob
 import json
 import os
-import tempfile
 import warnings
 from typing import Callable, Dict, Optional
 
@@ -41,18 +43,20 @@ __all__ = ["Checkpoint", "CheckpointError", "unit_key",
 
 #: Current on-disk schema. History:
 #: 1 — PR 1 format, version field named ``version``.
-#: 2 — renamed to ``schema_version``; records saved in sorted key
-#:     order (same record shape, so v1 files migrate losslessly).
-CHECKPOINT_SCHEMA_VERSION = 2
+#: 2 — renamed to ``schema_version``; one sorted JSON snapshot.
+#: 3 — append-only JSON Lines journal (header line, one line per unit).
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: Backwards-compatible alias (pre-schema_version name).
 CHECKPOINT_VERSION = CHECKPOINT_SCHEMA_VERSION
 
 _RECORD_REQUIRED_FIELDS = ("status",)
 
+_COMPACT = (",", ":")
+
 
 class CheckpointError(ValueError):
-    """A checkpoint file could not be read, parsed, or migrated."""
+    """A checkpoint file could not be read or parsed."""
 
 
 def unit_key(exp_id: str, app_name: Optional[str] = None) -> str:
@@ -81,6 +85,30 @@ def _clean_stale_tmps(path: str) -> int:
     return removed
 
 
+def _check_header(path: str, header) -> None:
+    """Raise :class:`CheckpointError` unless ``header`` opens a v3 journal."""
+    if not isinstance(header, dict):
+        raise CheckpointError(
+            f"checkpoint {path!r} is not a checkpoint file "
+            f"(header is {type(header).__name__}, expected an object)")
+    version = header.get("schema_version", header.get("version"))
+    if version is None:
+        raise CheckpointError(
+            f"checkpoint {path!r} has no schema_version field — "
+            f"not a sweep checkpoint")
+    if version in (1, 2):
+        raise CheckpointError(
+            f"checkpoint {path!r} is a schema_version {version} snapshot "
+            f"from an older build; this build reads the version "
+            f"{CHECKPOINT_SCHEMA_VERSION} journal only. Rerun without "
+            f"--resume.")
+    if version != CHECKPOINT_SCHEMA_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path!r} has schema_version {version!r}; "
+            f"this build reads version {CHECKPOINT_SCHEMA_VERSION}. "
+            f"Regenerate the checkpoint or upgrade the toolkit.")
+
+
 class Checkpoint:
     """Persistent map from unit key to its outcome record.
 
@@ -95,7 +123,7 @@ class Checkpoint:
 
     ``chaos_hook``, when set, is called with ``(self, payload_text)``
     at the top of every durable save; the harness-fault injector uses
-    it to simulate torn writes, ``ENOSPC``, ``EACCES``, and stale temp
+    it to simulate torn appends, ``ENOSPC``, ``EACCES``, and stale temp
     debris (:func:`repro.chaos.inject.checkpoint_chaos_hook`).
 
     ``observer``, when set, is called with ``(kind, info)`` after
@@ -118,58 +146,68 @@ class Checkpoint:
         self.chaos_hook: Optional[Callable[["Checkpoint", str], None]] = None
         self.observer: Optional[Callable[[str, dict], None]] = None
         self._warned_soft_failure = False
+        # Keys recorded since the last durable save, and the byte length
+        # of the file's complete lines (None: no header on disk yet).
+        self._unsaved: Dict[str, None] = {}
+        self._end: Optional[int] = None
         if path is not None and os.path.isdir(
                 os.path.dirname(os.path.abspath(path))):
             _clean_stale_tmps(path)
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
+        """Fold a journal into a checkpoint that appends to the same file."""
         _clean_stale_tmps(path)
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        end = data.rfind(b"\n") + 1
+        lines = data[:end].split(b"\n")[:-1]
+        try:
+            header = json.loads(lines[0]) if lines else None
+        except ValueError:
+            header = None
+        if header is None:
+            # No parseable header line: an older build's snapshot (one
+            # JSON document), something else entirely, or a torn header.
             try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
+                whole = json.loads(data)
+            except ValueError as exc:
                 raise CheckpointError(
                     f"checkpoint {path!r} is corrupt or truncated "
                     f"({exc}); delete it or rerun without --resume"
                 ) from exc
-        if not isinstance(data, dict):
+            _check_header(path, whole)
             raise CheckpointError(
-                f"checkpoint {path!r} is not a checkpoint file "
-                f"(top-level JSON value is {type(data).__name__}, "
-                f"expected an object)")
+                f"checkpoint {path!r} is corrupt or truncated (torn "
+                f"header line); delete it or rerun without --resume")
+        _check_header(path, header)
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise CheckpointError(
+                f"checkpoint {path!r} has a malformed meta object")
 
-        version = data.get("schema_version", data.get("version"))
-        if version is None:
-            raise CheckpointError(
-                f"checkpoint {path!r} has no schema_version field — "
-                f"not a sweep checkpoint, or written by a build too old "
-                f"to migrate")
-        if version not in (1, CHECKPOINT_SCHEMA_VERSION):
-            raise CheckpointError(
-                f"checkpoint {path!r} has schema_version {version!r}; "
-                f"this build reads versions 1..{CHECKPOINT_SCHEMA_VERSION}. "
-                f"Regenerate the checkpoint or upgrade the toolkit.")
-
-        records = data.get("records")
-        if not isinstance(records, dict):
-            raise CheckpointError(
-                f"checkpoint {path!r} has no records table")
-        for key, rec in records.items():
-            if not isinstance(rec, dict) or any(
+        records: Dict[str, dict] = {}
+        for lineno, line in enumerate(lines[1:], start=2):
+            try:
+                entry = json.loads(line)
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"checkpoint {path!r} line {lineno} is corrupt "
+                    f"({exc}); delete it or rerun without --resume"
+                ) from exc
+            if not isinstance(entry, dict):
+                entry = {}
+            key, rec = entry.get("key"), entry.get("record")
+            if not isinstance(key, str) or not isinstance(rec, dict) or any(
                     f not in rec for f in _RECORD_REQUIRED_FIELDS):
                 raise CheckpointError(
-                    f"checkpoint {path!r}: record {key!r} is malformed "
-                    f"(expected a dict with {_RECORD_REQUIRED_FIELDS})")
-
-        meta = data.get("meta", {})
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            # v1 -> v2 is a rename-only migration; note the origin so a
-            # re-save silently upgrades the file in place.
-            meta = dict(meta)
-            meta.setdefault("migrated_from_schema", version)
+                    f"checkpoint {path!r} line {lineno}: record "
+                    f"{key!r} is malformed (expected a key and a dict "
+                    f"with {_RECORD_REQUIRED_FIELDS})")
+            records[key] = rec
         ckpt = cls(path=path, meta=meta)
-        ckpt.records = dict(records)
+        ckpt.records = records
+        ckpt._end = end
         return ckpt
 
     def get(self, key: str) -> Optional[dict]:
@@ -183,55 +221,51 @@ class Checkpoint:
         :meth:`flush` retries the durable write.
         """
         self.records[key] = rec
+        self._unsaved[key] = None
         self.dirty = True
         self.save_soft()
 
-    def _serialize(self) -> str:
-        data = {
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "meta": self.meta,
-            "records": {key: self.records[key]
-                        for key in sorted(self.records)},
-        }
-        return json.dumps(data, indent=1)
+    def _payload(self) -> str:
+        """The lines a save appends: the header if absent, then every
+        unsaved record."""
+        lines = [] if self._end is not None else [json.dumps(
+            {"schema_version": CHECKPOINT_SCHEMA_VERSION, "meta": self.meta},
+            separators=_COMPACT)]
+        lines += [json.dumps({"key": key, "record": self.records[key]},
+                             separators=_COMPACT)
+                  for key in self._unsaved]
+        return "".join(line + "\n" for line in lines)
+
+    def _append(self, text: str) -> None:
+        """Write ``text`` after the file's last complete line and fsync.
+
+        Anything past that line (a torn append) is truncated first; a
+        file with no header on disk yet is rewritten from the start.
+        """
+        with open(self.path, "wb" if self._end is None else "r+b") as fh:
+            if self._end is not None:
+                fh.truncate(self._end)
+                fh.seek(self._end)
+            fh.write(text.encode("utf-8"))
+            fh.flush()
+            os.fsync(fh.fileno())
 
     def save(self) -> None:
-        """Durable atomic save: tmp + fsync + ``os.replace`` + dir sync.
+        """Durable append of the unsaved records (header first if absent).
 
         Raises ``OSError`` on I/O failure (callers that must not die
         use :meth:`save_soft` / :meth:`flush`).
         """
         if self.path is None:
+            self._unsaved.clear()
             self.dirty = False
             return
-        payload = self._serialize()
+        payload = self._payload()
         if self.chaos_hook is not None:
             self.chaos_hook(self, payload)
-        directory = os.path.dirname(os.path.abspath(self.path))
-        base = os.path.basename(self.path)
-        fd, tmp_path = tempfile.mkstemp(dir=directory,
-                                        prefix=f".{base}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-        try:
-            # Make the rename itself durable: sync the directory entry.
-            # Best-effort — not every filesystem/platform allows
-            # opening a directory for fsync.
-            dir_fd = os.open(directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass
+        self._append(payload)
+        self._end = (self._end or 0) + len(payload.encode("utf-8"))
+        self._unsaved.clear()
         self.dirty = False
 
     def save_soft(self) -> bool:

@@ -19,10 +19,15 @@ ProcessPoolExecutor`:
   used inside workers, where arming signals is either impossible or
   unwanted: the driver runs on a watched daemon thread and the unit is
   failed with :class:`UnitTimeout` once the deadline passes;
-* :func:`run_units_parallel` — submit tasks, stream completed records
-  back to the caller as they finish (completion order), cancel what is
-  still pending if the caller aborts. At most one copy of a unit is in
-  flight; a slow unit ends only at its per-attempt timeout.
+* :func:`run_units_parallel` — group pending units into pool tasks,
+  one per app (:func:`pool_tasks`), so each app's functional pass and
+  clean replays are computed in one process; hand the records back to
+  the caller as tasks finish (completion order); cancel what is still
+  pending if the caller aborts. At most one copy of a unit is in
+  flight; a slow unit ends only at its per-attempt timeout. A task
+  whose worker died, or that returned a corrupt record, is re-queued
+  one unit per task, so the dispatch budget and quarantine stay per
+  unit.
 
 Workers resolve the experiment driver from the registry *by id*, so
 the task payload stays small and lambdas never cross the process
@@ -34,6 +39,7 @@ functions, so they pickle by reference).
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import random
 import signal
@@ -58,7 +64,8 @@ from ..obs.tracer import Tracer, use_tracer
 __all__ = [
     "UnitTask", "UnitTimeout", "error_report", "soft_time_limit",
     "call_with_wall_clock_limit", "unit_seed", "seed_unit_rngs",
-    "run_unit_attempts", "execute_unit_task", "run_units_parallel",
+    "run_unit_attempts", "execute_unit_task", "execute_unit_tasks",
+    "pool_tasks", "run_units_parallel",
     "validate_unit_record", "quarantine_record",
 ]
 
@@ -226,8 +233,10 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
     """Run one unit through the retry/backoff/timeout loop.
 
     Returns the checkpoint record dict (``status``/``attempts``/
-    ``wall_s``/``unit_wall_s``/``payload``/``error``, plus ``obs`` when
-    ``observe`` is set). Exceptions from the driver are isolated into
+    ``wall_s``/``unit_wall_s``/``payload``/``error``/``pid``/
+    ``timeouts``, ``functional_passes``/``replays`` — the cold
+    functional passes and replays run while the unit ran — plus ``obs``
+    when ``observe`` is set). Exceptions from the driver are isolated into
     the record; this function itself only raises on programming errors
     (e.g. an unknown experiment id).
 
@@ -242,7 +251,14 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
     instead of corrupting the next one's.
     """
     from ..experiments.registry import EXPERIMENTS
+    from ..sim import work_counts
     driver = EXPERIMENTS[exp_id]
+    work0 = work_counts()
+
+    def _work() -> dict:
+        # Cold work done while this unit ran: what the caches of this
+        # process could not spare (depends on warmth and job count).
+        return {k: v - work0[k] for k, v in work_counts().items()}
 
     def _call_driver():
         if app is not None:
@@ -293,6 +309,7 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
                 "error": None,
                 "pid": os.getpid(),
                 "timeouts": timeouts,
+                **_work(),
             }
             if observe:
                 # Memory rides the same deterministic merge as every
@@ -325,6 +342,7 @@ def run_unit_attempts(exp_id: str, app, key: str, *,
         "error": error,
         "pid": os.getpid(),
         "timeouts": timeouts,
+        **_work(),
     }
     if observe:
         # The last attempt's span tree still ships — a failed unit is
@@ -441,6 +459,56 @@ def quarantine_record(key: str, dispatches: int, reason: str,
 DEFAULT_MAX_DISPATCHES = 3
 
 
+def execute_unit_tasks(tasks: Sequence[UnitTask]) -> List[Tuple[str, dict]]:
+    """Worker entry point for one pool task: run its units in order.
+
+    A pool task is every pending unit of one app (or one
+    whole-experiment unit), so the app's functional pass and clean
+    replays are computed once in this process and reused by its later
+    units. Each unit still goes through :func:`execute_unit_task`.
+    """
+    return [execute_unit_task(task) for task in tasks]
+
+
+def exit_with_parent() -> None:
+    """Pool-worker initializer: end this worker when its parent dies.
+
+    A parent killed outright (SIGKILL, the OOM killer) cannot shut its
+    pool down, and an idle worker would wait on the task queue forever.
+    A daemon thread waits on the parent's sentinel instead and exits
+    the worker once the parent is gone.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def _watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=_watch, daemon=True,
+                     name="exit-with-parent").start()
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers,
+                               initializer=exit_with_parent)
+
+
+def pool_tasks(tasks: Sequence[UnitTask]) -> List[List[UnitTask]]:
+    """Group units into pool tasks: one per app, one per whole experiment.
+
+    Units keep their plan order inside a task; tasks are ordered
+    largest first (plan order among equals), so the longest task does
+    not start last.
+    """
+    groups: Dict[object, List[UnitTask]] = {}
+    for task in tasks:
+        group = task.key if task.app is None else task.app.name
+        groups.setdefault(group, []).append(task)
+    return sorted(groups.values(), key=len, reverse=True)
+
+
 def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
                        on_record: Callable[[str, dict], None],
                        *,
@@ -449,29 +517,34 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
                        ) -> None:
     """Execute ``tasks`` on a *supervised* process pool.
 
-    ``on_record(key, record)`` is invoked in the parent as each unit
-    finishes (completion order — the caller's merge is responsible for
-    determinism). On top of plain dispatch, the supervisor:
+    Units are submitted as pool tasks (:func:`pool_tasks`): one per
+    app, holding all of that app's pending units, with one task in
+    flight per worker. ``on_record(key, record)`` is invoked in the
+    parent for each unit as its task finishes (completion order — the
+    caller's merge is responsible for determinism). On top of plain
+    dispatch, the supervisor:
 
     * detects a broken pool (a worker died to SIGKILL, ``os._exit``,
       or the OOM killer), rebuilds the executor, and re-dispatches the
-      in-flight units with bounded retries (``max_dispatches`` total
-      hand-outs per unit);
+      units of every in-flight task, one unit per task, with bounded
+      retries (``max_dispatches`` total hand-outs per unit);
     * quarantines poison units — a unit whose dispatch budget runs out
       is recorded as a structured ``failed`` result
       (:func:`quarantine_record`) instead of sinking the sweep;
     * rejects corrupt records (:func:`validate_unit_record`) the same
-      way as crashes — bounded re-dispatch, then quarantine.
+      way as crashes — bounded re-dispatch of that unit, then
+      quarantine.
 
     At most one copy of a unit is in flight, so every key yields
     exactly one record. A slow or hung unit is bounded only by the
     task's ``timeout_s`` (the wall-clock guard in the worker).
 
     If the caller's callback raises (KeyboardInterrupt, the graceful
-    SIGTERM drain), completed-but-uncollected futures are drained into
-    ``on_record`` first, pending work is cancelled, and the exception
-    propagates so a later ``--resume`` picks up exactly where the
-    sweep stopped.
+    SIGTERM drain), records already returned by finished tasks are
+    drained into ``on_record`` first, pending work is cancelled, and
+    the exception propagates so a later ``--resume`` picks up exactly
+    where the sweep stopped. On the normal path the pool is joined:
+    no worker outlives the call.
 
     ``on_event(kind, key)`` observes supervision actions —
     ``start`` (every worker hand-out, including re-dispatches) /
@@ -480,74 +553,96 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
     """
     if not tasks:
         return
-    workers = max(1, min(int(jobs), len(tasks)))
+    queue = deque(pool_tasks(tasks))
+    workers = max(1, min(int(jobs), len(queue)))
     notify = on_event or (lambda kind, key: None)
 
-    queue = deque(tasks)
-    in_flight: Dict[object, UnitTask] = {}
+    in_flight: Dict[object, List[UnitTask]] = {}
+    ready: deque = deque()     # validated records not yet handed over
     dispatches: Dict[str, int] = {task.key: 0 for task in tasks}
     started = time.monotonic()
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = _new_pool(workers)
 
-    def _submit(task: UnitTask) -> None:
-        dispatches[task.key] += 1
-        shipped = replace(task, dispatch=dispatches[task.key])
-        future = pool.submit(execute_unit_task, shipped)
-        in_flight[future] = task
-        notify("start", task.key)
+    def _submit(batch: List[UnitTask]) -> None:
+        shipped = []
+        for task in batch:
+            dispatches[task.key] += 1
+            shipped.append(replace(task, dispatch=dispatches[task.key]))
+        future = pool.submit(execute_unit_tasks, shipped)
+        in_flight[future] = batch
+        for task in batch:
+            notify("start", task.key)
 
     def _retire_or_quarantine(task: UnitTask, reason: str) -> None:
         """Bounded retry for a unit whose dispatch went wrong."""
         if dispatches[task.key] >= max_dispatches:
             notify("quarantine", task.key)
-            on_record(task.key, quarantine_record(
+            ready.append((task.key, quarantine_record(
                 task.key, dispatches[task.key], reason,
-                wall_s=time.monotonic() - started))
+                wall_s=time.monotonic() - started)))
         else:
             notify("redispatch", task.key)
-            queue.append(task)
+            queue.append([task])
+
+    def _collect(batch: List[UnitTask], results) -> None:
+        """Queue a finished task's sound records; retry the rest."""
+        returned = dict(results)
+        for task in batch:
+            record = returned.get(task.key)
+            reason = validate_unit_record(record)
+            if reason is not None:
+                _retire_or_quarantine(task, f"corrupt record: {reason}")
+            else:
+                ready.append((task.key, record))
 
     def _rebuild_after_break(reason: str) -> None:
         """A worker died; blame every in-flight unit and start fresh.
 
-        The executor cannot say which unit killed the worker, so all
-        in-flight units take a dispatch strike — the window is at most
-        ``workers`` wide, so innocents are exonerated within a couple
-        of rebuilds while a true poison unit runs out of budget.
+        The executor cannot say which unit killed the worker, so every
+        unit of every in-flight task takes a dispatch strike and is
+        re-queued as a task of its own — a true poison unit runs out of
+        budget while the innocents complete on their next hand-out.
         """
         nonlocal pool
         pool.shutdown(wait=False, cancel_futures=True)
-        for task in list(in_flight.values()):
-            _retire_or_quarantine(task, reason)
+        for batch in list(in_flight.values()):
+            for task in batch:
+                _retire_or_quarantine(task, reason)
         in_flight.clear()
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = _new_pool(workers)
 
     def _drain_completed() -> None:
         """Record whatever already finished before propagating an abort."""
-        for future in list(in_flight):
+        for future, batch in list(in_flight.items()):
             if not future.done() or future.cancelled():
                 continue
             try:
-                key, record = future.result(timeout=0)
+                results = future.result(timeout=0)
             except BaseException:  # noqa: BLE001 — draining, not failing
                 continue
-            if validate_unit_record(record):
-                continue
+            ready.extend((key, record) for key, record in results
+                         if validate_unit_record(record) is None)
+        while ready:
             try:
-                on_record(key, record)
+                on_record(*ready.popleft())
             except BaseException:  # noqa: BLE001 — callback is the aborter
                 break
 
     try:
-        while queue or in_flight:
-            while queue and len(in_flight) < 2 * workers:
-                task = queue.popleft()
+        while queue or in_flight or ready:
+            # Hand out work before the parent's per-record writes, so
+            # no worker idles while the checkpoint appends.
+            while queue and len(in_flight) < workers:
+                batch = queue.popleft()
                 try:
-                    _submit(task)
+                    _submit(batch)
                 except BrokenExecutor:
-                    queue.appendleft(task)
-                    dispatches[task.key] -= 1  # submit never reached a worker
+                    queue.appendleft(batch)
+                    for task in batch:  # submit never reached a worker
+                        dispatches[task.key] -= 1
                     _rebuild_after_break("worker pool broke on submit")
+            while ready:
+                on_record(*ready.popleft())
             if not in_flight:
                 continue
             # No timeout: nothing but a completion needs the loop, and a
@@ -555,25 +650,23 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
             done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
             broke = None
             for future in done:
-                task = in_flight.pop(future)
+                batch = in_flight.pop(future)
                 try:
-                    key, record = future.result()
+                    results = future.result()
                 except (BrokenProcessPool, BrokenExecutor, OSError) as exc:
-                    # The worker died mid-unit. Every other in-flight
+                    # The worker died mid-task. Every other in-flight
                     # future is dead too; finish this batch then
                     # rebuild once.
                     broke = f"worker died: {type(exc).__name__}: {exc}"
-                    _retire_or_quarantine(task, broke)
+                    for task in batch:
+                        _retire_or_quarantine(task, broke)
                     continue
                 except Exception as exc:  # noqa: BLE001 — e.g. unpicklable
-                    _retire_or_quarantine(
-                        task, f"dispatch failed: {error_report(exc)['message']}")
+                    reason = f"dispatch failed: {error_report(exc)['message']}"
+                    for task in batch:
+                        _retire_or_quarantine(task, reason)
                     continue
-                reason = validate_unit_record(record)
-                if reason is not None:
-                    _retire_or_quarantine(task, f"corrupt record: {reason}")
-                    continue
-                on_record(key, record)
+                _collect(batch, results)
             if broke is not None:
                 _rebuild_after_break(broke)
     except BaseException:
@@ -582,4 +675,7 @@ def run_units_parallel(tasks: Sequence[UnitTask], jobs: int,
             future.cancel()
         pool.shutdown(wait=False, cancel_futures=True)
         raise
-    pool.shutdown(wait=False, cancel_futures=True)
+    # Every worker is idle by now; joining them keeps the pool's
+    # threads and pipes from outliving the sweep (an unjoined pool can
+    # race the interpreter's exit handler).
+    pool.shutdown(wait=True)

@@ -7,9 +7,10 @@ driver accepts an app list, the whole experiment otherwise — with:
 * a configurable soft timeout per attempt — the one bound on a slow
   or hung unit, serial or parallel,
 * bounded retry with exponential backoff,
-* a JSON checkpoint so a killed ``run all`` resumes where it stopped,
+* an append-only checkpoint journal so a killed ``run all`` resumes
+  where it stopped (:mod:`repro.runner.checkpoint`),
 * and, with ``jobs > 1``, a process-pool backend that runs pending
-  units concurrently (:mod:`repro.runner.pool`).
+  units concurrently, one pool task per app (:mod:`repro.runner.pool`).
 
 Determinism guarantees: every unit is seeded from its key alone
 (:func:`~repro.runner.pool.seed_unit_rngs`) and the merge assembles
@@ -92,7 +93,8 @@ class SweepRunner:
     jobs:
         Number of worker processes. 1 (the default) runs in-process;
         larger values dispatch pending units to a
-        ``ProcessPoolExecutor``. Results are identical either way.
+        ``ProcessPoolExecutor``, one task per app. Results are
+        identical either way.
     sleep / on_unit_done:
         Injection points for tests: the backoff sleeper (serial path;
         workers always use ``time.sleep``), and a callback

@@ -39,10 +39,20 @@ from .arch.stats import Encoders
 from .obs.metrics import current_registry, metric_inc
 from .obs.tracer import trace_span
 
-__all__ = ["SuiteResult", "simulate_app", "simulate_suite", "clear_caches"]
+__all__ = ["SuiteResult", "simulate_app", "simulate_suite", "clear_caches",
+           "work_counts"]
 
 _FUNCTIONAL_CACHE: Dict[tuple, tuple] = {}
 _STATS_CACHE: Dict[tuple, AppStats] = {}
+
+#: Cold phase-1 passes and replays this process has run — the work the
+#: caches did not spare. Never reset; callers take differences.
+_WORK = {"functional_passes": 0, "replays": 0}
+
+
+def work_counts() -> Dict[str, int]:
+    """Snapshot of the cold functional passes and replays run so far."""
+    return dict(_WORK)
 
 
 def clear_caches() -> None:
@@ -74,6 +84,7 @@ def _functional_pass(app, pivot_lane: int) -> tuple:
     cached = _FUNCTIONAL_CACHE.get(key)
     if cached is not None:
         return cached
+    _WORK["functional_passes"] += 1
     with trace_span("functional", app=app.name) as span:
         mem = GlobalMemory(size_bytes=app.memory_bytes)
         rng = np.random.default_rng(app.seed)
@@ -129,6 +140,7 @@ def simulate_app(app, config: GPUConfig = BASELINE_CONFIG,
         flips_before = _fault_flip_counts(fault_model)
         if stats is None:
             encoders = Encoders(isa_mask=isa_mask, pivot_lane=pivot_lane)
+            _WORK["replays"] += 1
             replay = GPUReplay(config, encoders,
                                fault_model=fault_model if faulty else None
                                ).run(functional.trace)

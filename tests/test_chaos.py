@@ -219,18 +219,25 @@ class TestCheckpointFaults:
     def test_torn_write_never_corrupts_target(self, tmp_path):
         path = tmp_path / "ck.json"
         ckpt = Checkpoint(path=str(path))
+        ckpt.save()  # the runner writes the header before any chaos
         plan = ChaosPlan(seed=23, rates={"torn": 1.0}, times=1)
         ckpt.chaos_hook = checkpoint_chaos_hook(plan)
         with pytest.warns(RuntimeWarning, match="torn write"):
             ckpt.record("a::A", {"status": "ok", "attempts": 1,
                                  "wall_s": 0.0, "payload": None,
                                  "error": None})
-        # first save was torn (soft-absorbed); target must be either
-        # absent or the previous complete file — never a partial one
+        # the first append was torn (soft-absorbed): the journal ends in
+        # a partial line, which loading drops
+        assert not path.read_text().endswith("\n")
+        assert Checkpoint.load(str(path)).records == {}
         ckpt.record("b::B", {"status": "ok", "attempts": 1,
                              "wall_s": 0.0, "payload": None,
                              "error": None})
         assert ckpt.flush()
+        # the retry truncated the torn line before appending: every
+        # line is whole
+        lines = path.read_text().split("\n")
+        assert lines[-1] == "" and all(json.loads(l) for l in lines[:-1])
         loaded = Checkpoint.load(str(path))
         assert set(loaded.records) == {"a::A", "b::B"}
 

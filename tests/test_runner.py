@@ -1,8 +1,12 @@
 """Tests for the resilient sweep runner, checkpointing, and the CLI."""
 
 import json
+import multiprocessing
+import os
 import pickle
 import random
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -16,9 +20,10 @@ from repro.experiments import ExperimentResult, accepts_apps
 from repro.experiments.registry import EXPERIMENTS
 from repro.runner import (CHECKPOINT_SCHEMA_VERSION, CHECKPOINT_VERSION,
                           Checkpoint, CheckpointError, SweepRunner,
-                          UnitTimeout, call_with_wall_clock_limit,
+                          UnitTask, UnitTimeout, call_with_wall_clock_limit,
                           error_report, seed_unit_rngs, soft_time_limit,
                           unit_key, unit_seed)
+from repro.runner.pool import pool_tasks
 
 
 class ToyApp:
@@ -140,13 +145,38 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             Checkpoint.load(str(path))
 
-    def test_records_saved_in_sorted_key_order(self, tmp_path):
+    def test_records_journaled_in_completion_order(self, tmp_path):
         path = str(tmp_path / "ck.json")
         ck = Checkpoint(path=path)
         for key in ("z::*", "a::*", "m::*"):
             ck.record(key, {"status": "ok"})
-        on_disk = json.loads(open(path).read())["records"]
-        assert list(on_disk) == ["a::*", "m::*", "z::*"]
+        header, *lines = open(path).read().splitlines()
+        assert json.loads(header) == {
+            "schema_version": CHECKPOINT_SCHEMA_VERSION, "meta": {}}
+        # one compact line per record, appended as it was recorded
+        assert lines == ['{"key":"z::*","record":{"status":"ok"}}',
+                         '{"key":"a::*","record":{"status":"ok"}}',
+                         '{"key":"m::*","record":{"status":"ok"}}']
+
+    def test_last_line_for_a_key_wins(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        ck = Checkpoint(path=path)
+        ck.record("a::*", {"status": "failed", "attempts": 3})
+        ck.record("b::*", {"status": "ok"})
+        ck.record("a::*", {"status": "ok", "attempts": 1})
+        assert len(open(path).read().splitlines()) == 4
+        loaded = Checkpoint.load(path)
+        assert loaded.records == ck.records
+        assert loaded.get("a::*") == {"status": "ok", "attempts": 1}
+
+    def test_resumed_writer_appends_to_the_same_file(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        Checkpoint(path=path, meta={"n": 1}).record("a::*", {"status": "ok"})
+        resumed = Checkpoint.load(path)
+        resumed.record("b::*", {"status": "ok"})
+        loaded = Checkpoint.load(path)
+        assert loaded.meta == {"n": 1}
+        assert list(loaded.records) == ["a::*", "b::*"]
 
     def test_pathless_checkpoint_is_memory_only(self):
         ck = Checkpoint()
@@ -167,20 +197,19 @@ class TestCheckpointSchema:
         data = json.loads(open(path).read())
         assert data["schema_version"] == CHECKPOINT_SCHEMA_VERSION
 
-    def test_v1_file_migrates_transparently(self, tmp_path):
+    def test_v1_and_v2_snapshots_are_a_clear_error(self, tmp_path):
+        # The snapshot formats older builds wrote: one JSON document.
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps({
-            "version": 1, "meta": {"note": "old"},
-            "records": {"fig01::*": {"status": "ok", "attempts": 1,
-                                     "wall_s": 0.1, "payload": None,
-                                     "error": None}}}))
-        ck = Checkpoint.load(str(path))
-        assert ck.get("fig01::*")["status"] == "ok"
-        assert ck.meta["note"] == "old"
-        assert ck.meta["migrated_from_schema"] == 1
-        ck.save()  # re-save upgrades the file in place
-        assert json.loads(path.read_text())["schema_version"] == \
-            CHECKPOINT_SCHEMA_VERSION
+        for field, version in (("version", 1), ("schema_version", 2)):
+            path.write_text(json.dumps({
+                field: version, "meta": {"note": "old"},
+                "records": {"fig01::*": {"status": "ok", "attempts": 1,
+                                         "wall_s": 0.1, "payload": None,
+                                         "error": None}}}, indent=1))
+            with pytest.raises(CheckpointError,
+                               match=f"schema_version {version} snapshot.*"
+                                     f"without --resume"):
+                Checkpoint.load(str(path))
 
     def test_corrupt_json_is_a_clear_error(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -189,11 +218,32 @@ class TestCheckpointSchema:
             Checkpoint.load(str(path))
 
     def test_truncated_file_is_a_clear_error(self, tmp_path):
+        # Only a torn header makes a truncated journal unreadable.
         path = tmp_path / "ck.json"
         Checkpoint(path=str(path)).record("a::*", {"status": "ok"})
+        header = path.read_text().index("\n")
+        for cut in (header // 2, header):  # mid-header, before its newline
+            path.write_text(path.read_text()[:cut])
+            with pytest.raises(CheckpointError,
+                               match="corrupt or truncated"):
+                Checkpoint.load(str(path))
+
+    def test_torn_last_line_is_dropped(self, tmp_path):
+        path = tmp_path / "ck.json"
+        ck = Checkpoint(path=str(path))
+        ck.record("a::*", {"status": "ok"})
+        ck.record("b::*", {"status": "ok"})
         full = path.read_text()
-        path.write_text(full[:len(full) // 2])  # simulate a torn write
-        with pytest.raises(CheckpointError, match="corrupt or truncated"):
+        path.write_text(full[:-5])  # simulate a torn append
+        assert list(Checkpoint.load(str(path)).records) == ["a::*"]
+
+    def test_bad_middle_line_is_a_clear_error(self, tmp_path):
+        path = tmp_path / "ck.json"
+        ck = Checkpoint(path=str(path))
+        ck.record("a::*", {"status": "ok"})
+        header, line = path.read_text().splitlines()
+        path.write_text(f"{header}\n{line[:-3]}\n{line}\n")
+        with pytest.raises(CheckpointError, match="line 2 is corrupt"):
             Checkpoint.load(str(path))
 
     def test_newer_schema_rejected_with_guidance(self, tmp_path):
@@ -216,11 +266,13 @@ class TestCheckpointSchema:
 
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps({
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "records": {"a::*": {"no_status": True}}}))
-        with pytest.raises(CheckpointError, match="malformed"):
-            Checkpoint.load(str(path))
+        header = {"schema_version": CHECKPOINT_SCHEMA_VERSION, "meta": {}}
+        for line in ({"key": "a::*", "record": {"no_status": True}},
+                     {"key": "a::*"}, {"record": {"status": "ok"}},
+                     [1, 2]):
+            path.write_text(f"{json.dumps(header)}\n{json.dumps(line)}\n")
+            with pytest.raises(CheckpointError, match="is malformed"):
+                Checkpoint.load(str(path))
 
     def test_checkpoint_error_is_a_value_error(self):
         assert issubclass(CheckpointError, ValueError)
@@ -343,35 +395,94 @@ class TestCheckpointTruncation:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_random_content_random_truncation(self, tmp_path, data):
-        # Same property over arbitrary checkpoint content: whatever the
-        # records are and wherever the tear lands, the failure mode is
-        # CheckpointError (or a clean load), never a leaked parser error.
+        # A journal truncated at any byte loads exactly the records of
+        # its complete lines (the last line for a key winning); only a
+        # torn header is a CheckpointError.
         keys = data.draw(st.lists(
-            st.text(st.characters(min_codepoint=33, max_codepoint=126),
+            st.text(st.characters(min_codepoint=32, max_codepoint=0x2FF),
                     min_size=1, max_size=12),
-            min_size=1, max_size=4, unique=True))
+            min_size=1, max_size=6))
         path = tmp_path / f"h{data.draw(st.integers(0, 10**6))}.json"
-        ck = Checkpoint(path=str(path))
-        for key in keys:
-            ck.record(key, {"status": "ok", "attempts": 1, "wall_s": 0.0,
-                            "payload": None, "error": None})
-        full = path.read_text()
+        ck = Checkpoint(path=str(path), meta={"keys": len(keys)})
+        ends = [len(path.read_bytes()) if ck.save() is None else None]
+        for attempt, key in enumerate(keys):
+            ck.record(key, {"status": "ok", "attempts": attempt,
+                            "wall_s": 0.0, "payload": None, "error": None})
+            ends.append(len(path.read_bytes()))
+        full = path.read_bytes()
         offset = data.draw(st.integers(0, len(full)))
-        path.write_text(full[:offset])
-        try:
-            loaded = Checkpoint.load(str(path))
-        except CheckpointError:
+        path.write_bytes(full[:offset])
+        complete = sum(end <= offset for end in ends)
+        if complete == 0:
+            with pytest.raises(CheckpointError, match="corrupt or truncated"):
+                Checkpoint.load(str(path))
             return
-        assert sorted(loaded.records) == sorted(keys)
+        expected = {}
+        for attempt, key in enumerate(keys[:complete - 1]):
+            expected[key] = attempt
+        loaded = Checkpoint.load(str(path))
+        assert {k: r["attempts"] for k, r in loaded.records.items()} \
+            == expected
+        assert loaded.meta == {"keys": len(keys)}
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_resumed_or_failed_writer_leaves_no_torn_middle_line(
+            self, tmp_path, data):
+        # Appends that tear at a random byte (then fail), and resumes
+        # from a file cut at a random byte past its header: whatever
+        # happens, every line before the last newline is whole, and the
+        # file folds to what the final writer holds in memory.
+        path = tmp_path / f"w{data.draw(st.integers(0, 10**6))}.json"
+        ck = Checkpoint(path=str(path))
+        ck.save()
+        header_end = len(path.read_bytes())
+        tear = {"at": None}
+
+        def tearing_hook(checkpoint, payload):
+            if tear["at"] is not None:
+                checkpoint._append(payload[:tear["at"] % (len(payload) + 1)])
+                raise OSError(5, "torn write")
+
+        for step in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(["record", "tear", "resume"]))
+            if op == "resume":
+                full = path.read_bytes()
+                path.write_bytes(full[:data.draw(
+                    st.integers(header_end, len(full)))])
+                ck = Checkpoint.load(str(path))
+                continue
+            tear["at"] = data.draw(st.integers(0, 200)) \
+                if op == "tear" else None
+            ck.chaos_hook = tearing_hook
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ck.record(f"k{step % 3}", {"status": "ok", "step": step})
+        tear["at"] = None
+        assert ck.flush()
+        lines = path.read_text().split("\n")[:-1]  # drop any torn tail
+        assert all(json.loads(line) for line in lines)
+        assert Checkpoint.load(str(path)).records == ck.records
 
     def test_truncated_resume_via_runner_is_exit2_material(self, tmp_path,
                                                            toy_registry):
         full = self._golden_text(tmp_path)
         victim = tmp_path / "ck.json"
-        victim.write_text(full[: 2 * len(full) // 3])
+        victim.write_text(full[: full.index("\n") // 2])  # torn header
         with pytest.raises(CheckpointError):
             SweepRunner(experiments=["toy-whole"], apps=APPS,
                         checkpoint_path=str(victim), resume=True)
+
+    def test_torn_tail_resume_via_runner_reruns_only_the_lost_unit(
+            self, tmp_path, toy_registry):
+        full = self._golden_text(tmp_path)
+        victim = tmp_path / "ck.json"
+        victim.write_text(full[:-7])  # the failed unit's line is torn
+        runner = SweepRunner(experiments=["toy-whole"], apps=APPS,
+                             checkpoint_path=str(victim), resume=True)
+        assert list(runner.checkpoint.records) == ["toy-whole::*"]
+        assert runner.pending() == [] and runner.stats.skipped == 1
 
 
 class TestSoftTimeLimit:
@@ -737,6 +848,79 @@ class TestParallelSweepRunner:
         runner.run()
         assert slept == [0.5, 1.0]
 
+    def test_pool_tasks_group_units_by_app_largest_first(self):
+        units = [UnitTask("e1", APPS[0], "e1::AAA"),
+                 UnitTask("e1", APPS[1], "e1::BB"),
+                 UnitTask("w", None, "w::*"),
+                 UnitTask("e2", APPS[1], "e2::BB")]
+        assert [[u.key for u in task] for task in pool_tasks(units)] == \
+            [["e1::BB", "e2::BB"], ["e1::AAA"], ["w::*"]]
+
+    def test_no_worker_outlives_a_parallel_sweep(self, pool_registry):
+        before = set(multiprocessing.active_children())
+        SweepRunner(experiments=["toy-perapp", "toy-whole"], apps=APPS,
+                    jobs=2).run()
+        assert set(multiprocessing.active_children()) <= before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_the_parent_is_killed(self):
+        # A parent killed outright cannot shut its pool down; the
+        # workers must notice and go instead of idling forever.
+        script = (
+            "import os, time\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from repro.runner.pool import exit_with_parent\n"
+            "def pid(delay):\n"
+            "    time.sleep(delay)\n"
+            "    return os.getpid()\n"
+            "pool = ProcessPoolExecutor(2, initializer=exit_with_parent)\n"
+            "print(*set(pool.map(pid, [0.3, 0.3])), flush=True)\n"
+            "time.sleep(60)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(workers) == 2
+        parent.kill()
+        parent.wait()
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+
+    def test_parallel_sweep_makes_one_functional_pass_per_app(self):
+        # Each app's units share one pool task, so its functional pass
+        # and clean replays are computed once, as in a serial sweep.
+        from repro import sim
+        from repro.kernels import get_app
+
+        def sweep(jobs):
+            sim.clear_caches()
+            runner = SweepRunner(experiments=["fig09", "table2"],
+                                 apps=[get_app("ATA"), get_app("VEC")],
+                                 jobs=jobs)
+            runner.run()
+            return runner.checkpoint.records
+
+        serial, parallel = sweep(jobs=1), sweep(jobs=2)
+        for records in (serial, parallel):
+            passes = {}
+            for key, rec in records.items():
+                app = key.split("::")[1]
+                passes[app] = passes.get(app, 0) + rec["functional_passes"]
+            assert passes == {"ATA": 1, "VEC": 1}
+        assert sum(r["replays"] for r in parallel.values()) == \
+            sum(r["replays"] for r in serial.values()) > 0
+
     def test_registry_and_apps_are_picklable(self):
         # The parallel backend ships apps through pickle and resolves
         # drivers by id; keep both layers pool-safe.
@@ -750,9 +934,10 @@ class TestCLI:
         from repro.__main__ import main
         path = str(tmp_path / "ck.json")
         assert main(["run", "fig01", "--checkpoint", path]) == 0
-        data = json.loads((tmp_path / "ck.json").read_text())
-        assert data["schema_version"] == CHECKPOINT_SCHEMA_VERSION
-        assert data["records"]["fig01::*"]["status"] == "ok"
+        header = json.loads((tmp_path / "ck.json").read_text()
+                            .splitlines()[0])
+        assert header["schema_version"] == CHECKPOINT_SCHEMA_VERSION
+        assert Checkpoint.load(path).get("fig01::*")["status"] == "ok"
         assert main(["run", "fig01", "--resume", path]) == 0
         assert "1 resumed" in capsys.readouterr().out
 
@@ -764,8 +949,8 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert "jobs=2" in out
         assert "[2/2]" in err          # progress went to stderr
-        data = json.loads((tmp_path / "ck.json").read_text())
-        assert set(data["records"]) == {"table2::ATA", "table2::VEC"}
+        assert set(Checkpoint.load(path).records) == {"table2::ATA",
+                                                      "table2::VEC"}
 
     def test_jobs_flag_rejects_zero(self, capsys):
         from repro.__main__ import main
