@@ -176,8 +176,10 @@ def cmd_run(args) -> int:
             print(f"{flag} must be >= 1", file=sys.stderr)
             return 2
     # Observability sinks and the per-attempt time guard need the
-    # unit-record machinery, so they force the resilient path (which
-    # is result-identical to the plain one).
+    # unit-record machinery, so they force the resilient path. Its
+    # results agree serially and at --jobs N, but can differ from the
+    # plain path's: `fig23` with --jobs 2 and `sec7.1-inject` with
+    # --trace both print other numbers (ROADMAP item 1).
     resilient = bool(args.checkpoint or args.resume or args.jobs > 1
                      or args.trace or args.metrics_out or args.chaos
                      or args.ledger or args.timeout is not None)

@@ -51,6 +51,11 @@ class AppStats:
     #: per-level cache counters (plain-int dicts keyed "l1d"/"l1i"/
     #: "l1c"/"l1t"/"l2"), aggregated across SMs/banks by the replay.
     cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: the metrics registry :func:`repro.obs.report.publish_app_metrics`
+    #: derives from these stats on their first publish and folds into
+    #: the current registry on every publish.
+    metric_increments: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False)
 
     #: issue rate assumed for the equivalent fully-occupied run used in
     #: leakage accounting (the paper's workloads saturate the GPU; our

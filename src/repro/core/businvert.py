@@ -13,13 +13,15 @@ BVF on two grounds, both reproducible here:
    whose energy depends on the stored values themselves.
 
 The implementation is stateful per channel (the decoder must track the
-same reference the encoder used).
+same reference the encoder used). :meth:`BusInvertEncoder.encode` is the
+scalar definition; streams are encoded in one closed-form pass
+(:func:`_invert_flags`) that reproduces it exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -50,14 +52,46 @@ class BusInvertEncoder:
         return int(wire), invert
 
     def encode_stream(self, words) -> Tuple[np.ndarray, np.ndarray]:
-        """Encode a word sequence; returns (wire words, invert flags)."""
-        out = np.empty(len(words), dtype=np.uint32)
-        flags = np.empty(len(words), dtype=bool)
-        for i, word in enumerate(np.asarray(words, dtype=np.uint32)):
-            wire, invert = self.encode(word)
-            out[i] = wire
-            flags[i] = invert
-        return out, flags
+        """Encode a word sequence; returns (wire words, invert flags).
+
+        Equal to calling :meth:`encode` once per word, state included,
+        but computed in one vectorised pass.
+        """
+        stream = np.asarray(words, dtype=np.uint32).ravel()
+        __, flags = _invert_flags(stream, self.previous)
+        wire = np.where(flags, ~stream, stream)
+        if stream.size:
+            self.previous = wire[-1]
+        self.transmissions += int(stream.size)
+        self.inversions += int(np.count_nonzero(flags))
+        return wire, flags
+
+
+def _invert_flags(stream: np.ndarray,
+                  previous) -> Tuple[np.ndarray, np.ndarray]:
+    """Raw distances and invert flags of bus-invert over ``stream``.
+
+    With ``d_i = popcount(w_i ^ w_{i-1})``, where ``w_{-1}`` is
+    ``previous`` (the last wire word, taken as sent plain), the wire
+    word before ``w_i`` differs from it in ``d_i`` bits if that word
+    went out plain and in ``32 - d_i`` if inverted. So the flag obeys
+    ``s_i = s_{i-1} XOR (d_i > 16)``, except that a tie ``d_i == 16``
+    resets it to 0 (neither choice exceeds half the wires). That is a
+    prefix parity of ``d > 16`` restarted at every tie: a ``cumsum``
+    minus its value at the last tie, found with ``maximum.accumulate``.
+    """
+    if stream.size == 0:
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=bool)
+    before = np.empty_like(stream)
+    before[0] = previous
+    before[1:] = stream[:-1]
+    dist = popcount32(stream ^ before)
+    half = WORD_BITS // 2
+    odd = np.cumsum(dist > half, dtype=np.int64)
+    ties = np.where(dist == half, np.arange(stream.size), -1)
+    last_tie = np.maximum.accumulate(ties)
+    at_tie = np.where(last_tie >= 0, odd[last_tie], 0)
+    return dist, ((odd - at_tie) & 1).astype(bool)
 
 
 @dataclass
@@ -76,22 +110,14 @@ def bus_invert_toggles(words) -> Tuple[int, int]:
     """Toggle counts for a word stream: (uncoded, bus-invert coded).
 
     The coded count includes the invert line's own transitions — the
-    parity overhead the paper calls out.
+    parity overhead the paper calls out. Both lines start at 0.
     """
-    stream = np.asarray(words, dtype=np.uint32)
-    if stream.size == 0:
-        return 0, 0
-    prev_raw = np.uint32(0)
-    raw_toggles = 0
-    for w in stream:
-        raw_toggles += int(popcount32(w ^ prev_raw))
-        prev_raw = w
-
-    encoder = BusInvertEncoder()
-    wire, flags = encoder.encode_stream(stream)
-    coded_toggles = int(popcount32(np.uint32(wire[0]) ^ np.uint32(0)))
-    coded_toggles += int(popcount32(wire[1:] ^ wire[:-1]).sum())
-    invert_line = np.concatenate([[False], flags])
-    coded_toggles += int(np.count_nonzero(invert_line[1:]
-                                          != invert_line[:-1]))
-    return raw_toggles, coded_toggles
+    stream = np.asarray(words, dtype=np.uint32).ravel()
+    dist, flags = _invert_flags(stream, np.uint32(0))
+    # A wire word toggles d_i bits when the flag repeats and 32 - d_i
+    # when it flips; the invert line toggles exactly when it flips.
+    flips = flags != np.concatenate(([False], flags[:-1]))
+    raw = int(dist.sum(dtype=np.int64))
+    coded = int(np.where(flips, WORD_BITS - dist.astype(np.int64),
+                         dist).sum()) + int(np.count_nonzero(flips))
+    return raw, coded

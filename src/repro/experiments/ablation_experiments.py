@@ -22,7 +22,7 @@ import numpy as np
 from .base import ExperimentResult, default_apps
 from ..analysis.isa_profile import profile_binaries
 from ..core.bitutils import INST_BITS, hamming_weight
-from ..core.businvert import BusInvertEncoder, bus_invert_toggles
+from ..core.businvert import bus_invert_toggles
 from ..core.coders import ISACoder, NVCoder, VSCoder
 from ..core.masks import derive_mask, mask_to_hex
 from ..sim import simulate_app, simulate_suite
@@ -122,11 +122,8 @@ def ablation_bus_invert(apps=None, sample_words: int = 4096) -> ExperimentResult
     stream[thirds:2 * thirds] = smooth_f32(thirds, rng).view(np.uint32)
 
     nv, vs = NVCoder(), VSCoder(pivot_index=0)
-    encoded = nv.encode_words(stream)
-    blocks = encoded.reshape(-1, 32).copy()
-    for i in range(blocks.shape[0]):
-        blocks[i] = vs.encode_words(blocks[i])
-    bvf_stream = blocks.ravel()
+    blocks = nv.encode_words(stream).reshape(-1, 32)
+    bvf_stream = vs.encode_blocks(blocks).ravel()
 
     raw_t, bi_t = bus_invert_toggles(stream)
     __, bvf_t = _stream_toggles(bvf_stream)

@@ -70,7 +70,11 @@ class Counter:
         self.value += amount
 
     def merge(self, other: "Counter") -> None:
-        self.value += other.value
+        self.merge_value(other.value)
+
+    def merge_value(self, value) -> None:
+        """:meth:`merge` from a snapshot value (:meth:`to_value`)."""
+        self.value += value
 
     def to_value(self):
         return self.value
@@ -92,7 +96,11 @@ class Gauge:
         self.value = value
 
     def merge(self, other: "Gauge") -> None:
-        self.value = max(self.value, other.value)
+        self.merge_value(other.value)
+
+    def merge_value(self, value) -> None:
+        """:meth:`merge` from a snapshot value (:meth:`to_value`)."""
+        self.value = max(self.value, value)
 
     def to_value(self):
         return self.value
@@ -128,14 +136,23 @@ class Histogram:
         self.count += 1
 
     def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
+        self._add(other.bounds, other.bucket_counts, other.total,
+                  other.count)
+
+    def merge_value(self, value: dict) -> None:
+        """:meth:`merge` from a snapshot value (:meth:`to_value`)."""
+        self._add(tuple(value["bounds"]), value["counts"], value["sum"],
+                  value["count"])
+
+    def _add(self, bounds, bucket_counts, total, count) -> None:
+        if bounds != self.bounds:
             raise ValueError(
                 f"cannot merge histograms with different bounds "
-                f"({self.bounds} vs {other.bounds})")
-        for i, n in enumerate(other.bucket_counts):
+                f"({self.bounds} vs {bounds})")
+        for i, n in enumerate(bucket_counts):
             self.bucket_counts[i] += n
-        self.total += other.total
-        self.count += other.count
+        self.total += total
+        self.count += count
 
     def percentile(self, q: float):
         """Bucket-resolution quantile estimate (Prometheus-style).
@@ -263,14 +280,25 @@ class MetricsRegistry:
             theirs = other._families[name]
             mine = self._family(name, theirs.kind, theirs.help)
             for key in sorted(theirs.series):
-                metric = mine.series.get(key)
-                if metric is None:
-                    metric = mine.series[key] = _KINDS[theirs.kind]()
-                    if theirs.kind == "histogram":
-                        metric.bounds = theirs.series[key].bounds
-                        metric.bucket_counts = \
-                            [0] * (len(metric.bounds) + 1)
-                metric.merge(theirs.series[key])
+                metric = theirs.series[key]
+                _merge_target(mine, key, getattr(metric, "bounds", None)
+                              ).merge(metric)
+        return self
+
+    def merge_snapshot(self, payload: dict) -> "MetricsRegistry":
+        """Fold a :meth:`to_dict` snapshot into this registry.
+
+        Equal to ``merge(MetricsRegistry.from_dict(payload))``, without
+        building the intermediate registry or its metric objects.
+        """
+        for name, fam in payload.get("families", {}).items():
+            family = self._family(name, fam["kind"], fam.get("help", ""))
+            histogram = family.kind == "histogram"
+            for entry in fam.get("series", []):
+                value = entry["value"]
+                _merge_target(family, _label_key(entry.get("labels")),
+                              value["bounds"] if histogram else None
+                              ).merge_value(value)
         return self
 
     # -- serialisation ---------------------------------------------------
@@ -335,6 +363,18 @@ class MetricsRegistry:
                     lines.append(
                         f"{name}{_render_labels(key)} {metric.to_value()}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _merge_target(family: _Family, key: _LabelKey, bounds):
+    """The series of ``family`` that a merge adds into. A new series
+    starts at zero; a new histogram takes the incoming ``bounds``."""
+    metric = family.series.get(key)
+    if metric is None:
+        metric = family.series[key] = _KINDS[family.kind]()
+        if family.kind == "histogram":
+            metric.bounds = tuple(bounds)
+            metric.bucket_counts = [0] * (len(metric.bounds) + 1)
+    return metric
 
 
 def _escape_help(text: str) -> str:

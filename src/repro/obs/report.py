@@ -8,7 +8,9 @@ provenance primitives:
   registry metrics. It runs on every :func:`~repro.sim.simulate_app`
   return — memoisation hit or cold computation alike — which is what
   makes sweep-level metrics independent of worker count and cache
-  warmth (the golden suite pins this at ``--jobs 1/2/4``).
+  warmth (the golden suite pins this at ``--jobs 1/2/4``). The
+  increments are derived once per :class:`AppStats`, on its first
+  publish, and every later publish folds the same increments in.
 * sink writers (:func:`write_trace_jsonl`, :func:`write_metrics`) —
   best-effort by design: an unwritable path emits a ``RuntimeWarning``
   and returns False rather than killing a sweep whose scientific
@@ -37,14 +39,24 @@ _INSTRUCTION_BOUNDS = (100, 1_000, 10_000, 100_000, 1_000_000)
 def publish_app_metrics(stats) -> None:
     """Publish one app simulation's metrics to the current registry.
 
-    Derives everything from the finished :class:`AppStats` — never from
-    in-flight execution — so repeated calls for the same (app, config)
-    publish identical increments whether the simulation ran or was
-    memoised. No-op when no registry is installed.
+    The increments are derived from the finished :class:`AppStats` —
+    never from in-flight execution — once, on its first publish, and
+    kept with the stats (``stats.metric_increments``). Every publish,
+    cold or memoised, folds those same increments into the current
+    registry. No-op when no registry is installed.
     """
     registry = current_registry()
     if registry is None:
         return
+    increments = stats.metric_increments
+    if increments is None:
+        increments = stats.metric_increments = _app_increments(stats)
+    registry.merge(increments)
+
+
+def _app_increments(stats) -> MetricsRegistry:
+    """One app simulation's metrics, as a registry of its own."""
+    registry = MetricsRegistry()
     from ..core.bitutils import INST_BITS
     from ..core.spaces import CODER_SPACES, INSTRUCTION_UNITS
 
@@ -113,6 +125,7 @@ def publish_app_metrics(stats) -> None:
         "app_instructions", bounds=_INSTRUCTION_BOUNDS,
         help_text="per-app warp-instruction volume").observe(
             stats.instructions)
+    return registry
 
 
 # ---------------------------------------------------------------------------

@@ -465,7 +465,7 @@ class SweepRunner:
                 # Failed units ship their span but no metrics: a timed-out
                 # attempt's half-published counters would depend on where
                 # the deadline hit, breaking snapshot determinism.
-                registry.merge(MetricsRegistry.from_dict(obs["metrics"]))
+                registry.merge_snapshot(obs["metrics"])
         for status in sorted(status_totals):
             registry.counter(
                 "sweep_units_total", {"status": status},

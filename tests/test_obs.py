@@ -9,11 +9,13 @@ semantics, artifact-derived metric publication, provenance exactness
 against the chip model, and the degrade-to-warning sink behaviour.
 """
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs.ledger import RunLedger
 from repro.obs.metrics import (MetricsRegistry, current_registry,
@@ -121,6 +123,30 @@ class TestTracer:
 # Metrics registry
 # ---------------------------------------------------------------------------
 
+#: One registry's worth of random series: (kind, name, label, value).
+_registry_parts = st.lists(st.tuples(
+    st.sampled_from(["counter", "gauge", "histogram"]),
+    st.sampled_from(["a", "b"]), st.sampled_from(["", "x", "y"]),
+    st.integers(-50, 5000)), max_size=12)
+
+_BOUNDS = {"a": (10, 100), "b": (1, 10, 1000)}
+
+
+def _build_registry(part) -> MetricsRegistry:
+    reg = MetricsRegistry()
+    for kind, name, label, value in part:
+        labels = {"k": label} if label else None
+        name = f"{kind}_{name}"
+        if kind == "counter":
+            reg.counter(name, labels, help_text="c").inc(abs(value))
+        elif kind == "gauge":
+            reg.gauge(name, labels).set(value)
+        else:
+            reg.histogram(name, labels, bounds=_BOUNDS[name[-1]],
+                          help_text="h").observe(value)
+    return reg
+
+
 class TestMetricsRegistry:
     def test_counter_gauge_histogram_basics(self):
         reg = MetricsRegistry()
@@ -196,6 +222,30 @@ class TestMetricsRegistry:
         assert current_registry() is None
         metric_inc("orphan", 5)   # must not raise
 
+    @given(st.lists(_registry_parts, min_size=1, max_size=4))
+    def test_snapshot_fold_equals_from_dict_merge(self, parts):
+        """``merge_snapshot`` is ``merge(from_dict(...))`` without the
+        intermediate registry: counters and buckets sum, gauges take
+        the max (a new gauge starts at 0, so a negative level folds to
+        0 both ways)."""
+        folded, merged = MetricsRegistry(), MetricsRegistry()
+        for part in parts:
+            snapshot = _build_registry(part).to_dict()
+            folded.merge_snapshot(snapshot)
+            merged.merge(MetricsRegistry.from_dict(snapshot))
+            assert folded.to_dict() == merged.to_dict()
+
+    def test_snapshot_fold_rejects_other_histogram_bounds(self):
+        reg = MetricsRegistry()
+        reg.histogram("h", bounds=(1, 10)).observe(3)
+        other = MetricsRegistry()
+        other.histogram("h", bounds=(1, 100)).observe(3)
+        with pytest.raises(ValueError):
+            reg.merge_snapshot(other.to_dict())
+        with pytest.raises(ValueError):
+            reg.merge(other)
+
+
 
 # ---------------------------------------------------------------------------
 # Artifact-derived metric publication
@@ -242,6 +292,69 @@ class TestPublishAppMetrics:
         first = snapshot()     # may or may not be memoised already
         second = snapshot()    # certainly memoised
         assert first == second
+
+    def test_memo_hit_publish_equals_cold_publish(self):
+        from repro import sim
+        from repro.kernels import get_app
+        app = get_app("VEC")
+        sim.clear_caches()
+        cold, hit = MetricsRegistry(), MetricsRegistry()
+        with use_registry(cold):
+            stats = sim.simulate_app(app)
+        # The cold publish derived the increments and kept them.
+        assert stats.metric_increments is not None
+        with use_registry(hit):
+            assert sim.simulate_app(app) is stats
+        assert hit.to_dict() == cold.to_dict()
+        # A fresh derivation from an equal, never-published copy agrees.
+        fresh = dataclasses.replace(stats)
+        assert fresh.metric_increments is None
+        again = MetricsRegistry()
+        with use_registry(again):
+            from repro.obs.report import publish_app_metrics
+            publish_app_metrics(fresh)
+        assert again.to_dict() == cold.to_dict()
+
+    def test_publishing_twice_doubles_every_series(self):
+        from repro.obs.report import publish_app_metrics
+        stats = _vec_stats()
+        once, twice = MetricsRegistry(), MetricsRegistry()
+        with use_registry(once):
+            publish_app_metrics(stats)
+        with use_registry(twice):
+            publish_app_metrics(stats)
+            publish_app_metrics(stats)
+        single = once.to_dict()["families"]
+        double = twice.to_dict()["families"]
+        assert single.keys() == double.keys()
+        for name, family in single.items():
+            pairs = zip(family["series"], double[name]["series"])
+            for one, two in pairs:
+                assert one["labels"] == two["labels"]
+                if family["kind"] == "counter":
+                    assert two["value"] == 2 * one["value"], name
+        hist_once = once.value("app_instructions")
+        hist_twice = twice.value("app_instructions")
+        assert (hist_once["count"], hist_twice["count"]) == (1, 2)
+        assert hist_twice["sum"] == 2 * hist_once["sum"]
+        assert hist_twice["counts"] == [2 * n for n in hist_once["counts"]]
+
+    def test_faulted_replay_publishes_its_own_increments(self):
+        from repro.faults import FaultModel
+        from repro.kernels import get_app
+        from repro.sim import simulate_app
+        app = get_app("VEC")
+        clean = simulate_app(app)
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            faulted = simulate_app(app, fault_model=FaultModel(
+                p_flip=0.05, seed=3))
+        assert faulted is not clean
+        assert faulted.metric_increments is not clean.metric_increments
+        assert faulted.noc_toggles != clean.noc_toggles
+        for variant, toggles in faulted.noc_toggles.items():
+            assert reg.value("noc_toggles_total",
+                             {"variant": variant}) == toggles
 
 
 # ---------------------------------------------------------------------------

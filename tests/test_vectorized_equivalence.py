@@ -23,6 +23,7 @@ from repro.arch.memory import GlobalMemory
 from repro.arch.noc import Crossbar, encode_packets
 from repro.arch.stats import Encoders, NoCStats, Tally, TallyBatch, VARIANTS
 from repro.core import bitutils as bu
+from repro.core.businvert import BusInvertEncoder, bus_invert_toggles
 from repro.core.coders import VSCoder, xnor
 from repro.core.spaces import Unit
 
@@ -71,6 +72,41 @@ def oracle_toggles_between(prev_flit, next_flit) -> int:
     a = np.asarray(prev_flit, dtype=np.uint8)
     b = np.asarray(next_flit, dtype=np.uint8)
     return sum(oracle_popcount(int(x)) for x in (a ^ b))
+
+
+def oracle_bus_invert(words, previous: int = 0) -> tuple:
+    """The scalar bus-invert loop: one popcount decision per word.
+
+    Returns ``(wire words, invert flags, last wire word)``.
+    """
+    wire_words, flags = [], []
+    prev = int(previous)
+    for word in words:
+        word = int(word)
+        invert = oracle_popcount(word ^ prev) > 16
+        wire = word ^ 0xFFFFFFFF if invert else word
+        wire_words.append(wire)
+        flags.append(invert)
+        prev = wire
+    return wire_words, flags, prev
+
+
+def oracle_bus_invert_toggles(words) -> tuple:
+    """Verbatim semantics of the pre-vectorization per-word toggle loop:
+    (raw toggles, wire toggles + invert-line toggles), both lines
+    starting at 0."""
+    raw = 0
+    prev = 0
+    for word in words:
+        raw += oracle_popcount(int(word) ^ prev)
+        prev = int(word)
+    wire_words, flags, __ = oracle_bus_invert(words)
+    coded = 0
+    prev_wire, prev_flag = 0, False
+    for wire, flag in zip(wire_words, flags):
+        coded += oracle_popcount(wire ^ prev_wire) + int(flag != prev_flag)
+        prev_wire, prev_flag = wire, flag
+    return raw, coded
 
 
 def oracle_encode_masked(pivot_index: int, block, active) -> np.ndarray:
@@ -383,6 +419,106 @@ class TestSequenceToggles:
         assert bu.sequence_toggles(alt).tolist() == [32] * 7
         flat = np.full((5, 4), 0xAA, dtype=np.uint8)
         assert bu.sequence_toggles(flat).tolist() == [0] * 4
+
+
+# ---------------------------------------------------------------------------
+# Bus-invert closed-form scan
+# ---------------------------------------------------------------------------
+
+#: Words whose pairwise distances hit the 16-bit tie again and again
+#: (0 vs 0x0000FFFF, 0xAAAAAAAA vs 0xFFFFFFFF, ...).
+TIE_WORDS = ADVERSARIAL_U32 + [0x0000FFFF, 0xFFFF0000, 0x0F0F0F0F]
+
+#: Masks of exactly 16 set bits: XORing one in makes a tie.
+tie_masks = st.lists(st.integers(0, 31), min_size=16, max_size=16,
+                     unique=True).map(lambda bits: sum(1 << b for b in bits))
+
+
+def _tie_walk(start: int, steps) -> np.ndarray:
+    words, word = [], start
+    for mask in steps:
+        word ^= mask
+        words.append(word)
+    return np.asarray(words, dtype=np.uint32)
+
+
+class TestBusInvertScan:
+    def _check(self, words, previous: int = 0) -> None:
+        words = np.asarray(words, dtype=np.uint32)
+        encoder = BusInvertEncoder(previous=np.uint32(previous))
+        wire, flags = encoder.encode_stream(words)
+        want_wire, want_flags, last = oracle_bus_invert(words, previous)
+        assert wire.dtype == np.uint32 and flags.dtype == bool
+        assert wire.tolist() == want_wire
+        assert flags.tolist() == want_flags
+        assert int(encoder.previous) == last
+        assert encoder.inversions == sum(want_flags)
+        assert encoder.transmissions == len(words)
+        assert bus_invert_toggles(words) == oracle_bus_invert_toggles(words)
+
+    @pytest.mark.parametrize("bitwise_count", [True, False])
+    def test_random_streams(self, bitwise_count, monkeypatch):
+        monkeypatch.setattr(bu, "_HAS_BITWISE_COUNT",
+                            bitwise_count and bu._HAS_BITWISE_COUNT)
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 31, 257):
+            self._check(rng.integers(0, 2**32, n, dtype=np.uint32),
+                        previous=int(rng.integers(0, 2**32)))
+
+    @given(st.lists(u32s, max_size=64), u32s)
+    def test_matches_scalar_oracle(self, values, previous):
+        self._check(values, previous)
+
+    @given(st.lists(st.sampled_from(TIE_WORDS), max_size=64), u32s)
+    def test_adversarial_word_mix(self, values, previous):
+        self._check(values, previous)
+
+    @given(u32s, st.lists(st.one_of(tie_masks, u32s), max_size=64))
+    def test_tie_heavy_walks(self, start, steps):
+        self._check(_tie_walk(start, steps))
+
+    def test_adversarial_streams(self):
+        self._check([])
+        for word in (0, 0xFFFFFFFF, 0x0000FFFF, 0xAAAAAAAA):
+            self._check([word])
+        self._check(np.zeros(40, dtype=np.uint32))
+        self._check([0, 0xFFFFFFFF] * 20)
+        self._check([0xFFFFFFFF, 0] * 20, previous=0xFFFFFFFF)
+        self._check([0x0000FFFF, 0, 0xFFFF0000, 0xFFFFFFFF] * 10)
+        assert bus_invert_toggles(np.zeros(0, dtype=np.uint32)) == (0, 0)
+        # Coded, an alternating stream holds every data wire at 0:
+        # only the invert line moves, once per word after the first.
+        raw, coded = bus_invert_toggles([0, 0xFFFFFFFF] * 20)
+        assert (raw, coded) == (32 * 39, 39)
+
+    def test_scalar_encode_agrees_with_stream(self):
+        rng = np.random.default_rng(23)
+        words = _tie_walk(0, rng.choice(
+            [0xFFFF, 0xFF00FF00, 0x1, 0xFFFFFFFF], 200).tolist())
+        scalar, stream = BusInvertEncoder(), BusInvertEncoder()
+        pairs = [scalar.encode(w) for w in words]
+        wire, flags = stream.encode_stream(words)
+        assert [w for w, __ in pairs] == wire.tolist()
+        assert [f for __, f in pairs] == flags.tolist()
+        assert scalar == stream
+
+    @given(st.lists(st.sampled_from(TIE_WORDS) | u32s, max_size=64),
+           st.integers(0, 64))
+    def test_split_stream_carries_state(self, values, cut):
+        words = np.asarray(values, dtype=np.uint32)
+        cut = min(cut, words.size)
+        whole, split = BusInvertEncoder(), BusInvertEncoder()
+        want_wire, want_flags = whole.encode_stream(words)
+        head_wire, head_flags = split.encode_stream(words[:cut])
+        tail_wire, tail_flags = split.encode_stream(words[cut:])
+        assert np.concatenate([head_wire, tail_wire]).tolist() == \
+            want_wire.tolist()
+        assert np.concatenate([head_flags, tail_flags]).tolist() == \
+            want_flags.tolist()
+        assert (int(split.previous), split.inversions,
+                split.transmissions) == (int(whole.previous),
+                                         whole.inversions,
+                                         whole.transmissions)
 
 
 # ---------------------------------------------------------------------------
