@@ -11,17 +11,14 @@ Usage::
     python -m repro run all --resume ck.json       # pick up where it died
     python -m repro run all --resume ck.json --jobs 4  # parallel resume
     python -m repro run all --trace t.jsonl --metrics-out m.json
-    python -m repro run all --ledger run.jsonl --jobs 4  # live telemetry
+    python -m repro run all --ledger run.jsonl --jobs 4  # tail -f run.jsonl
     python -m repro app ATA                 # quick single-app study
     python -m repro obs report --apps ATA,VEC      # energy provenance
     python -m repro obs tree t.jsonl --min-ms 5 --sort duration
     python -m repro obs report --metrics m.json     # histogram summary
-    python -m repro obs watch run.jsonl             # live dashboard
-    python -m repro obs watch run.jsonl --once      # one snapshot
     python -m repro obs diff --trace old.jsonl new.jsonl --gate
     python -m repro obs diff --ledger old.jsonl new.jsonl
     python -m repro bench hotspots t.jsonl --folded out.folded
-    python -m repro bench compare old.json new.json --gate
     python -m repro fidelity run --scale smoke     # FIDELITY_<ts>.json
     python -m repro fidelity report --markdown     # EXPERIMENTS.md table
     python -m repro fidelity compare old.json new.json --gate
@@ -34,21 +31,26 @@ N`` produces byte-identical tables to a serial run; the merged trace
 structure, metrics snapshot and fidelity scorecard are deterministic
 the same way.
 
-Exit codes: 0 success, 1 regression flagged by a ``--gate`` (``bench
-compare``, ``fidelity compare``, ``obs diff``, a calibrated-claim
-failure under ``fidelity run --gate``, or a chaos campaign scenario
-that did not survive), 2 usage error (unknown experiment/app/scale/
-campaign, bad --chaos spec or comparator bar, missing resume/trace/
-ledger/record file), 3 sweep completed but some units failed (or a
-provenance total failed to reproduce the chip model exactly, or an
-output sink was unwritable), 130 sweep drained after SIGTERM/SIGINT —
-completed units are checkpointed and ``--resume`` picks up from the
-frontier.
+Exit codes: 0 success, 1 regression flagged by a ``--gate``
+(``fidelity compare``, ``obs diff``, a calibrated-claim failure under
+``fidelity run --gate``, or a chaos campaign scenario that did not
+survive), 2 usage error (unknown experiment/app/scale/campaign, bad
+--chaos spec or comparator bar, missing resume/trace/ledger/record
+file), 3 sweep completed but some units failed (or a provenance total
+failed to reproduce the chip model exactly, or an output sink was
+unwritable), 130 sweep drained after SIGTERM/SIGINT — completed units
+are checkpointed and ``--resume`` picks up from the frontier. A reader
+that closes stdout early (``repro list | head``) ends any command
+with exit 0 and no traceback.
+
+The benchmark report (``benchmarks/e2e/run.py``) is graded by
+``benchmarks/e2e/compare.py`` against the bounds in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # Shared did-you-mean helpers: every subcommand that takes a name from
@@ -237,16 +239,6 @@ def _cmd_obs_tree(args) -> int:
     return 0
 
 
-def _cmd_obs_watch(args) -> int:
-    from .obs.live import watch
-    if args.max_rows < 0:
-        print("--max-rows must be >= 0", file=sys.stderr)
-        return 2
-    return watch(args.ledger, once=args.once, interval_s=args.interval,
-                 max_rows=args.max_rows, wait=args.wait,
-                 timeout_s=args.timeout)
-
-
 def _cmd_obs_diff(args) -> int:
     from .obs.diff import diff_paths, render_diff_table
     pairs = {"trace": args.trace, "metrics": args.metrics,
@@ -320,8 +312,8 @@ def _cmd_obs_report(args) -> int:
 
 
 def cmd_obs(args) -> int:
-    handler = {"tree": _cmd_obs_tree, "watch": _cmd_obs_watch,
-               "diff": _cmd_obs_diff, "report": _cmd_obs_report}
+    handler = {"tree": _cmd_obs_tree, "diff": _cmd_obs_diff,
+               "report": _cmd_obs_report}
     return handler[args.obs_command](args)
 
 
@@ -354,25 +346,8 @@ def _cmd_bench_hotspots(args) -> int:
     return 0
 
 
-def _cmd_bench_compare(args) -> int:
-    from .bench import BenchRecordError, compare_paths
-    try:
-        deltas, table = compare_paths(
-            args.old, args.new, rel_threshold=args.threshold,
-            mad_k=args.mad_k, min_seconds=args.min_seconds)
-    except BenchRecordError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(table)
-    code = gate_exit_code(deltas, args.gate)
-    if code:
-        print("regression gate FAILED", file=sys.stderr)
-    return code
-
-
 def cmd_bench(args) -> int:
-    handler = {"hotspots": _cmd_bench_hotspots,
-               "compare": _cmd_bench_compare}
+    handler = {"hotspots": _cmd_bench_hotspots}
     return handler[args.bench_command](args)
 
 
@@ -507,8 +482,7 @@ def cmd_chaos(args) -> int:
 
 
 def main(argv=None) -> int:
-    # The comparators' modules own their threshold defaults.
-    from .bench import compare as bench_compare
+    # The comparator's module owns its threshold defaults.
     from .obs import diff as obs_diff
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -548,8 +522,8 @@ def main(argv=None) -> int:
                             "Prometheus text for .prom/.txt)")
     run_p.add_argument("--ledger", default=None, metavar="PATH",
                        help="stream live lifecycle events to this "
-                            "append-only JSONL run ledger (watch it with "
-                            "'repro obs watch PATH')")
+                            "append-only JSONL run ledger (follow it with "
+                            "'tail -f PATH')")
     run_p.add_argument("--chaos", default=None, metavar="SPEC",
                        help="inject deterministic harness faults, e.g. "
                             "'kill=0.5,torn=0.3,times=2' (kinds: kill, "
@@ -598,27 +572,6 @@ def main(argv=None) -> int:
                         choices=("start", "duration"),
                         help="child order: insertion (start) or "
                              "longest-first (duration)")
-    watch_p = obs_sub.add_parser(
-        "watch", help="live terminal dashboard over a --ledger stream: "
-                      "per-unit state, throughput, MAD-based ETA")
-    watch_p.add_argument("ledger", metavar="LEDGER.jsonl")
-    watch_p.add_argument("--once", action="store_true",
-                         help="render one snapshot and exit (exit 2 if "
-                              "the ledger does not exist yet)")
-    watch_p.add_argument("--interval", type=_positive_float, default=1.0,
-                         metavar="S",
-                         help="poll/redraw cadence in seconds "
-                              "(default: 1.0)")
-    watch_p.add_argument("--max-rows", type=int, default=24, metavar="N",
-                         help="unit rows to show, live work first "
-                              "(default: 24; 0 = all)")
-    watch_p.add_argument("--wait", action="store_true",
-                         help="poll until the ledger appears instead of "
-                              "exiting 2 when it does not exist yet")
-    watch_p.add_argument("--timeout", type=_positive_float, default=None,
-                         metavar="S",
-                         help="with --wait: give up (exit 2) after S "
-                              "seconds without a ledger")
     diff_p = obs_sub.add_parser(
         "diff", help="cross-run comparator: align two runs' traces, "
                      "metrics snapshots, and/or ledgers and grade the "
@@ -653,8 +606,7 @@ def main(argv=None) -> int:
                              "instead of the table")
 
     bench_p = sub.add_parser(
-        "bench", help="benchmark records: attribute hotspots, gate "
-                      "regressions")
+        "bench", help="benchmark traces: attribute hotspots")
     bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
     hot_p = bench_sub.add_parser(
         "hotspots", help="fold a trace JSONL dump into a per-span-name "
@@ -668,25 +620,6 @@ def main(argv=None) -> int:
     hot_p.add_argument("--folded", default=None, metavar="PATH",
                        help="also export folded stacks for flamegraph "
                             "tools")
-    cmp_p = bench_sub.add_parser(
-        "compare", help="diff two BENCH records with a noise-aware "
-                        "regression gate")
-    cmp_p.add_argument("old", metavar="OLD.json")
-    cmp_p.add_argument("new", metavar="NEW.json")
-    cmp_p.add_argument("--gate", action="store_true",
-                       help="exit 1 when any scenario regresses")
-    cmp_p.add_argument("--threshold", type=_nonneg_float, metavar="REL",
-                       default=bench_compare.DEFAULT_REL_THRESHOLD,
-                       help="relative median-shift bar (default: "
-                            "%(default).2f)")
-    cmp_p.add_argument("--mad-k", type=_nonneg_float,
-                       default=bench_compare.DEFAULT_MAD_K, metavar="K",
-                       help="noise bar: shift must exceed K x MAD "
-                            "(default: %(default)g)")
-    cmp_p.add_argument("--min-seconds", type=_nonneg_float, metavar="S",
-                       default=bench_compare.DEFAULT_MIN_SECONDS,
-                       help="never gate scenarios faster than S seconds "
-                            "(default: %(default)g)")
 
     fid_p = sub.add_parser(
         "fidelity", help="paper-fidelity scorecard: machine-checked "
@@ -758,5 +691,24 @@ def main(argv=None) -> int:
     return handler[args.command](args)
 
 
+def _entry() -> int:
+    """``main`` for a real process, whose stdout may be a closed pipe.
+
+    When the reader goes away (``repro list | head``), the next write
+    or the interpreter's final flush raises ``BrokenPipeError``. Point
+    stdout at ``os.devnull`` so that final flush cannot raise again,
+    and exit 0: the reader has everything it asked for.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_entry())

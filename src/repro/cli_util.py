@@ -5,8 +5,7 @@ experiments, fidelity scales, chaos campaigns — routes its
 failure through :func:`unknown_name`, so the suggestion behaviour and
 the exit-2 usage contract can never drift between subcommands. The
 comparators' numeric bars parse through :func:`nonneg_float`, and time
-limits and poll intervals through :func:`positive_float`, for the same
-reason.
+limits through :func:`positive_float`, for the same reason.
 """
 
 from __future__ import annotations
@@ -89,10 +88,10 @@ def nonneg_float(raw: str) -> float:
 
 
 def positive_float(raw: str) -> float:
-    """argparse ``type=`` for a time limit or poll interval: finite, > 0.
+    """argparse ``type=`` for a time limit: a finite number > 0.
 
-    Zero and negatives would silently disable a limit or spin a poll
-    loop, NaN never compares true against a deadline, and infinity
+    Zero and negatives would silently disable a limit, NaN never
+    compares true against a deadline, and infinity
     overflows the timer it arms; argparse turns the error into a usage
     message and exit 2.
     """

@@ -1,7 +1,6 @@
-"""The comparator core of ``bench compare``, ``fidelity compare`` and
-``obs diff``.
+"""The comparator core of ``fidelity compare`` and ``obs diff``.
 
-All three gates line two keyed tables up by name, grade each name and
+Both gates line two keyed tables up by name, grade each name and
 gate on some verdicts. This module owns that shape — the alignment
 loop, the one :class:`Delta` row, the one verdict vocabulary, the
 two-bar timing test, the table layout and the exit-code rule — so each
@@ -18,11 +17,8 @@ __all__ = ["VERDICTS", "Delta", "align", "gate_exit_code", "render_table",
            "shift_verdict"]
 
 #: Every verdict a comparator can emit. ``changed`` is a semantic
-#: difference no threshold can excuse (``obs diff`` only); ``too-fast``
-#: marks a scenario whose timing sits inside scheduler quantisation
-#: (``bench compare`` only).
-VERDICTS = ("ok", "regression", "improved", "changed", "new", "missing",
-            "too-fast")
+#: difference no threshold can excuse (``obs diff`` only).
+VERDICTS = ("ok", "regression", "improved", "changed", "new", "missing")
 
 
 @dataclass

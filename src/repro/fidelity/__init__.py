@@ -1,6 +1,6 @@
 """``repro.fidelity`` — the machine-checked paper-fidelity scorecard.
 
-Where :mod:`repro.bench` observes *performance* drift, this package
+Where ``benchmarks/e2e`` observes *performance* drift, this package
 observes *scientific* drift: every claim in EXPERIMENTS.md — the
 −21%/−24% chip savings of Figs 18/19, the §3.1 leakage asymmetries,
 the Fig 11 lane U-curve, the §7.1 16-cells/bitline cliff — is encoded
@@ -10,8 +10,8 @@ merged metrics snapshot (:mod:`~repro.fidelity.extract`), and graded
 pass/degraded/fail/not-run (:mod:`~repro.fidelity.scorecard`). Records
 are schema-versioned ``FIDELITY_<timestamp>.json`` files; the drift
 gate (:mod:`~repro.fidelity.compare`) flags claims that newly crossed
-a tolerance band, on the comparator core (:mod:`repro.compare`) that
-``bench compare`` and ``obs diff`` share.
+a tolerance band, on the comparator core (:mod:`repro.compare`) it
+shares with ``obs diff``.
 
 CLI: ``repro fidelity run | report | compare``.
 """

@@ -10,10 +10,10 @@ core: this gate emits ``ok`` / ``regression`` / ``improved`` /
 from one side — including ``not-run`` transitions, which are absence
 of evidence, not drift — map to ``new``/``missing`` and never gate.
 
-Unlike the perf gate there is no noise floor: scorecards are
-deterministic at fixed scale, so *any* band crossing is signal. The
-exit-code contract matches ``bench compare``: 0 clean, 1 regression
-with ``--gate``, 2 unusable records.
+There is no noise floor: scorecards are deterministic at fixed scale,
+so *any* band crossing is signal. The exit-code contract matches
+``obs diff``: 0 clean, 1 regression with ``--gate``, 2 unusable
+records.
 """
 
 from __future__ import annotations

@@ -12,18 +12,17 @@ evaluation over all 58 apps.
 The scorecard itself is assembled from finished artifacts only
 (:mod:`repro.fidelity.extract`), so its payload is byte-identical at
 any ``--jobs`` count; records are written as canonical JSON to
-schema-versioned ``FIDELITY_<utc-timestamp>.json`` files mirroring
-``BENCH_*.json``.
+schema-versioned ``FIDELITY_<utc-timestamp>.json`` files.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..experiments.base import canonical_json
-from ..records import RecordError, load_schema_record
 from .claims import CLAIMS, Claim, ClaimResult, required_experiments
 from .extract import ArtifactSet
 
@@ -36,15 +35,41 @@ FIDELITY_SCHEMA = "repro-fidelity"
 FIDELITY_SCHEMA_VERSION = 1
 
 
-class FidelityRecordError(RecordError):
+class FidelityRecordError(Exception):
     """A FIDELITY record file is missing, malformed, or a newer schema."""
 
 
 def load_fidelity_record(path: str) -> dict:
-    """Load and schema-validate one FIDELITY_*.json record."""
-    return load_schema_record(path, FIDELITY_SCHEMA,
-                              FIDELITY_SCHEMA_VERSION, "claims",
-                              error_cls=FidelityRecordError)
+    """Load and schema-validate one FIDELITY_*.json record.
+
+    A record is a JSON object tagged ``schema`` = :data:`FIDELITY_SCHEMA`
+    with an integer ``schema_version`` no newer than
+    :data:`FIDELITY_SCHEMA_VERSION` and a ``claims`` table; anything
+    else raises :class:`FidelityRecordError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except OSError as exc:
+        raise FidelityRecordError(f"cannot read {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FidelityRecordError(
+            f"{path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise FidelityRecordError(
+            f"{path!r} is not a {FIDELITY_SCHEMA} record")
+    if record.get("schema") != FIDELITY_SCHEMA:
+        raise FidelityRecordError(
+            f"{path!r} is not a {FIDELITY_SCHEMA} record "
+            f"(schema={record.get('schema')!r})")
+    version = record.get("schema_version")
+    if not isinstance(version, int) or version > FIDELITY_SCHEMA_VERSION:
+        raise FidelityRecordError(
+            f"{path!r} has schema_version {version!r}; this build "
+            f"understands <= {FIDELITY_SCHEMA_VERSION}")
+    if not isinstance(record.get("claims"), dict):
+        raise FidelityRecordError(f"{path!r} has no claims table")
+    return record
 
 
 @dataclass(frozen=True)

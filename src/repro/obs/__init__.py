@@ -15,16 +15,15 @@ Four first-class artifacts, threaded through the whole stack:
 * **energy provenance** (:mod:`~repro.obs.provenance`): every chip-level
   pJ figure decomposed into (unit x variant x access-type) rows that
   reproduce :meth:`~repro.power.chip.ChipModel.evaluate` exactly.
-* **live run ledger** (:mod:`~repro.obs.ledger`): an append-only JSONL
+* **run ledger** (:mod:`~repro.obs.ledger`): an append-only JSONL
   stream of typed, monotonically sequenced sweep lifecycle events,
-  re-read by :mod:`~repro.obs.live` (``repro obs watch``) and compared
-  across runs by :mod:`~repro.obs.diff` (``repro obs diff``).
+  readable while the sweep runs and compared across runs by
+  :mod:`~repro.obs.diff` (``repro obs diff``).
 
 CLI: ``repro obs report`` (provenance tables, or a metrics snapshot as
 Prometheus text), ``repro obs tree`` (render a trace), ``repro obs
-watch`` (live dashboard over a ledger), ``repro obs diff`` (cross-run
-comparator), and ``--trace``/``--metrics-out``/``--ledger`` on
-``repro run``.
+diff`` (cross-run comparator), and ``--trace``/``--metrics-out``/
+``--ledger`` on ``repro run``.
 """
 
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -48,7 +47,6 @@ _LAZY = {
     "LEDGER_SCHEMA_VERSION": "ledger", "EVENT_TYPES": "ledger",
     "RunLedger": "ledger", "read_ledger": "ledger",
     "normalize_events": "ledger", "validate_ledger": "ledger",
-    "RunState": "live", "render_dashboard": "live", "watch": "live",
     "diff_paths": "diff", "diff_traces": "diff",
     "diff_metrics": "diff", "diff_ledgers": "diff",
     "render_diff_table": "diff", "diff_to_dict": "diff",
@@ -81,7 +79,6 @@ __all__ = [
     "write_metrics", "provenance_report",
     "LEDGER_SCHEMA_VERSION", "EVENT_TYPES", "RunLedger",
     "read_ledger", "normalize_events", "validate_ledger",
-    "RunState", "render_dashboard", "watch",
     "diff_paths", "diff_traces", "diff_metrics",
     "diff_ledgers", "render_diff_table", "diff_to_dict",
 ]

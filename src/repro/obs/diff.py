@@ -28,7 +28,7 @@ Verdicts: ``ok`` / ``regression`` / ``improved`` (timing, gated by
 thresholds) and ``changed`` / ``new`` / ``missing`` (semantic).
 ``--gate`` turns any of the latter three plus ``regression`` into
 exit code 1. Alignment, rendering and gating are the
-:mod:`repro.compare` core shared with ``bench compare``.
+:mod:`repro.compare` core shared with ``fidelity compare``.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ once the run that produced it has finished. The ledger is the *live*
 counterpart: one JSONL stream per sweep of typed, monotonically
 sequenced lifecycle events (unit scheduled/started/attempt/retry/
 timeout, redispatch, quarantine, chaos injection, checkpoint flush,
-completed), appended and flushed line by line as they happen, so an
-external watcher — ``repro obs watch`` or a tail -f — can
-follow a two-hour sweep while it runs.
+completed), appended and flushed line by line as they happen, so
+``tail -f`` or :func:`read_ledger` can follow a sweep while it runs.
 
 Crash-safety follows the trace-JSONL contract (``jsonl_to_trees``):
 each line is independently parseable, a killed writer leaves a torn
@@ -20,9 +19,9 @@ process only (workers ship their facts home inside unit records, so
 sequence numbers stay a single monotonic stream) and writes one plain
 file, truncated when the run opens it. The sink is best-effort: an
 unwritable path degrades to a ``RuntimeWarning`` and in-memory
-retention, never a dead sweep. Readers (:func:`read_ledger`, and
-``repro obs watch`` on every poll) re-read the whole file; a run's
-ledger is small enough that a full re-read costs milliseconds.
+retention, never a dead sweep. Readers (:func:`read_ledger`, ``repro
+obs diff --ledger``) read the whole file; a run's ledger is small
+enough that a full read costs milliseconds.
 
 Event lines are JSON objects with four reserved fields — ``seq``
 (1-based, monotonic per run), ``ts`` (unix wall clock), ``type``, and
@@ -52,7 +51,7 @@ __all__ = [
 LEDGER_SCHEMA_VERSION = 1
 
 #: The typed event vocabulary. Emitters must stay inside it so
-#: followers (the watch dashboard, the diff comparator) can switch on
+#: readers (the diff comparator, the validator) can switch on
 #: ``type`` without defensive guessing.
 EVENT_TYPES = (
     "ledger_open",          # first line: schema version + run meta

@@ -275,12 +275,11 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold another registry into this one (deterministic: counters
-        and histogram buckets sum, gauges take the max)."""
-        for name in sorted(other._families):
-            theirs = other._families[name]
+        and histogram buckets sum, gauges take the max). The result
+        does not depend on iteration order, and every export sorts."""
+        for name, theirs in other._families.items():
             mine = self._family(name, theirs.kind, theirs.help)
-            for key in sorted(theirs.series):
-                metric = theirs.series[key]
+            for key, metric in theirs.series.items():
                 _merge_target(mine, key, getattr(metric, "bounds", None)
                               ).merge(metric)
         return self

@@ -123,11 +123,12 @@ class SweepRunner:
     ledger_path:
         Live telemetry. ``ledger_path`` streams typed, monotonically
         sequenced lifecycle events to an append-only JSONL ledger as
-        they happen (``repro obs watch`` re-reads it); without a path the
-        events are still retained on ``self.ledger.events``. All
-        emission happens in the parent — workers ship their facts home
-        inside unit records — so serial and parallel sweeps produce
-        identical event sets after order-normalization.
+        they happen (``tail -f`` or ``read_ledger`` can follow it);
+        without a path the events are still retained on
+        ``self.ledger.events``. All emission happens in the parent —
+        workers ship their facts home inside unit records — so serial
+        and parallel sweeps produce identical event sets after
+        order-normalization.
     """
 
     def __init__(self,
@@ -335,7 +336,7 @@ class SweepRunner:
                     self._assemble_obs()
                     self._write_sinks()
         except BaseException:
-            # The drain path still gets a terminal event, so a watcher
+            # The drain path still gets a terminal event, so a reader
             # sees the sweep end rather than a silent stall; --resume
             # starts a fresh ledger.
             self._emit("sweep_end", status="interrupted",

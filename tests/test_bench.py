@@ -1,25 +1,17 @@
-"""Tests for the continuous-benchmarking subsystem (:mod:`repro.bench`).
-
-Two layers, matching the module split:
+"""Tests for the benchmark-trace reader (:mod:`repro.bench`).
 
 * **hotspots** — folding span trees into per-name self/cumulative
   aggregates, with the telescoping invariant (sum of self times ==
   root wall, exactly, even with negative parallel-overlap entries) and
   the nested-same-name no-double-count rule;
-* **compare** — the noise-aware regression gate's verdict table and
-  the CLI exit-code contract CI relies on (0 clean / 1 regression /
-  2 unusable records or usage / 3 unwritable sink).
+* **CLI** — ``repro bench hotspots`` and its exit-code contract (0
+  clean / 2 unusable trace or usage / 3 unwritable sink).
 """
-
-import json
 
 import pytest
 
-from repro.bench import (SCHEMA, SCHEMA_VERSION, BenchRecordError,
-                         Hotspot, aggregate_hotspots, compare_records,
-                         folded_stacks, load_bench_record,
-                         render_compare_table, render_hotspot_table)
-from repro.compare import gate_exit_code
+from repro.bench import (Hotspot, aggregate_hotspots, folded_stacks,
+                         render_hotspot_table)
 from repro.obs.tracer import Tracer, jsonl_to_trees
 
 
@@ -198,154 +190,22 @@ class TestRenderHotspotTable:
 
 
 # ---------------------------------------------------------------------------
-# Noise-aware comparison
-# ---------------------------------------------------------------------------
-
-def _bench_record(scenarios):
-    """Minimal valid BENCH record with {name: (median, mad)} walls."""
-    return {
-        "schema": SCHEMA, "schema_version": SCHEMA_VERSION,
-        "suite": "smoke", "repeats": 3, "warmup": 1,
-        "created_utc": "2026-01-01T00:00:00Z", "host": {},
-        "scenarios": {
-            name: {"wall_s": {"median": median, "mad": mad,
-                              "best": median, "samples": [median] * 3},
-                   "cpu_s": {"median": median, "mad": mad,
-                             "best": median, "samples": [median] * 3}}
-            for name, (median, mad) in scenarios.items()
-        },
-    }
-
-
-class TestCompareRecords:
-    def test_identical_records_always_pass(self):
-        record = _bench_record({"a": (0.5, 0.01), "b": (2.0, 0.1)})
-        deltas = compare_records(record, record)
-        assert [d.verdict for d in deltas] == ["ok", "ok"]
-        assert gate_exit_code(deltas, gate=True) == 0
-
-    def test_two_x_slowdown_gates(self):
-        old = _bench_record({"a": (0.5, 0.01)})
-        new = _bench_record({"a": (1.0, 0.01)})
-        (delta,) = compare_records(old, new)
-        assert delta.verdict == "regression" and delta.gates
-        assert delta.columns["rel_shift"] == pytest.approx(1.0)
-        assert gate_exit_code([delta], gate=True) == 1
-        assert gate_exit_code([delta], gate=False) == 0
-
-    def test_shift_inside_noise_floor_is_not_flagged(self):
-        """+20% median shift, but both records are so noisy (MAD ~0.1s)
-        that 3x MAD swallows it: verdict stays ok."""
-        old = _bench_record({"a": (0.5, 0.10)})
-        new = _bench_record({"a": (0.6, 0.02)})
-        (delta,) = compare_records(old, new)
-        assert delta.verdict == "ok"
-        assert delta.columns["noise_limit_s"] == pytest.approx(0.3)
-
-    def test_large_improvement_is_reported_not_gated(self):
-        old = _bench_record({"a": (1.0, 0.01)})
-        new = _bench_record({"a": (0.4, 0.01)})
-        (delta,) = compare_records(old, new)
-        assert delta.verdict == "improved" and not delta.gates
-
-    def test_sub_millisecond_scenarios_never_gate(self):
-        old = _bench_record({"a": (0.0004, 0.0)})
-        new = _bench_record({"a": (0.004, 0.0)})   # 10x slower
-        (delta,) = compare_records(old, new)
-        assert delta.verdict == "too-fast"
-        assert gate_exit_code([delta], gate=True) == 0
-
-    def test_new_and_missing_scenarios(self):
-        old = _bench_record({"a": (0.5, 0.01), "gone": (0.5, 0.01)})
-        new = _bench_record({"a": (0.5, 0.01), "added": (0.5, 0.01)})
-        verdicts = {d.name: d.verdict for d in compare_records(old, new)}
-        assert verdicts == {"a": "ok", "added": "new", "gone": "missing"}
-
-    def test_render_table_uppercases_gating_verdicts(self):
-        old = _bench_record({"a": (0.5, 0.01)})
-        new = _bench_record({"a": (1.5, 0.01)})
-        table = render_compare_table(compare_records(old, new))
-        assert "REGRESSION" in table and "1 regression(s)" in table
-        assert "+200.0%" in table
-
-
-class TestLoadBenchRecord:
-    def test_loads_written_record(self, tmp_path):
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(_bench_record({"a": (0.5, 0.01)})),
-                        encoding="utf-8")
-        record = load_bench_record(str(path))
-        assert record["scenarios"]["a"]["wall_s"]["median"] == 0.5
-
-    @pytest.mark.parametrize("payload,match", [
-        ("not json {", "not valid JSON"),
-        (json.dumps({"schema": "other", "schema_version": 1,
-                     "scenarios": {}}), "is not a repro-bench record"),
-        (json.dumps({"schema": SCHEMA,
-                     "schema_version": SCHEMA_VERSION + 1,
-                     "scenarios": {}}), "schema_version"),
-        (json.dumps({"schema": SCHEMA, "schema_version": SCHEMA_VERSION}),
-         "no scenarios table"),
-        (json.dumps([1, 2]), "is not a repro-bench record"),
-    ])
-    def test_rejects_unusable_records(self, tmp_path, payload, match):
-        path = tmp_path / "bad.json"
-        path.write_text(payload, encoding="utf-8")
-        with pytest.raises(BenchRecordError, match=match):
-            load_bench_record(str(path))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(BenchRecordError, match="cannot read"):
-            load_bench_record(str(tmp_path / "absent.json"))
-
-
-# ---------------------------------------------------------------------------
 # CLI (exit-code contract)
 # ---------------------------------------------------------------------------
 
 class TestBenchCli:
-    def _write(self, tmp_path, name, record):
-        path = tmp_path / name
-        path.write_text(json.dumps(record), encoding="utf-8")
-        return str(path)
-
-    def test_self_compare_passes_the_gate(self, tmp_path, capsys):
-        from repro.__main__ import main
-        path = self._write(tmp_path, "a.json",
-                           _bench_record({"a": (0.5, 0.01)}))
-        assert main(["bench", "compare", path, path, "--gate"]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_injected_slowdown_fails_the_gate(self, tmp_path, capsys):
-        from repro.__main__ import main
-        old = self._write(tmp_path, "old.json",
-                          _bench_record({"a": (0.5, 0.01)}))
-        slow = self._write(tmp_path, "slow.json",
-                           _bench_record({"a": (1.0, 0.02)}))
-        assert main(["bench", "compare", old, slow, "--gate"]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "regression gate FAILED" in captured.err
-        # without --gate the same comparison only reports
-        assert main(["bench", "compare", old, slow]) == 0
-
-    def test_only_hotspots_and_compare_remain(self, capsys):
+    def test_only_hotspots_remains(self, capsys):
+        """The benchmark report has one grader,
+        ``benchmarks/e2e/compare.py``; ``bench`` only reads traces."""
         from repro.__main__ import main
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--help"])
         assert excinfo.value.code == 0
-        assert "{hotspots,compare}" in capsys.readouterr().out
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "run"])
-        assert excinfo.value.code == 2
-
-    def test_compare_unusable_record_is_usage_error(self, tmp_path,
-                                                    capsys):
-        from repro.__main__ import main
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}", encoding="utf-8")
-        assert main(["bench", "compare", str(bad), str(bad)]) == 2
-        assert "repro-bench" in capsys.readouterr().err
+        assert "{hotspots}" in capsys.readouterr().out
+        for gone in ("run", "compare"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["bench", gone])
+            assert excinfo.value.code == 2
 
     def test_hotspots_renders_and_exports_folded(self, tmp_path, capsys):
         from repro.__main__ import main

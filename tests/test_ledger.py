@@ -1,14 +1,10 @@
-"""Tests for the live run ledger and the obs CLI on top.
+"""Tests for the run ledger and ``obs diff`` on top.
 
 Covers the crash-safety contracts the ledger promises: torn tails are
 "not yet an event" for every reader, reads mid-sweep see a growing,
-valid stream, SIGKILLed chaos sweeps still produce a valid ledger,
-``obs watch`` rebuilds each frame from the file (so a run that
-rewrites the path replaces the old one on screen), and ``obs watch
---once`` / ``obs diff`` work against a ledger mid-write without
-blocking or corrupting it. The serial-vs-``--jobs`` normalized
-event-set identity is pinned against a committed fixture in
-``test_golden.py``.
+valid stream, and SIGKILLed chaos sweeps still produce a valid ledger.
+The serial-vs-``--jobs`` normalized event-set identity is pinned
+against a committed fixture in ``test_golden.py``.
 """
 
 import json
@@ -118,38 +114,6 @@ class TestTornTails:
             fh.write(line[10:] + "\n")
         assert [e["seq"] for e in read_ledger(path)] == [1, 2]
         ledger.close()
-
-
-class TestLedgerFollower:
-    """Following a ledger live is the watcher's poll loop over the file."""
-
-    def test_poll_before_ledger_exists_waits(self, tmp_path):
-        from repro.obs.live import watch
-        path = str(tmp_path / "run.jsonl")
-        frames, naps = [], []
-        ledger = None
-
-        def sweep_progresses_during_nap(seconds):
-            nonlocal ledger
-            naps.append(seconds)
-            if ledger is None:              # watcher started first
-                assert not os.path.exists(path)
-                ledger = RunLedger(path=path)
-            else:
-                ledger.emit("sweep_begin", jobs=1)
-                ledger.emit("sweep_plan", units=1, skipped=0)
-                ledger.emit("sweep_end", status="ok")
-                ledger.close()
-
-        code = watch(path, wait=True, interval_s=0.01,
-                     write=frames.append,
-                     sleep=sweep_progresses_during_nap, max_polls=5)
-        assert code == 0
-        assert naps == [0.01, 0.01]         # one wait nap, one poll nap
-        assert len(frames) == 2
-        assert "ENDED" not in frames[0]     # header only: not yet ended
-        assert "ENDED (ok)" in frames[1]
-        assert [e["seq"] for e in read_ledger(path)] == [1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -275,172 +239,6 @@ class TestSweepLedger:
         events = read_ledger(path)
         assert events[-1]["type"] == "sweep_end"
         assert events[-1]["attrs"]["status"] == "interrupted"
-
-
-# ---------------------------------------------------------------------------
-# obs watch
-# ---------------------------------------------------------------------------
-
-class TestWatch:
-    def _finished_ledger(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        _smoke_runner(ledger_path=path).run()
-        return path
-
-    def test_once_snapshot_of_finished_sweep(self, tmp_path):
-        from repro.obs.live import watch
-        path = self._finished_ledger(tmp_path)
-        frames = []
-        assert watch(path, once=True, write=frames.append) == 0
-        screen = "\n".join(frames)
-        assert "ENDED (ok)" in screen
-        assert "2/2 units" in screen
-        assert "fig09::ATA" in screen and "fig09::VEC" in screen
-
-    def test_once_without_ledger_exits_2(self, tmp_path):
-        from repro.obs.live import watch
-        frames = []
-        code = watch(str(tmp_path / "none.jsonl"), once=True,
-                     write=frames.append)
-        assert code == 2
-        assert "no ledger" in frames[0]
-
-    def test_live_mode_exits_on_sweep_end(self, tmp_path):
-        from repro.obs.live import watch
-        path = self._finished_ledger(tmp_path)
-        frames, naps = [], []
-        code = watch(path, interval_s=0.01, write=frames.append,
-                     sleep=naps.append, max_polls=50)
-        assert code == 0
-        assert naps == []                    # ended on the first frame
-        assert "ENDED (ok)" in frames[-1]
-
-    def test_mid_write_snapshot_does_not_corrupt(self, tmp_path):
-        """--once against a ledger whose writer is mid-line: the torn
-        tail renders as not-yet-arrived and the file is untouched."""
-        from repro.obs.live import watch
-        path = str(tmp_path / "run.jsonl")
-        ledger = RunLedger(path=path, meta={"experiments": ["fig09"]})
-        ledger.emit("sweep_begin", jobs=2)
-        ledger.emit("sweep_plan", units=2, skipped=0)
-        ledger.emit("unit_scheduled", "fig09::ATA")
-        ledger.emit("unit_started", "fig09::ATA")
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"seq": 6, "type": "unit_co')   # torn tail
-        before = open(path, "rb").read()
-        frames = []
-        assert watch(path, once=True, write=frames.append) == 0
-        screen = "\n".join(frames)
-        assert "RUNNING" in screen
-        assert "fig09::ATA" in screen and "running" in screen
-        assert open(path, "rb").read() == before      # reader never writes
-        ledger.close()
-
-    def test_rewritten_ledger_shows_the_new_run(self, tmp_path):
-        """A sweep killed before ``sweep_end`` and resumed onto the same
-        ledger path rewrites the file from seq 1; the next frame must
-        show the resumed run, not the dead one."""
-        from repro.obs.live import watch
-        path = str(tmp_path / "run.jsonl")
-        first = RunLedger(path=path, meta={"experiments": ["fig09"]})
-        first.emit("sweep_begin", jobs=1)
-        first.emit("sweep_plan", units=3, skipped=0)
-        for app in ("ATA", "BFS", "VEC"):
-            first.emit("unit_scheduled", f"fig09::{app}")
-        first.emit("unit_started", "fig09::ATA")     # killed here: 7 events
-        first.close()
-
-        def resume(_seconds):
-            second = RunLedger(path=path, meta={"experiments": ["fig09"]})
-            second.emit("sweep_begin", jobs=1)
-            second.emit("sweep_plan", units=1, skipped=2)
-            second.emit("unit_scheduled", "fig09::VEC")
-            second.emit("unit_started", "fig09::VEC")
-            second.emit("unit_completed", "fig09::VEC", status="ok",
-                        attempts=1, unit_wall_s=0.5)
-            second.close()
-
-        frames = []
-        assert watch(path, interval_s=0.01, write=frames.append,
-                     sleep=resume, max_polls=2) == 0
-        assert len(frames) == 2
-        assert "0/3 units" in frames[0] and "fig09::ATA" in frames[0]
-        assert "1/1 units (1 ok" in frames[1]
-        assert "2 resumed" in frames[1]
-        assert "fig09::ATA" not in frames[1]
-        vec_row = next(line for line in frames[1].splitlines()
-                       if line.startswith("fig09::VEC"))
-        assert " ok " in vec_row
-
-    def test_dashboard_eta_band(self):
-        from repro.obs.live import RunState, render_dashboard
-        state = RunState()
-        base = 1000.0
-        events = [
-            {"seq": 1, "ts": base, "type": "ledger_open", "key": None,
-             "attrs": {"meta": {"experiments": ["fig09"]}}},
-            {"seq": 2, "ts": base, "type": "sweep_begin", "key": None,
-             "attrs": {"jobs": 2}},
-            {"seq": 3, "ts": base, "type": "sweep_plan", "key": None,
-             "attrs": {"units": 3, "skipped": 0}},
-        ]
-        for i, key in enumerate(("a", "b", "slow")):
-            events.append({"seq": 4 + i, "ts": base, "key": key,
-                           "type": "unit_scheduled", "attrs": {}})
-            events.append({"seq": 7 + i, "ts": base + i, "key": key,
-                           "type": "unit_started", "attrs": {}})
-        for i, key in enumerate(("a", "b")):
-            events.append({"seq": 10 + i, "ts": base + 5, "key": key,
-                           "type": "unit_completed",
-                           "attrs": {"status": "ok", "attempts": 1,
-                                     "unit_wall_s": 2.0}})
-        state.fold_all(events)
-        est, unc = state.eta_s()
-        assert est == pytest.approx(1.0)     # 1 unit x median 2s / 2 jobs
-        assert unc == pytest.approx(0.0)
-        screen = render_dashboard(state, now=base + 202, max_rows=10)
-        assert "ETA 1.0s ± 0.0s" in screen
-        # a long-running unit is shown with its elapsed wall time
-        slow_row = next(line for line in screen.splitlines()
-                        if line.startswith("slow"))
-        assert "running" in slow_row and "3m20s" in slow_row
-
-    def test_closed_pipe_is_a_clean_exit(self, tmp_path):
-        """`obs watch ... | head` closes stdout early; the watcher must
-        exit 0, not traceback."""
-        from repro.obs.live import watch
-        path = self._finished_ledger(tmp_path)
-
-        def broken(text):
-            raise BrokenPipeError
-
-        assert watch(path, once=True, write=broken) == 0
-        assert watch(path, interval_s=0.01, write=broken,
-                     sleep=lambda s: None, max_polls=3) == 0
-
-    def test_watch_cli_once(self, tmp_path, capsys):
-        from repro.__main__ import main
-        path = self._finished_ledger(tmp_path)
-        assert main(["obs", "watch", path, "--once"]) == 0
-        assert "ENDED (ok)" in capsys.readouterr().out
-
-    def test_watch_cli_rejects_bad_interval(self, tmp_path):
-        from repro.__main__ import main
-        with pytest.raises(SystemExit) as exc:   # argparse type error
-            main(["obs", "watch", str(tmp_path / "x.jsonl"),
-                  "--once", "--interval", "0"])
-        assert exc.value.code == 2
-
-    def test_watch_cli_rejects_negative_max_rows(self, tmp_path, capsys):
-        """A negative row cap would slice rows off the end of the
-        table instead of capping it."""
-        from repro.__main__ import main
-        path = self._finished_ledger(tmp_path)
-        assert main(["obs", "watch", path, "--once",
-                     "--max-rows", "-1"]) == 2
-        assert "--max-rows" in capsys.readouterr().err
-        assert main(["obs", "watch", path, "--once",
-                     "--max-rows", "0"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,18 @@ class TestRunnerObservability:
 # ---------------------------------------------------------------------------
 
 class TestObsCli:
+    def test_only_report_tree_diff_remain(self, capsys):
+        """A run ledger is followed with ``tail -f``; there is no
+        ``obs watch`` dashboard."""
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "--help"])
+        assert excinfo.value.code == 0
+        assert "{report,tree,diff}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "watch", "run.jsonl", "--once"])
+        assert excinfo.value.code == 2
+
     def test_obs_report_unknown_app_suggests(self, capsys):
         from repro.__main__ import main
         with pytest.raises(SystemExit) as excinfo:
@@ -729,53 +741,8 @@ class TestPrometheusConformance:
 
 
 # ---------------------------------------------------------------------------
-# obs watch --wait and the JSON/Prometheus CLI modes
+# The JSON/Prometheus CLI modes
 # ---------------------------------------------------------------------------
-
-class TestWatchWait:
-    def test_wait_polls_until_ledger_appears(self, tmp_path):
-        from repro.obs.live import watch
-        path = str(tmp_path / "late.jsonl")
-        frames, naps = [], []
-
-        def arrive_during_nap(seconds):
-            naps.append(seconds)
-            ledger = RunLedger(path=path)
-            ledger.emit("sweep_begin", jobs=1)
-            ledger.emit("sweep_plan", units=1, skipped=0)
-            ledger.emit("sweep_end", status="ok")
-            ledger.close()
-
-        code = watch(path, once=True, wait=True, interval_s=0.01,
-                     write=frames.append, sleep=arrive_during_nap)
-        assert code == 0
-        assert naps == [0.01]                  # exactly one wait nap
-        assert "ENDED (ok)" in "\n".join(frames)
-
-    def test_wait_timeout_expires_to_exit_2(self, tmp_path):
-        from repro.obs.live import watch
-        ticks = iter([0.0, 10.0, 20.0])
-        frames = []
-        code = watch(str(tmp_path / "never.jsonl"), wait=True,
-                     timeout_s=5.0, interval_s=0.01,
-                     write=frames.append, sleep=lambda s: None,
-                     clock=lambda: next(ticks))
-        assert code == 2
-        assert "after waiting 5s" in frames[0]
-
-    def test_no_wait_no_ledger_exits_nonzero_cli(self, tmp_path, capsys):
-        from repro.__main__ import main
-        assert main(["obs", "watch", str(tmp_path / "none.jsonl"),
-                     "--once"]) == 2
-        assert "no ledger" in capsys.readouterr().out
-
-    def test_cli_rejects_nonpositive_timeout(self, tmp_path):
-        from repro.__main__ import main
-        with pytest.raises(SystemExit) as exc:   # argparse type error
-            main(["obs", "watch", str(tmp_path / "x.jsonl"),
-                  "--wait", "--timeout", "0"])
-        assert exc.value.code == 2
-
 
 class TestJsonCLIModes:
     def test_diff_json_round_trips(self, tmp_path, capsys):

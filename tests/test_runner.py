@@ -991,25 +991,31 @@ class TestCLI:
         ["run", "fig01", "--timeout", "-1"],
         ["run", "fig01", "--timeout", "nan"],
         ["run", "fig01", "--timeout", "inf"],
-        ["obs", "watch", "LEDGER", "--once", "--interval", "nan"],
-        ["obs", "watch", "LEDGER", "--once", "--interval", "inf"],
-        ["obs", "watch", "LEDGER", "--once", "--timeout", "nan"],
-        ["obs", "watch", "LEDGER", "--once", "--timeout", "inf"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
-    def test_time_options_must_be_finite_and_positive(self, tmp_path,
-                                                      capsys, argv):
+    def test_time_options_must_be_finite_and_positive(self, capsys, argv):
         """A zero, negative, NaN or infinite time option would disable
         the limit, never fire, or overflow the timer; it is a usage
         error (exit 2) naming the option."""
         from repro.__main__ import main
-        from repro.obs.ledger import RunLedger
-        ledger = str(tmp_path / "run.jsonl")
-        RunLedger(path=ledger).close()
-        argv = [ledger if arg == "LEDGER" else arg for arg in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
+
+    def test_closed_stdout_is_a_clean_exit(self):
+        """``repro list | head`` closes stdout before the output is
+        written: the command exits 0 with no traceback on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)                  # the reader is already gone
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "repro", "list"],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
     def test_resume_from_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         from repro.__main__ import main
